@@ -14,6 +14,7 @@ seed and config, every output byte is reproducible.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -22,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__, dyson, ensembles, exponents, loewner, spectral
-from .validation import run_criteria
+from .validation import ALL_CRITERIA, run_criteria
 
 FLOAT_FMT = ".17g"
 
@@ -102,7 +103,8 @@ def resolve_config(args: argparse.Namespace, schema: dict) -> dict:
 
 
 def _open_out(path):
-    return open(path, "w") if path else sys.stdout
+    # stdout is borrowed, not owned: leaving the block must not close it
+    return open(path, "w") if path else contextlib.nullcontext(sys.stdout)
 
 
 def _write_csv(fh, meta: dict, header: list, rows):
@@ -141,7 +143,13 @@ def cmd_simulate(cfg: dict, out_path: str) -> int:
 def cmd_validate(cfg: dict, out_path: str) -> int:
     only = None
     if cfg["criteria"]:
-        only = {int(s) for s in cfg["criteria"].split(",")}
+        n = len(ALL_CRITERIA)
+        ids = [s.strip() for s in cfg["criteria"].split(",")]
+        bad = [s for s in ids if not (s.isdecimal() and 1 <= int(s) <= n)]
+        if bad:
+            raise SystemExit(f"unknown criterion id(s) {bad}; "
+                             f"valid ids are 1 to {n}")
+        only = {int(s) for s in ids}
     results = run_criteria(quick=bool(cfg["quick"]), only=only)
     report = {
         "version": __version__,
@@ -161,7 +169,12 @@ def cmd_validate(cfg: dict, out_path: str) -> int:
 
 
 def cmd_spectrum(cfg: dict, out_path: str) -> int:
-    convention = spectral.TimeConvention[cfg["convention"]]
+    try:
+        convention = spectral.TimeConvention[cfg["convention"]]
+    except KeyError:
+        valid = ", ".join(c.name for c in spectral.TimeConvention)
+        raise SystemExit(f"unknown convention {cfg['convention']!r}; "
+                         f"valid values are {valid}") from None
     kappas = [float(s) for s in cfg["kappas"].split(",")]
     rows = []
     for kappa in kappas:

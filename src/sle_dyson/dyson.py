@@ -124,9 +124,6 @@ class TrajectoryRecord:
     params: ProcessParams
     brownian_increments: np.ndarray | None = None
 
-    def config_at(self, k: int) -> AngleConfig:
-        return AngleConfig(self.states[k])
-
 
 def equally_spaced(n: int, offset: float = 0.0) -> AngleConfig:
     """The zero-drift configuration: n equally spaced angles."""

@@ -8,7 +8,6 @@ are checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 import math
 
@@ -27,26 +26,6 @@ class BetaConvention(Enum):
 
     def beta(self, kappa: float) -> float:
         return self.value / kappa
-
-
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """A circular ensemble identified by particle count and beta."""
-
-    n_particles: int
-    beta: float
-    convention: BetaConvention = BetaConvention.DYSON_4_OVER_KAPPA
-
-    def __post_init__(self):
-        if self.n_particles < 1:
-            raise ValueError("n_particles must be >= 1")
-        if not self.beta > 0.0:
-            raise ValueError("beta must be positive")
-
-    @classmethod
-    def from_kappa(cls, n_particles: int, kappa: float,
-                   convention: BetaConvention = BetaConvention.DYSON_4_OVER_KAPPA):
-        return cls(n_particles, convention.beta(kappa), convention)
 
 
 def log_density_unnormalized(config: AngleConfig, beta: float) -> float:

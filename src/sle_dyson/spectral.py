@@ -1,13 +1,17 @@
 """Reduced two-particle operators on the relative angle theta in (0, 2*pi).
 
-Three discretizations of the same diffusion, in one place:
+Two banded discretizations of the same diffusion, in one place:
 
 * the backward (first-passage) generator acting on observables,
-  (kappa/2) h'' + cot(theta/2) h'  in the half-speed clock,
-* the Fokker-Planck generator acting on densities, in conservative flux
-  form, whose kernel is the stationary gap density sin^{4/kappa}(theta/2),
-* the symmetrized Schrodinger form obtained by the P_eq^{1/2} similarity
-  transform, a Calogero-Sutherland-type Hamiltonian.
+  (kappa/2) h'' + cot(theta/2) h'  in the half-speed clock, collocated on
+  the regular-singular branch at theta = 0;
+* the Fokker-Planck generator acting on densities, an exponentially fitted
+  (Scharfetter-Gummel) flux whose discrete kernel approximates the
+  stationary gap density sin^{4/kappa}(theta/2).
+
+The Calogero-Sutherland Hamiltonian is not discretized separately: it is
+the symmetrized fitted generator, -D^{-1/2} L D^{1/2} with the diagonal D
+that makes it symmetric, so it shares the generator's spectrum exactly.
 
 The lowest decaying mode of the backward generator on the singular branch
 theta^{1-4/kappa} has the closed-form rate (kappa^2-16)/(32 kappa), which
@@ -23,10 +27,10 @@ import math
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import eigh_tridiagonal, lu_factor, lu_solve
+from scipy.linalg import eigh_tridiagonal
+from scipy.special import exprel
 
 TWO_PI = 2.0 * math.pi
-DENSE_EIG_CUTOFF = 512
 
 
 class BCKind(Enum):
@@ -61,7 +65,7 @@ class GridOperator:
     """
 
     grid: np.ndarray
-    matrix: object  # dense ndarray or scipy sparse
+    matrix: object  # scipy sparse, banded
     bc_left: BoundaryCondition
     bc_right: BoundaryCondition
 
@@ -119,33 +123,27 @@ def build_adjoint_n2(kappa: float, m: int,
     alpha = 1.0 - 4.0 / kappa if singular_branch else 0.0
     h = TWO_PI / m
     th = _cell_grid(m)
-    a = np.zeros((m, m))
+    # three-point stencils: one-sided at the singular end, and at 2*pi a
+    # ghost node (m + 1/2) h that mirrors the last cell (Neumann)
+    idx = np.clip(np.arange(m) - 1, 0, m - 2)[:, None] + np.arange(3)
+    pts = (idx + 0.5) * h
 
-    def apply_pow(p, x):
-        # the operator applied to theta^p, evaluated at x
-        if p == 0:
-            return 0.0
-        return (0.5 * kappa * p * (p - 1) * x ** (p - 2)
-                + p * x ** (p - 1) / math.tan(x / 2.0))
-
-    for i in range(m):
-        # three-point stencil; one-sided at the singular end, ghost-cell
-        # Neumann (mirror of the last cell) at 2*pi
-        idx = [0, 1, 2] if i == 0 else (
-            [m - 2, m - 1, m] if i == m - 1 else [i - 1, i, i + 1])
-        pts = np.array([th[j] if j < m else TWO_PI + h / 2.0 for j in idx])
-        x0 = th[i]
-        for k, jcol in enumerate(idx):
-            o = [pts[q] for q in range(3) if q != k]
-            den = (pts[k] - o[0]) * (pts[k] - o[1])
-            c2, c1, c0 = 1.0 / den, -(o[0] + o[1]) / den, o[0] * o[1] / den
-            val = (c2 * apply_pow(alpha + 2, x0)
-                   + c1 * apply_pow(alpha + 1, x0)
-                   + c0 * apply_pow(alpha, x0))
-            col = jcol if jcol < m else m - 1
-            node = pts[k]
-            a[i, col] += val / node ** alpha if alpha else val
-    a *= convention.factor
+    # column k: the operator applied to theta^alpha * ell_k at the row's
+    # node x, with ell_k the Lagrange basis polynomial of stencil point k,
+    # scaled by pts^-alpha so the unknowns are the nodal values
+    x = th[:, None]
+    o1, o2 = pts[:, [1, 0, 0]], pts[:, [2, 2, 1]]  # the other two points
+    den = (pts - o1) * (pts - o2)
+    ell = (x - o1) * (x - o2) / den
+    d1 = (2.0 * x - o1 - o2) / den
+    d2 = 2.0 / den
+    vals = ((0.5 * kappa * (alpha * (alpha - 1.0) * ell / x ** 2
+                            + 2.0 * alpha * d1 / x + d2)
+             + (alpha * ell / x + d1) / np.tan(x / 2.0))
+            * (x / pts) ** alpha)
+    rows = np.repeat(np.arange(m), 3)
+    a = sp.csc_matrix((vals.ravel() * convention.factor,
+                       (rows, np.minimum(idx, m - 1).ravel())), shape=(m, m))
     bc_left = (BoundaryCondition(BCKind.REGULAR_SINGULAR, alpha)
                if singular_branch else BoundaryCondition(BCKind.NEUMANN))
     return GridOperator(grid=th, matrix=a, bc_left=bc_left,
@@ -157,19 +155,13 @@ def lowest_eigenpair(op: GridOperator) -> tuple[float, np.ndarray]:
 
     The decay rate is minus the largest real eigenvalue.  The eigenvector
     is scaled to max-norm 1 with positive sign at its interior maximum.
-    Dense solve up to moderate grids, shift-invert Arnoldi above.
+    Shift-invert Arnoldi from a fixed start vector, so reruns are
+    bit-identical.
     """
-    a = op.matrix
-    m = op.grid.size
-    if sp.issparse(a) or m > DENSE_EIG_CUTOFF:
-        a_sp = sp.csc_matrix(a)
-        vals, vecs = spla.eigs(a_sp, k=4, sigma=0.5)
-        pick = int(np.argmax(vals.real))
-        lam, vec = vals[pick], vecs[:, pick]
-    else:
-        vals, vecs = np.linalg.eig(np.asarray(a))
-        pick = int(np.argmax(vals.real))
-        lam, vec = vals[pick], vecs[:, pick]
+    vals, vecs = spla.eigs(sp.csc_matrix(op.matrix), k=4, sigma=0.5,
+                           v0=np.ones(op.grid.size))
+    pick = int(np.argmax(vals.real))
+    lam, vec = vals[pick], vecs[:, pick]
     if abs(lam.imag) > 1e-8 * max(1.0, abs(lam.real)):
         raise ArithmeticError("leading eigenvalue is not real")
     vec = vec.real
@@ -189,9 +181,8 @@ def measured_convergence_order(kappa: float, ms=(32, 64, 128, 256),
                                = TimeConvention.LSW_HALF) -> float:
     """Fitted order of the eigenvalue error against the exact rate.
 
-    Runs on coarse grids with the dense solver; at very fine grids the
-    iterative solver's residual floor contaminates the error and the fit
-    becomes meaningless.
+    Runs on coarse grids; at very fine grids the eigensolver's residual
+    floor contaminates the error and the fit becomes meaningless.
     """
     exact = one_arm_lambda_exact(kappa, convention)
     errs = [abs(adjoint_decay_rate(kappa, m, convention) - exact)
@@ -205,31 +196,41 @@ def relative_potential_prime(theta):
     return -2.0 / np.tan(np.asarray(theta, dtype=float) / 2.0)
 
 
-def build_fp_generator_n2(kappa: float, m: int) -> GridOperator:
-    """Density-evolution matrix d/dth(V' P + kappa P') in flux form.
+def _fp_bands(kappa: float, m: int):
+    """Sub-, main and super-diagonal of the fitted density generator.
 
-    Finite volumes on cell-centred nodes with zero flux through both ends,
-    so the matrix conserves total mass exactly (columns sum to zero) and
-    annihilates the stationary density to second order.
+    Cell i sees (F_{i+1} - F_i)/h, with the Scharfetter-Gummel flux through
+    face f (between cells f-1 and f, at theta_f = f h)
+
+        F_f = (kappa/h) [B(-delta_f) P_f - B(delta_f) P_{f-1}],
+        delta_f = h V'(theta_f) / kappa,   B(x) = x / (e^x - 1),
+
+    and zero flux through both ends.  B(-x) - B(x) = x, so F_f is
+    kappa P' + V' P to second order; B > 0 keeps every off-diagonal
+    product positive for all kappa > 0.
     """
     if kappa <= 0.0:
         raise ValueError("kappa must be positive")
     h = TWO_PI / m
-    th = _cell_grid(m)
-    faces = np.arange(1, m) * h
-    vp = relative_potential_prime(faces)
-    # flux through face f (between cells f-1 and f):
-    #   F_f = vp_f (P_{f-1} + P_f)/2 + kappa (P_f - P_{f-1})/h
-    lower = vp * 0.5 - kappa / h   # coefficient of P_{f-1} in F_f
-    upper = vp * 0.5 + kappa / h   # coefficient of P_f in F_f
-    L = np.zeros((m, m))
-    rows = np.arange(m - 1)
-    # cell i sees (F_{i+1} - F_i)/h
-    L[rows, rows] += lower / h
-    L[rows, rows + 1] += upper / h
-    L[rows + 1, rows] -= lower / h
-    L[rows + 1, rows + 1] -= upper / h
-    return GridOperator(grid=th, matrix=L,
+    delta = h * relative_potential_prime(np.arange(1, m) * h) / kappa
+    upper = kappa / h ** 2 / exprel(-delta)  # L[f-1, f]
+    lower = kappa / h ** 2 / exprel(delta)   # L[f, f-1]
+    # columns sum to zero: mass is conserved exactly
+    diag = -(np.append(lower, 0.0) + np.insert(upper, 0, 0.0))
+    return lower, diag, upper
+
+
+def build_fp_generator_n2(kappa: float, m: int) -> GridOperator:
+    """Density-evolution matrix d/dth(V' P + kappa P') in flux form.
+
+    Finite volumes on cell-centred nodes with an exponentially fitted flux
+    and zero flux through both ends, so the matrix conserves total mass
+    exactly (columns sum to zero) and annihilates the stationary density to
+    second order.
+    """
+    lower, diag, upper = _fp_bands(kappa, m)
+    mat = sp.diags([lower, diag, upper], offsets=[-1, 0, 1], format="csr")
+    return GridOperator(grid=_cell_grid(m), matrix=mat,
                         bc_left=BoundaryCondition(BCKind.NEUMANN),
                         bc_right=BoundaryCondition(BCKind.NEUMANN))
 
@@ -262,13 +263,12 @@ def fp_residual_order(kappa: float, ms=(256, 512, 1024, 2048)) -> float:
 def build_cs_hamiltonian_n2(kappa: float, m: int) -> GridOperator:
     """Symmetrized form -kappa d^2 + cot^2(th/2)/kappa - csc^2(th/2)/2.
 
-    Obtained from the density generator by conjugating with the square
-    root of the stationary density; the ground state is that square root,
+    The fitted density generator L conjugated by the diagonal D that makes
+    it symmetric, H = -D^{-1/2} L D^{1/2}; D is the discrete stationary
+    density, so the ground state is its square root, approximately
     sin^{2/kappa}(theta/2), at eigenvalue zero.  Stored as a symmetric
     tridiagonal sparse matrix with Dirichlet ends.
     """
-    if kappa <= 0.0:
-        raise ValueError("kappa must be positive")
     d, e, th = cs_tridiagonal(kappa, m)
     mat = sp.diags([e, d, e], offsets=[-1, 0, 1], format="csr")
     return GridOperator(grid=th, matrix=mat,
@@ -277,14 +277,13 @@ def build_cs_hamiltonian_n2(kappa: float, m: int) -> GridOperator:
 
 
 def cs_tridiagonal(kappa: float, m: int):
-    """Diagonal and off-diagonal of the Hamiltonian, plus the grid."""
-    h = TWO_PI / m
-    th = _cell_grid(m)
-    half = th / 2.0
-    w = (1.0 / np.tan(half)) ** 2 / kappa - 1.0 / np.sin(half) ** 2 / 2.0
-    d = 2.0 * kappa / h ** 2 + w
-    e = np.full(m - 1, -kappa / h ** 2)
-    return d, e, th
+    """Diagonal and off-diagonal of the Hamiltonian, plus the grid.
+
+    Taken from the density-generator bands, so H and -L share their
+    spectrum, which approximates Sutherland's E_n = n + kappa n^2 / 4.
+    """
+    lower, diag, upper = _fp_bands(kappa, m)
+    return -diag, -np.sqrt(lower * upper), _cell_grid(m)
 
 
 def cs_ground_state(kappa: float, m: int, n_states: int = 2):
@@ -307,14 +306,13 @@ def survival_curve(kappa: float, t_max: float, m: int = 1024,
     """Non-meeting probability h(theta, t) by implicit Euler on the
     backward generator; returns (times, h-matrix of shape (nt, m), grid)."""
     op = build_adjoint_n2(kappa, m, convention)
-    ident = np.eye(m)
-    lu = lu_factor(ident - dt * op.matrix)
+    lu = spla.splu(sp.identity(m, format="csc") - dt * op.matrix)
     n_steps = int(round(t_max / dt))
     hcur = np.ones(m)
     out = np.empty((n_steps + 1, m))
     out[0] = hcur
     for k in range(n_steps):
-        hcur = lu_solve(lu, hcur)
+        hcur = lu.solve(hcur)
         out[k + 1] = hcur
     times = np.arange(n_steps + 1) * dt
     return times, out, op.grid

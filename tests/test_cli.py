@@ -85,6 +85,16 @@ class TestSpectrum:
         assert float(rows[0][2]) == pytest.approx(5.0 / 48.0)
         assert float(rows[1][3]) < 1e-6
 
+    def test_byte_identical_reruns(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        main(["spectrum", "-o", str(a)])
+        main(["spectrum", "-o", str(b)])
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_unknown_convention_rejected(self):
+        with pytest.raises(SystemExit, match="LSW_HALF, DYSON"):
+            main(["spectrum", "--convention", "FOO", "-o", "/dev/null"])
+
 
 class TestExponents:
     def test_exact_fraction_csv(self, tmp_path):
@@ -93,6 +103,14 @@ class TestExponents:
         _, header, rows = read_csv(out)
         assert rows[1][header.index("beta_dyson")] == "3/2"
         assert rows[0][header.index("h21")] == "1"
+
+    def test_stdout_stays_open(self, capsys):
+        # two calls in one process, both writing to stdout
+        args = ["exponents", "--kappas", "2"]
+        assert main(args) == 0
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert out.count("beta_dyson") == 2
 
 
 class TestTrace:
@@ -116,3 +134,8 @@ class TestValidate:
         assert set(entry) >= {"criterion_id", "value", "threshold", "pass"}
         assert entry["pass"] is True
         assert report["all_pass"] is True
+
+    @pytest.mark.parametrize("criteria", ["11", ",", "0", "3,x"])
+    def test_unknown_criteria_rejected(self, criteria):
+        with pytest.raises(SystemExit, match="valid ids are 1 to 10"):
+            main(["validate", "--criteria", criteria, "-o", "/dev/null"])

@@ -74,6 +74,32 @@ class TestAdjointOperator:
     def test_convergence_order(self):
         assert measured_convergence_order(6.0) == pytest.approx(2.0, abs=0.3)
 
+    @pytest.mark.parametrize("kappa,m", [(3.0, 64), (6.0, 512), (8.0, 33)])
+    def test_matches_nodewise_reference(self, kappa, m):
+        # reference: the same collocation built one node at a time, with
+        # the operator applied to theta^p in closed form
+        alpha = 1.0 - 4.0 / kappa if kappa > 4.0 else 0.0
+        h = TWO_PI / m
+        th = (np.arange(m + 1) + 0.5) * h  # the last is the Neumann ghost
+
+        def apply_pow(p, x):
+            return (0.5 * kappa * p * (p - 1) * x ** (p - 2)
+                    + p * x ** (p - 1) / math.tan(x / 2.0))
+
+        ref = np.zeros((m, m))
+        for i in range(m):
+            idx = [0, 1, 2] if i == 0 else (
+                [m - 2, m - 1, m] if i == m - 1 else [i - 1, i, i + 1])
+            for k, j in enumerate(idx):
+                o = [th[q] for q in idx if q != j]
+                den = (th[j] - o[0]) * (th[j] - o[1])
+                val = (apply_pow(alpha + 2, th[i])
+                       - (o[0] + o[1]) * apply_pow(alpha + 1, th[i])
+                       + o[0] * o[1] * apply_pow(alpha, th[i])) / den
+                ref[i, min(j, m - 1)] += val / th[j] ** alpha
+        got = build_adjoint_n2(kappa, m).matrix.toarray()
+        assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
+
 
 class TestLowestEigenpair:
     def test_neumann_laplacian_trivial_mode(self):
@@ -96,6 +122,13 @@ class TestLowestEigenpair:
         _, vec = lowest_eigenpair(op)
         assert np.max(np.abs(vec)) == pytest.approx(1.0)
         assert vec[np.argmax(np.abs(vec))] > 0.0
+
+    def test_reruns_bit_identical(self):
+        op = build_adjoint_n2(6.0, 1024)
+        lam1, vec1 = lowest_eigenpair(op)
+        lam2, vec2 = lowest_eigenpair(op)
+        assert lam1 == lam2
+        assert np.array_equal(vec1, vec2)
 
 
 class TestFpGenerator:
@@ -129,17 +162,34 @@ class TestFpGenerator:
         assert np.max(np.abs(lhs - rhs)[inner]) < 1e-3
 
 
+CS_KAPPAS = [0.5, 1.0, 2.0, 2.5, 3.0, 4.0, 6.0, 8.0]
+
+
 class TestCsHamiltonian:
     def test_symmetry(self):
         op = build_cs_hamiltonian_n2(2.0, 256)
         defect = (op.matrix - op.matrix.T).toarray()
         assert np.max(np.abs(defect)) < 1e-10
 
-    def test_ground_state(self):
-        vals, vecs, th = cs_ground_state(2.0, 4096)
-        ref = stationary_gap_density(2.0, th) ** 0.5
+    @pytest.mark.parametrize("kappa", CS_KAPPAS)
+    def test_ground_state(self, kappa):
+        vals, vecs, th = cs_ground_state(kappa, 4096)
+        ref = stationary_gap_density(kappa, th) ** 0.5
         assert abs(vals[0]) < 1e-3
         assert normalized_overlap(vecs[:, 0], ref) > 0.999
+
+    @pytest.mark.parametrize("kappa", CS_KAPPAS)
+    def test_sutherland_spectrum(self, kappa):
+        # H = -kappa d^2/dtheta^2 + cot^2(theta/2)/kappa - csc^2(theta/2)/2
+        # on (0, 2*pi).  With x = theta/2, d/dtheta = (1/2) d/dx and
+        # cot^2 = csc^2 - 1, so
+        #   (4/kappa) H = -d^2/dx^2 + g(g-1) csc^2 x - g^2,  g = 2/kappa,
+        # the Poschl-Teller problem on (0, pi) with ground state sin^g x.
+        # Its levels are (n+g)^2, hence E_n = (kappa/4)((n+g)^2 - g^2)
+        # = n + kappa n^2 / 4 (Sutherland's two-body spectrum).
+        vals, _, _ = cs_ground_state(kappa, 4096, n_states=4)
+        exact = [n + kappa * n * n / 4.0 for n in range(4)]
+        assert np.allclose(vals, exact, rtol=0.0, atol=1e-3)
 
     def test_spectral_gap_matches_fp_decay(self):
         # the similarity transform preserves spectra: the first excited
