@@ -70,6 +70,16 @@ SCHEMAS = {
 }
 
 
+def _parse(schema: dict, key: str, val: str, where: str):
+    """Convert a config value to its schema type, or exit naming its source."""
+    typ = schema[key][0]
+    try:
+        return typ(val)
+    except ValueError:
+        raise SystemExit(f"{where}: {key} = {val!r} is not a valid "
+                         f"{typ.__name__}") from None
+
+
 def _read_config_file(path: str, schema: dict) -> dict:
     out = {}
     with open(path) as fh:
@@ -82,7 +92,7 @@ def _read_config_file(path: str, schema: dict) -> dict:
             key, val = (s.strip() for s in line.split("=", 1))
             if key not in schema:
                 raise SystemExit(f"{path}:{lineno}: unknown key '{key}'")
-            out[key] = schema[key][0](val)
+            out[key] = _parse(schema, key, val, f"{path}:{lineno}")
     return out
 
 
@@ -91,10 +101,11 @@ def resolve_config(args: argparse.Namespace, schema: dict) -> dict:
     cfg = {k: v[1] for k, v in schema.items()}
     if args.config:
         cfg.update(_read_config_file(args.config, schema))
-    for key, (typ, _, _) in schema.items():
-        env = os.environ.get(f"SLE_{key.upper()}")
+    for key in schema:
+        var = f"SLE_{key.upper()}"
+        env = os.environ.get(var)
         if env is not None:
-            cfg[key] = typ(env)
+            cfg[key] = _parse(schema, key, env, var)
     for key in schema:
         val = getattr(args, key, None)
         if val is not None:
@@ -115,6 +126,13 @@ def _write_csv(fh, meta: dict, header: list, rows):
         fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
+def _simulate(params, t_end):
+    try:
+        return dyson.simulate(params, t_end=t_end)
+    except ValueError as exc:
+        raise SystemExit(f"simulate: {exc}") from None
+
+
 def cmd_simulate(cfg: dict, out_path: str) -> int:
     burn_in = None if cfg["burn_in"] < 0 else cfg["burn_in"]
     params = dyson.ProcessParams(
@@ -126,17 +144,19 @@ def cmd_simulate(cfg: dict, out_path: str) -> int:
             "burn_in": params.effective_burn_in,
             "thinning": params.thinning}
     names = [f"theta_{j + 1}" for j in range(params.n_particles)]
+    if cfg["n_samples"] > 0:
+        batch = dyson.sample_stationary(params, cfg["n_samples"])
+        meta["n_samples"] = cfg["n_samples"]
+        meta.update((k, batch.meta[k]) for k in dyson.PATH_COUNTERS)
+        header = ["sample", *names]
+        rows = ([i, *row] for i, row in enumerate(batch.rows))
+    else:
+        rec = _simulate(params, cfg["t_end"])
+        meta["t_end"] = cfg["t_end"]
+        header = ["t", *names]
+        rows = ([t, *row] for t, row in zip(rec.times, rec.states))
     with _open_out(out_path) as fh:
-        if cfg["n_samples"] > 0:
-            batch = dyson.sample_stationary(params, cfg["n_samples"])
-            meta["n_samples"] = cfg["n_samples"]
-            rows = ([i, *row] for i, row in enumerate(batch.rows))
-            _write_csv(fh, meta, ["sample", *names], rows)
-        else:
-            rec = dyson.simulate(params, t_end=cfg["t_end"])
-            meta["t_end"] = cfg["t_end"]
-            rows = ([t, *row] for t, row in zip(rec.times, rec.states))
-            _write_csv(fh, meta, ["t", *names], rows)
+        _write_csv(fh, meta, header, rows)
     return 0
 
 
@@ -205,7 +225,7 @@ def cmd_trace(cfg: dict, out_path: str) -> int:
     params = dyson.ProcessParams(n_particles=cfg["n_particles"],
                                  kappa=cfg["kappa"], dt=cfg["dt"],
                                  seed=cfg["seed"])
-    rec = dyson.simulate(params, t_end=cfg["t_end"])
+    rec = _simulate(params, cfg["t_end"])
     drive = loewner.DriveHistory.from_trajectory(rec)
     times = np.linspace(0.0, cfg["t_end"], cfg["n_points"])
     meta = {"version": __version__, "seed": params.seed,

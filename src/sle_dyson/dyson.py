@@ -4,9 +4,17 @@ The N-particle diffusion
 
     dtheta_j = sum_{k != j} cot((theta_j - theta_k)/2) dt + sqrt(kappa) dB_j
 
-is integrated with Euler-Maruyama plus adaptive step-halving near close
-pairs.  Its stationary law is the circular beta-ensemble with beta = 4/kappa
-(see :mod:`sle_dyson.ensembles` for the reference densities).
+never reorders its particles, so it is integrated in sorted coordinates:
+each chain is a row of unwrapped angles x_0 < x_1 < ... < x_{N-1} < x_0 + 2*pi
+whose N gaps sum to 2*pi.  One batched kernel, :func:`_integrate`, advances
+many rows by full steps of dt: rows clear of collision share one
+Euler-Maruyama proposal, rows whose nearest pair is close take an exact
+squared-Bessel pair move, and any row left over takes gap-capped,
+step-halving sub-steps with a reflecting GAP_FLOOR.  :func:`simulate` runs
+the kernel on one row and records every step; :func:`sample_stationary`
+runs it on many independent chains.  The stationary law is the circular
+beta-ensemble with beta = 4/kappa (see :mod:`sle_dyson.ensembles` for the
+reference densities).
 """
 
 from __future__ import annotations
@@ -28,6 +36,13 @@ MAX_HALVINGS = 20
 # GAP_FLOOR^(1+4/kappa), far below statistical resolution.
 GAP_FLOOR = 1e-4
 
+# Per-path counters of :func:`_integrate`: chain-steps taken by the shared
+# EM proposal, by the pair jump and by the rare path (these three sum to
+# chains x steps), then the rare path's sub-steps, step halvings and
+# GAP_FLOOR reflections.
+PATH_COUNTERS = ("em_steps", "pair_jumps", "rare_steps", "rare_substeps",
+                 "halvings", "reflections")
+
 
 class CollisionError(ValueError):
     """Raised when particle angles coincide or the integrator cannot
@@ -42,11 +57,6 @@ def wrap_angle(theta):
     """
     wrapped = np.mod(theta, TWO_PI)
     return np.where(wrapped >= TWO_PI, 0.0, wrapped)[()]
-
-
-def wrap_diff(delta):
-    """Map angle differences into (-pi, pi]."""
-    return np.pi - np.mod(np.pi - np.asarray(delta), TWO_PI)
 
 
 @dataclass(frozen=True)
@@ -122,7 +132,6 @@ class TrajectoryRecord:
     times: np.ndarray
     states: np.ndarray  # shape (len(times), N)
     params: ProcessParams
-    brownian_increments: np.ndarray | None = None
 
 
 def equally_spaced(n: int, offset: float = 0.0) -> AngleConfig:
@@ -130,24 +139,22 @@ def equally_spaced(n: int, offset: float = 0.0) -> AngleConfig:
     return AngleConfig(wrap_angle(offset + TWO_PI * np.arange(n) / n))
 
 
-def _pairwise_diffs(angles):
-    """Wrapped pairwise differences d[..., j, k] = theta_j - theta_k."""
-    d = angles[..., :, None] - angles[..., None, :]
-    return wrap_diff(d)
-
-
 def drift_batch(angles: np.ndarray, min_gap: float = 1e-12) -> np.ndarray:
-    """Drift sum_{k != j} cot((theta_j - theta_k)/2) for a (..., N) array."""
+    """Drift sum_{k != j} cot((theta_j - theta_k)/2) for a (..., N) array.
+
+    cot(d/2) has period 2*pi in d, so wrapped angles and the kernel's
+    unwrapped sorted rows give the same drift.
+    """
     angles = np.asarray(angles, dtype=float)
     n = angles.shape[-1]
     if n == 1:
         return np.zeros_like(angles)
-    d = _pairwise_diffs(angles)
-    off = ~np.eye(n, dtype=bool)
-    if np.any(np.abs(d[..., off]) < min_gap):
+    t = np.tan((angles[..., :, None] - angles[..., None, :]) / 2.0)
+    cot = np.divide(1.0, t, out=np.zeros_like(t),
+                    where=~np.eye(n, dtype=bool))
+    # |cot(d/2)| ~ 2/|d| near d = 0 mod 2*pi: flags pairs closer than min_gap
+    if not np.all(np.abs(cot) < 2.0 / min_gap):
         raise CollisionError("coincident angles: cot drift is singular")
-    cot = np.zeros_like(d)
-    cot[..., off] = 1.0 / np.tan(d[..., off] / 2.0)
     return cot.sum(axis=-1)
 
 
@@ -171,184 +178,47 @@ def potential(config: AngleConfig) -> float:
     return float(-2.0 * np.sum(np.log(s)))
 
 
-def _order_preserved(old, new):
-    """True when the proposed angles keep the circular ordering of ``old``
-    (no crossings, no collisions) and no particle moved further than pi."""
-    if old.shape[-1] == 1:
-        return np.ones(old.shape[:-1], dtype=bool) if old.ndim > 1 else True
-    moved = np.abs(wrap_diff(new - old))
-    perm = np.argsort(old, axis=-1)
-    sorted_new = np.take_along_axis(new, perm, axis=-1)
-    gaps = np.mod(np.diff(sorted_new, axis=-1, append=sorted_new[..., :1]), TWO_PI)
-    ok = (gaps > 0.0).all(axis=-1)
-    ok &= np.isclose(gaps.sum(axis=-1), TWO_PI)
-    ok &= (moved < np.pi).all(axis=-1)
-    return ok
+def _gaps(x):
+    """Gaps x_{i+1} - x_i of sorted rows, the last one closing the circle."""
+    return np.diff(x, axis=-1, append=x[..., :1] + TWO_PI)
 
 
-def _guard_threshold(kappa, dt, max_drift):
-    # Close-pair trigger: a step may not come near the collision scale.
-    return 4.0 * math.sqrt(kappa * dt) + 4.0 * max_drift * dt
+def _accepted(old, new, floor):
+    """Rows of ``new`` that keep every gap >= ``floor`` (so the cyclic order
+    of ``old``) and move no particle by pi or more."""
+    return ((_gaps(new) >= floor).all(axis=-1)
+            & (np.abs(new - old) < np.pi).all(axis=-1))
 
 
-def _min_gap(angles):
-    s = np.sort(angles, axis=-1)
-    gaps = np.mod(np.diff(s, axis=-1, append=s[..., :1] + TWO_PI), TWO_PI)
-    return gaps.min(axis=-1)
-
-
-def _reflect_floor(angles):
-    """Reflect the nearest pair off the GAP_FLOOR barrier (in place copy)."""
-    order = np.argsort(angles)
-    s = angles[order]
-    gaps = np.mod(np.diff(s, append=s[0] + TWO_PI), TWO_PI)
-    i = int(np.argmin(gaps))
-    g = gaps[i]
-    if g >= GAP_FLOOR:
-        return angles
-    out = angles.copy()
-    push = (GAP_FLOOR - g)  # reflected gap = 2*floor - g
-    j, k = order[i], order[(i + 1) % angles.size]
-    out[j] = wrap_angle(out[j] - push)
-    out[k] = wrap_angle(out[k] + push)
-    return out
-
-
-def step_attempt(angles: np.ndarray, kappa: float, dt: float,
-                 noise: np.ndarray) -> tuple[np.ndarray, float]:
-    """One adaptive Euler-Maruyama attempt from a flat angle array.
-
-    Returns ``(new_angles, dt_advanced)``.  When the close-pair guard or the
-    crossing check rejects the proposal the same standard-normal draws are
-    reused for a step of half the length, so a call may advance less than
-    ``dt``; after MAX_HALVINGS rejections a :class:`CollisionError` is
-    raised (dt grossly too large for the given kappa and N).
-    """
-    trial = dt
-    for _ in range(MAX_HALVINGS + 1):
-        mu = drift_batch(angles)
-        guard = _guard_threshold(kappa, trial, float(np.max(np.abs(mu))))
-        if angles.size > 1 and _min_gap(angles) < guard:
-            trial /= 2.0
-            continue
-        new = wrap_angle(angles + mu * trial + math.sqrt(kappa * trial) * noise)
-        if _order_preserved(angles, new):
-            if angles.size > 1 and _min_gap(new) < GAP_FLOOR:
-                new = _reflect_floor(new)
-            return new, trial
-        trial /= 2.0
-    raise CollisionError(
-        f"step rejected after {MAX_HALVINGS} halvings (dt={dt}, kappa={kappa})")
-
-
-def step(config: AngleConfig, params: ProcessParams,
-         noise: np.ndarray) -> AngleConfig:
-    """Advance ``config`` by one Euler-Maruyama step of ``params.dt``.
-
-    ``noise`` holds N standard-normal draws.  Rejected proposals retry with
-    dt halved (see :func:`step_attempt`); the returned configuration then
-    corresponds to the shortened step.
-    """
-    noise = np.asarray(noise, dtype=float)
-    if noise.shape != config.angles.shape:
-        raise ValueError("noise must have one draw per particle")
-    new, _ = step_attempt(config.angles, params.kappa, params.dt, noise)
-    return AngleConfig(new)
-
-
-def _gap_capped_dt(angles, kappa, dt):
-    """Shrink dt near close pairs so the guard accepts without halving."""
-    if angles.size == 1:
-        return dt
-    g = float(_min_gap(angles))
-    cap = g * g / (32.0 * (kappa + angles.size))
-    return min(dt, cap)
-
-
-def _advance(angles, kappa, duration, dt, rng):
-    """Advance a single chain by ``duration`` with the adaptive stepper."""
-    t = 0.0
-    while t < duration - 1e-15:
-        want = min(_gap_capped_dt(angles, kappa, dt), duration - t)
-        noise = rng.standard_normal(angles.size)
-        angles, done = step_attempt(angles, kappa, want, noise)
-        t += done
-    return angles
-
-
-def simulate(params: ProcessParams, t_end: float,
-             initial: AngleConfig | None = None,
-             record_noise: bool = False) -> TrajectoryRecord:
-    """Integrate one trajectory to ``t_end``, recording every ``params.dt``.
-
-    Bit-for-bit reproducible from (seed, params, initial).
-    """
-    if not t_end > 0.0:
-        raise ValueError("t_end must be positive")
-    if initial is None:
-        initial = equally_spaced(params.n_particles)
-    if initial.n != params.n_particles:
-        raise ValueError("initial configuration has the wrong particle count")
-    rng = np.random.default_rng(np.random.SeedSequence(params.seed))
-    n_steps = int(round(t_end / params.dt))
-    n_steps = max(n_steps, 1)
-    times = np.arange(n_steps + 1) * params.dt
-    states = np.empty((n_steps + 1, params.n_particles))
-    states[0] = initial.angles
-    increments = [] if record_noise else None
-    angles = initial.angles.copy()
-    for k in range(1, n_steps + 1):
-        t = 0.0
-        while t < params.dt - 1e-15:
-            want = min(_gap_capped_dt(angles, params.kappa, params.dt),
-                       params.dt - t)
-            noise = rng.standard_normal(params.n_particles)
-            angles, done = step_attempt(angles, params.kappa, want, noise)
-            if record_noise:
-                increments.append(math.sqrt(done) * noise)
-            t += done
-        states[k] = angles
-    return TrajectoryRecord(
-        times=times, states=states, params=params,
-        brownian_increments=np.asarray(increments) if record_noise else None)
-
-
-def _pair_jump(states, mu, kappa, tau, rng):
-    """Advance chains whose nearest pair is close by one exact-gap move.
+def _pair_jump(x, gaps, mu, kappa, tau, rng):
+    """Advance rows whose nearest pair is close by one exact-gap move.
 
     The squared pair gap is a BESQ(1 + 4/kappa) process up to smooth
     corrections, so its transition over ``tau`` is drawn exactly from a
     scaled noncentral chi-square; the cot-versus-1/s drift difference and
     the differential pull of the other particles enter as an O(tau) drift
     correction.  Midpoint and remaining particles take plain EM updates.
-    Returns (new_states, ok_mask); chains whose move would break the
-    circular order are left for the scalar fallback.
+    Returns (new_rows, ok_mask); rows whose move would break the cyclic
+    order, or whose pair is not isolated, are left for the rare path of
+    :func:`_integrate`.
     """
-    c, n = states.shape
-    order = np.argsort(states, axis=-1)
-    s_sorted = np.take_along_axis(states, order, axis=-1)
-    gaps = np.mod(np.diff(s_sorted, axis=-1, append=s_sorted[:, :1] + TWO_PI),
-                  TWO_PI)
-    imin = np.argmin(gaps, axis=-1)
+    c, n = x.shape
     rows = np.arange(c)
-    j = order[rows, imin]
-    k = order[rows, (imin + 1) % n]
-    s = gaps[rows, imin]
+    i = np.argmin(gaps, axis=-1)
+    k = (i + 1) % n
+    s = gaps[rows, i]
     delta = 1.0 + 4.0 / kappa
-    v0 = s * s / (2.0 * kappa)
-    v = tau * rng.noncentral_chisquare(delta, v0 / tau, size=c)
-    drift_corr = (mu[rows, k] - mu[rows, j]) - 4.0 / s
-    s_new = np.sqrt(2.0 * kappa * v) + drift_corr * tau
-    s_new = np.maximum(s_new, GAP_FLOOR)
-    mid = s_sorted[rows, imin] + 0.5 * s
-    mid_new = (mid + 0.5 * (mu[rows, j] + mu[rows, k]) * tau
-               + math.sqrt(0.5 * kappa * tau) * rng.standard_normal(c))
-    new = wrap_angle(states + mu * tau
-                     + math.sqrt(kappa * tau) * rng.standard_normal((c, n)))
-    new[rows, j] = wrap_angle(mid_new - 0.5 * s_new)
-    new[rows, k] = wrap_angle(mid_new + 0.5 * s_new)
-    ok = _order_preserved(states, new)
-    ok &= _min_gap(new) >= GAP_FLOOR * 0.5
+    v = tau * rng.noncentral_chisquare(delta, s * s / (2.0 * kappa * tau),
+                                       size=c)
+    drift_corr = (mu[rows, k] - mu[rows, i]) - 4.0 / s
+    s_new = np.maximum(np.sqrt(2.0 * kappa * v) + drift_corr * tau, GAP_FLOOR)
+    mid = (x[rows, i] + 0.5 * s + 0.5 * (mu[rows, i] + mu[rows, k]) * tau
+           + math.sqrt(0.5 * kappa * tau) * rng.standard_normal(c))
+    new = x + mu * tau + math.sqrt(kappa * tau) * rng.standard_normal((c, n))
+    new[rows, i] = mid - 0.5 * s_new
+    # the pair (x_{N-1}, x_0 + 2*pi) closes the circle: x_0 lives 2*pi lower
+    new[rows, k] = mid + 0.5 * s_new - TWO_PI * (k == 0)
+    ok = _accepted(x, new, 0.5 * GAP_FLOOR)
     if n > 2:
         # only trust the two-body move when the pair is isolated
         g2 = np.partition(gaps, 1, axis=-1)[:, 1]
@@ -356,37 +226,124 @@ def _pair_jump(states, mu, kappa, tau, rng):
     return new, ok
 
 
-def _advance_batch(states, kappa, duration, dt, rng):
-    """Advance many independent chains (rows of ``states``) by ``duration``.
+def _integrate(x, kappa, dt, n_steps, rng, counts, trail=None):
+    """Advance the sorted rows of ``x`` by ``n_steps`` full steps of ``dt``.
 
-    Far-separated chains share one vectorized EM proposal; chains that trip
-    the close-pair guard take the exact pair-gap move of :func:`_pair_jump`;
-    anything still unresolved falls back to the scalar adaptive stepper, in
-    row order, so output is deterministic for a given seed.
+    Rows clear of collision take one shared Euler-Maruyama proposal, and
+    rows that trip the close-pair guard take :func:`_pair_jump`.  Rows
+    either path rejects take the rare path from where they stood: vectorized
+    sub-steps of at most g^2 / (32 (kappa + N)) for nearest gap g, so the
+    guard accepts them, until the step's time is used up.  A sub-step that
+    trips the guard or breaks the order is retried with the same draws and
+    half the length, and a gap that lands below GAP_FLOOR is reflected off
+    it.  Raises :class:`CollisionError` after MAX_HALVINGS rejections, or
+    when the gap cap is too small for a sub-step to advance time at all.
+
+    ``counts`` accumulates the PATH_COUNTERS; ``trail``, if given, receives
+    the rows after every step.  Returns the final rows.
     """
-    n_steps = int(round(duration / dt))
-    c, n = states.shape
+    c, n = x.shape
     sqrt_kdt = math.sqrt(kappa * dt)
-    for _ in range(n_steps):
-        mu = drift_batch(states)
-        noise = rng.standard_normal((c, n))
-        new = wrap_angle(states + mu * dt + sqrt_kdt * noise)
-        ok = _order_preserved(states, new)
+    for step in range(n_steps):
+        mu = drift_batch(x)
+        gaps = _gaps(x)
+        new = x + mu * dt + sqrt_kdt * rng.standard_normal((c, n))
+        ok = _accepted(x, new, GAP_FLOOR)
+        n_jump = 0
         if n > 1:
-            guard = _guard_threshold(kappa, dt, np.max(np.abs(mu), axis=-1))
-            near = _min_gap(states) < guard
-            ok &= ~near
-            ok &= _min_gap(new) >= GAP_FLOOR
-            if np.any(near):
+            # close-pair trigger: a step may not come near the collision scale
+            near = gaps.min(axis=-1) < (4.0 * sqrt_kdt
+                                        + 4.0 * dt * np.abs(mu).max(axis=-1))
+            if near.any():
+                # a rejected jump's row is redone by the rare path below
                 idx = np.flatnonzero(near)
-                jumped, jok = _pair_jump(states[idx], mu[idx], kappa, dt, rng)
-                new[idx[jok]] = jumped[jok]
-                ok[idx[jok]] = True
-        if not np.all(ok):
-            for i in np.flatnonzero(~ok):
-                new[i] = _advance(states[i], kappa, dt, dt, rng)
-        states = new
-    return states
+                new[idx], ok[idx] = _pair_jump(x[idx], gaps[idx], mu[idx],
+                                               kappa, dt, rng)
+                n_jump = int(ok[idx].sum())
+        n_ok = int(ok.sum())
+        counts["em_steps"] += n_ok - n_jump
+        counts["pair_jumps"] += n_jump
+        counts["rare_steps"] += c - n_ok
+        rare = np.flatnonzero(~ok)
+        left = np.full(rare.size, dt)
+        new[rare] = x[rare]
+        while rare.size:
+            xr = new[rare]
+            mu_r = drift_batch(xr)
+            mu_max = np.abs(mu_r).max(axis=-1)
+            g = _gaps(xr).min(axis=-1)
+            trial = np.minimum(g * g / (32.0 * (kappa + n)), left)
+            if np.any(left - trial == left):
+                raise CollisionError(
+                    f"gap {g.min():.3g} too small to resolve a step of {dt} "
+                    f"(kappa={kappa})")
+            z = rng.standard_normal(xr.shape)
+            todo = np.ones(rare.size, dtype=bool)
+            for _ in range(MAX_HALVINGS + 1):
+                prop = (xr + mu_r * trial[:, None]
+                        + np.sqrt(kappa * trial)[:, None] * z)
+                good = todo & _accepted(xr, prop, 0.0)
+                if n > 1:
+                    good &= g >= (4.0 * np.sqrt(kappa * trial)
+                                  + 4.0 * mu_max * trial)
+                xr = np.where(good[:, None], prop, xr)
+                todo &= ~good
+                if not todo.any():
+                    break
+                trial = np.where(todo, 0.5 * trial, trial)
+                counts["halvings"] += int(todo.sum())
+            else:
+                raise CollisionError(
+                    f"step rejected after {MAX_HALVINGS} halvings "
+                    f"(dt={dt}, kappa={kappa})")
+            gr = _gaps(xr)
+            i = np.argmin(gr, axis=-1)
+            rows = np.arange(rare.size)
+            hit = gr[rows, i] < GAP_FLOOR
+            if hit.any():
+                # reflected gap = 2*floor - g; only the nearest pair moves
+                push = np.where(hit, GAP_FLOOR - gr[rows, i], 0.0)
+                xr[rows, i] -= push
+                xr[rows, (i + 1) % n] += push
+                counts["reflections"] += int(hit.sum())
+            counts["rare_substeps"] += rare.size
+            new[rare] = xr
+            left -= trial
+            rare, left = rare[left > 1e-15], left[left > 1e-15]
+        x = new
+        if trail is not None:
+            trail[step] = x
+    return x
+
+
+def simulate(params: ProcessParams, t_end: float,
+             initial: AngleConfig | None = None) -> TrajectoryRecord:
+    """Integrate one trajectory to ``t_end``, recording every ``params.dt``.
+
+    ``t_end`` must be a positive integer multiple of ``params.dt`` (to a
+    relative 1e-9).  Bit-for-bit reproducible from (seed, params, initial).
+    """
+    if not t_end > 0.0:
+        raise ValueError("t_end must be positive")
+    ratio = t_end / params.dt
+    n_steps = round(ratio)
+    if not math.isclose(ratio, n_steps, rel_tol=1e-9):
+        raise ValueError(f"t_end={t_end!r} is not an integer multiple of "
+                         f"dt={params.dt!r}")
+    if initial is None:
+        initial = equally_spaced(params.n_particles)
+    if initial.n != params.n_particles:
+        raise ValueError("initial configuration has the wrong particle count")
+    rng = np.random.default_rng(np.random.SeedSequence(params.seed))
+    order = np.argsort(initial.angles)  # sorted slot s holds label order[s]
+    trail = np.empty((n_steps + 1, 1, params.n_particles))
+    trail[0, 0] = initial.angles[order]
+    _integrate(trail[0].copy(), params.kappa, params.dt, n_steps, rng,
+               dict.fromkeys(PATH_COUNTERS, 0), trail=trail[1:])
+    states = np.empty((n_steps + 1, params.n_particles))
+    states[:, order] = wrap_angle(trail[:, 0])
+    return TrajectoryRecord(times=np.arange(n_steps + 1) * params.dt,
+                            states=states, params=params)
 
 
 @dataclass(frozen=True)
@@ -420,16 +377,18 @@ def sample_stationary(params: ProcessParams, n_samples: int,
     rng = np.random.default_rng(np.random.SeedSequence(params.seed))
     n = params.n_particles
     starts = rng.uniform(0.0, TWO_PI, size=n_chains)
-    states = wrap_angle(starts[:, None] + TWO_PI * np.arange(n) / n)
-    states = _advance_batch(states, params.kappa, params.effective_burn_in,
-                            params.dt, rng)
+    x = starts[:, None] + TWO_PI * np.arange(n) / n  # sorted, label order
+    counts = dict.fromkeys(PATH_COUNTERS, 0)
+    x = _integrate(x, params.kappa, params.dt,
+                   round(params.effective_burn_in / params.dt), rng, counts)
     out = np.empty((per_chain, n_chains, n))
     for k in range(per_chain):
-        states = _advance_batch(states, params.kappa, params.thinning,
-                                params.dt, rng)
-        out[k] = states
-    rows = out.reshape(per_chain * n_chains, n)[:n_samples]
+        x = _integrate(x, params.kappa, params.dt,
+                       round(params.thinning / params.dt), rng, counts)
+        out[k] = x
+    rows = wrap_angle(out.reshape(per_chain * n_chains, n)[:n_samples])
     meta = {"seed": params.seed, "kappa": params.kappa, "beta": params.beta,
             "n_particles": n, "dt": params.dt,
-            "burn_in": params.effective_burn_in, "thinning": params.thinning}
+            "burn_in": params.effective_burn_in, "thinning": params.thinning,
+            **counts}
     return SampleBatch(rows=rows, created_by="DYSON_SDE", meta=meta)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sle_dyson.cli import main
+from sle_dyson.dyson import PATH_COUNTERS
 
 
 def read_csv(path):
@@ -54,6 +55,21 @@ class TestSimulate:
         assert len(rows) == 20
         assert meta["n_samples"] == "20"
 
+    def test_path_counters_in_metadata(self, tmp_path):
+        out = tmp_path / "s.csv"
+        main(["simulate", "--n-samples", "20", "--burn-in", "1", "-o",
+              str(out)])
+        meta, _, _ = read_csv(out)
+        counts = {k: int(meta[k]) for k in PATH_COUNTERS}
+        # 20 chains, one row each: burn-in 1 plus one thinning of 0.4
+        assert (counts["em_steps"] + counts["pair_jumps"]
+                + counts["rare_steps"]) == 20 * (500 + 200)
+
+    def test_t_end_not_multiple_of_dt_rejected(self, tmp_path):
+        with pytest.raises(SystemExit, match="multiple of dt"):
+            main(["simulate", "--t-end", "0.0101", "-o",
+                  str(tmp_path / "t.csv")])
+
 
 class TestConfigResolution:
     def test_unknown_key_rejected(self, tmp_path):
@@ -61,6 +77,19 @@ class TestConfigResolution:
         cfg.write_text("kappa = 3\nbogus = 1\n")
         with pytest.raises(SystemExit):
             main(["simulate", "--config", str(cfg), "-o", "/dev/null"])
+
+    def test_bad_type_in_config_file(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("seed = 1\nkappa = three\n")
+        with pytest.raises(SystemExit, match=rf"{cfg}:2: kappa = 'three' "
+                                             r"is not a valid float"):
+            main(["simulate", "--config", str(cfg), "-o", "/dev/null"])
+
+    def test_bad_type_in_environment(self, monkeypatch):
+        monkeypatch.setenv("SLE_SEED", "1.5")
+        with pytest.raises(SystemExit, match=r"SLE_SEED: seed = '1.5' "
+                                             r"is not a valid int"):
+            main(["simulate", "-o", "/dev/null"])
 
     def test_env_overrides_file_flag_overrides_env(self, tmp_path,
                                                    monkeypatch):

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sle_dyson import dyson
-from sle_dyson.dyson import (TWO_PI, AngleConfig, CollisionError,
-                             ProcessParams, drift, equally_spaced, potential,
-                             sample_stationary, simulate, step, wrap_angle)
+from sle_dyson.dyson import (GAP_FLOOR, PATH_COUNTERS, TWO_PI, AngleConfig,
+                             CollisionError, ProcessParams, drift, drift_batch,
+                             equally_spaced, potential, sample_stationary,
+                             simulate, wrap_angle)
 from sle_dyson.ensembles import (gap_cdf_n2, ks_statistic, ks_threshold,
                                  ks_two_sample, ks_two_sample_threshold,
                                  row_gaps)
@@ -102,24 +103,21 @@ def test_drift_antisymmetry_property(n, seed):
     assert abs(np.sum(drift(cfg))) < 1e-9
 
 
-class TestStepping:
-    def test_step_noise_shape_checked(self):
-        p = ProcessParams(n_particles=2, kappa=2.0)
-        with pytest.raises(ValueError):
-            step(equally_spaced(2), p, np.zeros(3))
+def run_kernel(x, kappa, dt, n_steps, seed):
+    """Run the batched kernel on sorted rows; returns (rows, counters)."""
+    counts = dict.fromkeys(PATH_COUNTERS, 0)
+    rng = np.random.default_rng(seed)
+    return dyson._integrate(x, kappa, dt, n_steps, rng, counts), counts
 
+
+class TestStepping:
     def test_one_step_variance(self):
         # increment variance about the drift is kappa*dt, within 3 SE
         kappa, dt, reps = 2.0, 1e-3, 4000
-        p = ProcessParams(n_particles=2, kappa=kappa, dt=dt)
-        rng = np.random.default_rng(11)
-        cfg = equally_spaced(2)
-        incs = []
-        for _ in range(reps):
-            noise = rng.standard_normal(2)
-            new = step(cfg, p, noise)
-            d = wrap_angle(new.angles - cfg.angles + np.pi) - np.pi
-            incs.extend(d - drift(cfg) * dt)
+        x = np.tile(equally_spaced(2).angles, (reps, 1))
+        new, counts = run_kernel(x, kappa, dt, 1, seed=11)
+        assert counts["em_steps"] == reps
+        incs = (new - x - drift_batch(x) * dt).ravel()
         var = np.var(incs)
         se = kappa * dt * math.sqrt(2.0 / (len(incs) - 1))
         assert abs(var - kappa * dt) < 3.0 * se
@@ -136,10 +134,45 @@ class TestStepping:
             assert np.all(shift == shift[0])
 
     def test_collision_error_on_absurd_step(self):
-        a = np.array([0.0, 1e-9])
+        # a step of 10 time units from a gap of 1e-9 cannot be resolved
+        p = ProcessParams(n_particles=2, kappa=8.0, dt=10.0, thinning=10.0)
         with pytest.raises(CollisionError):
-            for _ in range(200):
-                a, _ = dyson.step_attempt(a, 8.0, 10.0, np.array([3.0, -3.0]))
+            simulate(p, t_end=10.0, initial=AngleConfig(np.array([0.0, 1e-9])))
+
+    def test_path_counters_cover_every_chain_step(self):
+        p = ProcessParams(n_particles=5, kappa=2.0, seed=4, burn_in=1.0)
+        meta = sample_stationary(p, 16, n_chains=8).meta
+        steps = round(1.0 / p.dt) + 2 * round(p.thinning / p.dt)
+        assert (meta["em_steps"] + meta["pair_jumps"] + meta["rare_steps"]
+                == 8 * steps)
+        # this configuration exercises the pair jump and the rare path
+        assert meta["pair_jumps"] > 0 and meta["rare_steps"] > 0
+        assert meta["rare_substeps"] >= meta["rare_steps"]
+
+    def test_pair_jump_across_the_wrap(self):
+        # the nearest pair is (x_1, x_0 + 2*pi): the jump moves x_0 a little,
+        # not by 2*pi, so the pair jump (not the rare path) takes every row
+        x = np.tile([0.005, TWO_PI - 0.005], (64, 1))
+        new, counts = run_kernel(x, 2.0, 2e-3, 1, seed=5)
+        assert counts["pair_jumps"] == 64
+        assert np.all(np.abs(new - x) < 0.5)
+
+    @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_kernel_kappa_sweep(self, n, kappa):
+        rng = np.random.default_rng(100 * n + int(10 * kappa))
+        x = np.sort(rng.uniform(0.0, TWO_PI, size=(4, n)), axis=-1)
+        x = x[(dyson._gaps(x) > 0.05).all(axis=-1)]
+        assert x.shape[0] >= 2
+        for k in range(3):
+            x, _ = run_kernel(x, kappa, 2e-3, 20, seed=k)
+            gaps = dyson._gaps(x)
+            # unwrapped rows stay cyclically sorted above the floor
+            assert np.all(gaps >= 0.5 * GAP_FLOOR)
+            assert np.allclose(gaps.sum(axis=-1), TWO_PI)
+            mu = drift_batch(x)
+            assert np.allclose(drift_batch(wrap_angle(x)), mu,
+                               rtol=1e-12, atol=1e-12)
 
 
 class TestSimulate:
@@ -175,11 +208,20 @@ class TestSimulate:
 
     def test_single_particle_pure_diffusion(self):
         p = ProcessParams(n_particles=1, kappa=4.0, seed=3)
-        rec = simulate(p, t_end=0.5, record_noise=True)
+        rec = simulate(p, t_end=0.5)
         incs = np.diff(np.unwrap(rec.states[:, 0]))
-        # recorded increments are sqrt(dt)-scaled draws; kappa multiplies in
-        expected = math.sqrt(4.0) * rec.brownian_increments[:, 0]
-        assert np.allclose(incs, expected, atol=1e-12)
+        # one free particle: each step is sqrt(kappa*dt) times the seed's
+        # next standard-normal draw
+        draws = np.random.default_rng(np.random.SeedSequence(3)) \
+            .standard_normal(incs.size)
+        expected = math.sqrt(4.0 * p.dt) * draws
+        assert np.allclose(incs, expected, rtol=0.0, atol=1e-12)
+
+    def test_t_end_must_be_multiple_of_dt(self):
+        p = ProcessParams(n_particles=2, kappa=2.0, dt=2e-3)
+        with pytest.raises(ValueError, match="multiple"):
+            simulate(p, t_end=0.0101)
+        assert simulate(p, t_end=0.01).times.size == 6
 
 
 class TestStationarySampling:
@@ -207,8 +249,10 @@ class TestStationarySampling:
     def test_two_seeds_same_law(self):
         pa = ProcessParams(n_particles=3, kappa=2.0, seed=8)
         pb = ProcessParams(n_particles=3, kappa=2.0, seed=9)
-        ga = row_gaps(sample_stationary(pa, 3000).rows)
-        gb = row_gaps(sample_stationary(pb, 3000).rows)
+        # one row per chain: the threshold assumes independent samples, and
+        # rows 0.4 apart on one chain are correlated
+        ga = row_gaps(sample_stationary(pa, 3000, n_chains=3000).rows)
+        gb = row_gaps(sample_stationary(pb, 3000, n_chains=3000).rows)
         assert ks_two_sample(ga, gb) < ks_two_sample_threshold(3000, 3000)
 
     def test_single_particle_uniform(self):
