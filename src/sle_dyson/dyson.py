@@ -231,13 +231,14 @@ def _integrate(x, kappa, dt, n_steps, rng, counts, trail=None):
 
     Rows clear of collision take one shared Euler-Maruyama proposal, and
     rows that trip the close-pair guard take :func:`_pair_jump`.  Rows
-    either path rejects take the rare path from where they stood: vectorized
-    sub-steps of at most g^2 / (32 (kappa + N)) for nearest gap g, so the
-    guard accepts them, until the step's time is used up.  A sub-step that
-    trips the guard or breaks the order is retried with the same draws and
-    half the length, and a gap that lands below GAP_FLOOR is reflected off
-    it.  Raises :class:`CollisionError` after MAX_HALVINGS rejections, or
-    when the gap cap is too small for a sub-step to advance time at all.
+    either path rejects take the rare path from where they stood, one row
+    at a time: sub-steps of at most g^2 / (32 (kappa + N)) for nearest gap
+    g, a cap under which the guard always holds, until the step's time is
+    used up.  A sub-step that breaks the order is retried with the same
+    draws and half the length, and a gap that lands below GAP_FLOOR is
+    reflected off it.  Raises :class:`CollisionError` after MAX_HALVINGS
+    rejections, or when the gap cap is too small for a sub-step to advance
+    time at all.
 
     ``counts`` accumulates the PATH_COUNTERS; ``trail``, if given, receives
     the rows after every step.  Returns the final rows.
@@ -264,52 +265,41 @@ def _integrate(x, kappa, dt, n_steps, rng, counts, trail=None):
         counts["em_steps"] += n_ok - n_jump
         counts["pair_jumps"] += n_jump
         counts["rare_steps"] += c - n_ok
-        rare = np.flatnonzero(~ok)
-        left = np.full(rare.size, dt)
-        new[rare] = x[rare]
-        while rare.size:
-            xr = new[rare]
-            mu_r = drift_batch(xr)
-            mu_max = np.abs(mu_r).max(axis=-1)
-            g = _gaps(xr).min(axis=-1)
-            trial = np.minimum(g * g / (32.0 * (kappa + n)), left)
-            if np.any(left - trial == left):
-                raise CollisionError(
-                    f"gap {g.min():.3g} too small to resolve a step of {dt} "
-                    f"(kappa={kappa})")
-            z = rng.standard_normal(xr.shape)
-            todo = np.ones(rare.size, dtype=bool)
-            for _ in range(MAX_HALVINGS + 1):
-                prop = (xr + mu_r * trial[:, None]
-                        + np.sqrt(kappa * trial)[:, None] * z)
-                good = todo & _accepted(xr, prop, 0.0)
-                if n > 1:
-                    good &= g >= (4.0 * np.sqrt(kappa * trial)
-                                  + 4.0 * mu_max * trial)
-                xr = np.where(good[:, None], prop, xr)
-                todo &= ~good
-                if not todo.any():
-                    break
-                trial = np.where(todo, 0.5 * trial, trial)
-                counts["halvings"] += int(todo.sum())
-            else:
-                raise CollisionError(
-                    f"step rejected after {MAX_HALVINGS} halvings "
-                    f"(dt={dt}, kappa={kappa})")
-            gr = _gaps(xr)
-            i = np.argmin(gr, axis=-1)
-            rows = np.arange(rare.size)
-            hit = gr[rows, i] < GAP_FLOOR
-            if hit.any():
-                # reflected gap = 2*floor - g; only the nearest pair moves
-                push = np.where(hit, GAP_FLOOR - gr[rows, i], 0.0)
-                xr[rows, i] -= push
-                xr[rows, (i + 1) % n] += push
-                counts["reflections"] += int(hit.sum())
-            counts["rare_substeps"] += rare.size
-            new[rare] = xr
-            left -= trial
-            rare, left = rare[left > 1e-15], left[left > 1e-15]
+        for r in np.flatnonzero(~ok):
+            # row by row: a row draws all its sub-steps' noise before the
+            # next row starts, so one row's sub-step count never reorders
+            # the draws of another
+            xr, left = x[r], dt
+            while left > 1e-15:
+                mu_r = drift_batch(xr)
+                g = _gaps(xr).min()
+                # the gap cap implies the close-pair guard, so no re-check
+                trial = min(g * g / (32.0 * (kappa + n)), left)
+                if left - trial == left:
+                    raise CollisionError(
+                        f"gap {g:.3g} too small to resolve a step of {dt} "
+                        f"(kappa={kappa})")
+                z = rng.standard_normal(n)
+                for _ in range(MAX_HALVINGS + 1):
+                    prop = xr + mu_r * trial + math.sqrt(kappa * trial) * z
+                    if _accepted(xr, prop, 0.0):
+                        break
+                    trial *= 0.5
+                    counts["halvings"] += 1
+                else:
+                    raise CollisionError(
+                        f"step rejected after {MAX_HALVINGS} halvings "
+                        f"(dt={dt}, kappa={kappa})")
+                gr = _gaps(prop)
+                i = np.argmin(gr)
+                if gr[i] < GAP_FLOOR:
+                    # reflected gap = 2*floor - g; only the nearest pair moves
+                    prop[i] -= GAP_FLOOR - gr[i]
+                    prop[(i + 1) % n] += GAP_FLOOR - gr[i]
+                    counts["reflections"] += 1
+                counts["rare_substeps"] += 1
+                xr, left = prop, left - trial
+            new[r] = xr
         x = new
         if trail is not None:
             trail[step] = x

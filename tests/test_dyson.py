@@ -249,10 +249,8 @@ class TestStationarySampling:
     def test_two_seeds_same_law(self):
         pa = ProcessParams(n_particles=3, kappa=2.0, seed=8)
         pb = ProcessParams(n_particles=3, kappa=2.0, seed=9)
-        # one row per chain: the threshold assumes independent samples, and
-        # rows 0.4 apart on one chain are correlated
-        ga = row_gaps(sample_stationary(pa, 3000, n_chains=3000).rows)
-        gb = row_gaps(sample_stationary(pb, 3000, n_chains=3000).rows)
+        ga = row_gaps(sample_stationary(pa, 3000).rows)
+        gb = row_gaps(sample_stationary(pb, 3000).rows)
         assert ks_two_sample(ga, gb) < ks_two_sample_threshold(3000, 3000)
 
     def test_single_particle_uniform(self):
