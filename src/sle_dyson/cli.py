@@ -126,18 +126,19 @@ def _write_csv(fh, meta: dict, header: list, rows):
         fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
-def _simulate(params, t_end):
+def _checked(command: str, fn, *args, **kwargs):
     try:
-        return dyson.simulate(params, t_end=t_end)
+        return fn(*args, **kwargs)
     except ValueError as exc:
-        raise SystemExit(f"simulate: {exc}") from None
+        raise SystemExit(f"{command}: {exc}") from None
 
 
 def cmd_simulate(cfg: dict, out_path: str) -> int:
     burn_in = None if cfg["burn_in"] < 0 else cfg["burn_in"]
-    params = dyson.ProcessParams(
-        n_particles=cfg["n_particles"], kappa=cfg["kappa"], dt=cfg["dt"],
-        seed=cfg["seed"], burn_in=burn_in, thinning=cfg["thinning"])
+    params = _checked("simulate", dyson.ProcessParams,
+                      n_particles=cfg["n_particles"], kappa=cfg["kappa"],
+                      dt=cfg["dt"], seed=cfg["seed"], burn_in=burn_in,
+                      thinning=cfg["thinning"])
     meta = {"version": __version__, "seed": params.seed,
             "kappa": params.kappa, "beta": params.beta,
             "n_particles": params.n_particles, "dt": params.dt,
@@ -151,7 +152,7 @@ def cmd_simulate(cfg: dict, out_path: str) -> int:
         header = ["sample", *names]
         rows = ([i, *row] for i, row in enumerate(batch.rows))
     else:
-        rec = _simulate(params, cfg["t_end"])
+        rec = _checked("simulate", dyson.simulate, params, cfg["t_end"])
         meta["t_end"] = cfg["t_end"]
         header = ["t", *names]
         rows = ([t, *row] for t, row in zip(rec.times, rec.states))
@@ -222,10 +223,10 @@ def cmd_exponents(cfg: dict, out_path: str) -> int:
 
 
 def cmd_trace(cfg: dict, out_path: str) -> int:
-    params = dyson.ProcessParams(n_particles=cfg["n_particles"],
-                                 kappa=cfg["kappa"], dt=cfg["dt"],
-                                 seed=cfg["seed"])
-    rec = _simulate(params, cfg["t_end"])
+    params = _checked("trace", dyson.ProcessParams,
+                      n_particles=cfg["n_particles"], kappa=cfg["kappa"],
+                      dt=cfg["dt"], seed=cfg["seed"])
+    rec = _checked("trace", dyson.simulate, params, cfg["t_end"])
     drive = loewner.DriveHistory.from_trajectory(rec)
     times = np.linspace(0.0, cfg["t_end"], cfg["n_points"])
     meta = {"version": __version__, "seed": params.seed,
@@ -235,6 +236,7 @@ def cmd_trace(cfg: dict, out_path: str) -> int:
     for j in range(params.n_particles):
         for t, pt in zip(times, loewner.trace_points(drive, j, times)):
             rows.append([j, t, pt.z.real, pt.z.imag, pt.status.value])
+    meta["unresolved"] = sum(row[4] == "unresolved" for row in rows)
     with _open_out(out_path) as fh:
         _write_csv(fh, meta, ["curve", "t", "re", "im", "status"], rows)
     return 0

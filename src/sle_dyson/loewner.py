@@ -7,7 +7,7 @@ The joint conformal map G_t removing N growing boundary curves satisfies
 with the driving angles supplied by a :class:`DriveHistory` (typically a
 Dyson trajectory).  Forward flow, the derivative at the origin, the
 joint-versus-sequential composition defect and reverse-flow traces live
-here.
+here; forward images and trace points share one batched RK4 kernel.
 """
 
 from __future__ import annotations
@@ -21,8 +21,11 @@ import numpy as np
 
 from .dyson import AngleConfig, TrajectoryRecord, wrap_angle
 
-SWALLOW_DISTANCE = 1e-6
 MIN_FLOW_STEP = 1e-12
+MAX_FLOW_STEPS = 200_000  # step budget of each point in _flow
+TRACE_OFFSET = 1e-3       # trace seeds start this far inside the circle
+ORIGIN_STEP = 1e-3        # fixed RK4 step of derivative_at_origin
+_DONE, _STALLED, _LEFT, _BUDGET = range(4)  # why _flow stopped a point
 
 
 class PointStatus(Enum):
@@ -63,8 +66,7 @@ class DriveHistory:
             raise ValueError("one angle row per time stamp required")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "angles", wrap_angle(a))
-        lift = np.unwrap(np.atleast_2d(a), axis=0)
-        object.__setattr__(self, "_lift", lift)
+        object.__setattr__(self, "_lift", np.unwrap(a, axis=0))
 
     @property
     def n(self) -> int:
@@ -74,13 +76,16 @@ class DriveHistory:
     def duration(self) -> float:
         return float(self.times[-1])
 
-    def drivers_at(self, t: float) -> np.ndarray:
-        """Driving angles at time t, linearly interpolated in the lift."""
-        if t < 0.0 or t > self.duration + 1e-12:
-            raise ValueError("t outside the recorded drive")
-        cols = [np.interp(t, self.times, self._lift[:, j])
-                for j in range(self.n)]
-        return np.asarray(cols)
+    def drivers_at(self, t) -> np.ndarray:
+        """Angles at time(s) t in [0, duration], NaN rejected, interpolated
+        in the lift: shape (*t, N)."""
+        t = np.asarray(t)
+        if not ((t >= 0.0) & (t <= self.duration + 1e-12)).all():
+            raise ValueError("time outside the recorded drive")
+        out = np.empty(np.shape(t) + (self.n,))
+        for j in range(self.n):
+            out[..., j] = np.interp(t, self.times, self._lift[:, j])
+        return out
 
     @classmethod
     def from_trajectory(cls, rec: TrajectoryRecord) -> "DriveHistory":
@@ -95,73 +100,96 @@ class DriveHistory:
         return cls(times=times, angles=angles, kappa=kappa, dt_max=dt_max)
 
 
-def joint_rhs(g: complex, drivers) -> complex:
-    """Right-hand side -g * sum_j (g + e^{i theta_j})/(g - e^{i theta_j})."""
-    drivers = np.atleast_1d(np.asarray(drivers, dtype=float))
-    e = np.exp(1j * drivers)
+def joint_rhs(g, drivers):
+    """Right-hand side -g * sum_j (g + e^{i theta_j})/(g - e^{i theta_j}),
+    for points of shape (...) and drivers of shape (..., N)."""
+    g = np.asarray(g, dtype=complex)[..., None]
+    e = np.exp(1j * np.asarray(drivers, dtype=float))
     denom = g - e
-    if np.any(np.abs(denom) == 0.0):
+    if (denom == 0.0).any():
         raise ZeroDivisionError("g sits on a driving singularity")
-    return complex(-g * np.sum((g + e) / denom))
+    return -g[..., 0] * ((g + e) / denom).sum(axis=-1)
 
 
 def _driver_distance(g, drivers):
-    return float(np.min(np.abs(g - np.exp(1j * np.asarray(drivers)))))
+    e = np.exp(1j * np.asarray(drivers, dtype=float))
+    return np.abs(np.asarray(g)[..., None] - e).min(axis=-1)
 
 
-def _rk4(z, t, dt, f):
-    k1 = f(z, t)
-    k2 = f(z + 0.5 * dt * k1, t + 0.5 * dt)
-    k3 = f(z + 0.5 * dt * k2, t + 0.5 * dt)
-    k4 = f(z + dt * k3, t + dt)
+def _rk4(z, dt, f, drivers):
+    """RK4 step of dz/dt = f(z, theta), theta at start, middle, end."""
+    start, mid, end = drivers
+    k1 = f(z, start)
+    k2 = f(z + 0.5 * dt * k1, mid)
+    k3 = f(z + 0.5 * dt * k2, mid)
+    k4 = f(z + dt * k3, end)
     return z + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def evolve_point(z: complex, drive: DriveHistory, t: float) -> FlowPoint:
-    """Forward image of ``z`` at time ``t``, with swallowing detection.
+def _flow(drive: DriveHistory, w, start, span, direction: float, c: float,
+          exit_radius: float):
+    """Adaptive RK4 flow of many points; returns (points, elapsed, why).
 
-    RK4 with step control: the step shrinks with the squared distance to
-    the nearest driving point (the vector field has simple poles there).
+    Point k starts at w[k] and runs for span[k], reading the drive at
+    start[k] + direction * elapsed (-1: backwards, negated field); the step
+    is min(dt_max, c d^2, time left), d the distance to the nearest driver.
+    It stops below MIN_FLOW_STEP, when not finite or beyond exit_radius
+    (value kept) or after MAX_FLOW_STEPS; lesser excursions are clipped.
     """
+    def drivers(t0, u):
+        return drive.drivers_at(
+            np.clip(t0 + direction * u, 0.0, drive.duration))
+
+    w = np.array(w, dtype=complex)
+    reached, why = np.zeros(w.shape), np.full(w.shape, _DONE)
+    live = np.flatnonzero(span > 1e-15)
+    for _ in range(MAX_FLOW_STEPS):
+        if live.size == 0:
+            break
+        t0, z, s = start[live], w[live], reached[live]
+        th = drivers(t0, s)
+        d = _driver_distance(z, th)
+        h = np.minimum(np.minimum(drive.dt_max, c * d * d), span[live] - s)
+        ok = h >= MIN_FLOW_STEP
+        why[live[~ok]] = _STALLED
+        live, t0, z, s, h, th = (a[ok] for a in (live, t0, z, s, h, th))
+        z = _rk4(z, h, lambda x, theta: direction * joint_rhs(x, theta),
+                 (th, drivers(t0, s + 0.5 * h), drivers(t0, s + h)))
+        r = np.abs(z)
+        ok = np.isfinite(z) & (r <= exit_radius)
+        why[live[~ok]] = _LEFT
+        out = ok & (r > 1.0)
+        z[out] /= r[out]
+        w[live], reached[live] = z, np.where(ok, s + h, s)
+        live = live[ok & (reached[live] < span[live] - 1e-15)]
+    why[live] = _BUDGET
+    return w, reached, why
+
+
+def evolve_point(z: complex, drive: DriveHistory, t: float) -> FlowPoint:
+    """Forward image of ``z`` at time ``t``: SWALLOWED when the step gets
+    too small near a driver, UNRESOLVED when the flow stops otherwise."""
     if abs(z) > 1.0 + 1e-12:
         raise ValueError("z must lie in the closed unit disc")
-    if t > drive.duration + 1e-12:
-        raise ValueError("t beyond the recorded drive")
-    if z == 0:
-        return FlowPoint(0j, PointStatus.INTERIOR)
-
-    def f(g, s):
-        return joint_rhs(g, drive.drivers_at(min(s, drive.duration)))
-
-    g = complex(z)
-    s = 0.0
-    while s < t - 1e-15:
-        d = _driver_distance(g, drive.drivers_at(s))
-        if d < SWALLOW_DISTANCE:
-            return FlowPoint(g, PointStatus.SWALLOWED, swallow_time=s)
-        h = min(drive.dt_max, 0.2 * d * d, t - s)
-        if h < MIN_FLOW_STEP:
-            return FlowPoint(g, PointStatus.SWALLOWED, swallow_time=s)
-        g = _rk4(g, s, h, f)
-        if abs(g) > 1.0:
-            g /= abs(g) / 1.0  # clip round-off excursions outside the disc
-        s += h
-    return FlowPoint(g, PointStatus.INTERIOR)
+    drive.drivers_at(t)  # rejects a time outside the drive
+    (g,), (s,), (why,) = _flow(drive, [z], np.zeros(1), np.full(1, t),
+                               1.0, 0.2, np.inf)
+    if why == _STALLED:
+        return FlowPoint(complex(g), PointStatus.SWALLOWED, float(s))
+    return FlowPoint(complex(g), PointStatus.INTERIOR if why == _DONE
+                     else PointStatus.UNRESOLVED)
 
 
-def derivative_at_origin(drive: DriveHistory, t: float,
-                         dt: float = 1e-3) -> float:
+def derivative_at_origin(drive: DriveHistory, t: float) -> float:
     """|G_t'(0)| by integrating the variational equation along the flow.
 
     The origin is a fixed point, so the linearization is integrated with
     the base point held by the flow itself; the result must follow e^{N t}.
     """
-    if t > drive.duration + 1e-12:
-        raise ValueError("t beyond the recorded drive")
+    drive.drivers_at(t)  # rejects a time outside the drive
 
-    def f(state, s):
+    def f(state, drivers):
         g, w = state
-        drivers = drive.drivers_at(min(s, drive.duration))
         e = np.exp(1j * drivers)
         jac = -np.sum((g + e) / (g - e)) - g * np.sum(-2.0 * e / (g - e) ** 2)
         return np.array([joint_rhs(g, drivers), jac * w])
@@ -169,8 +197,9 @@ def derivative_at_origin(drive: DriveHistory, t: float,
     state = np.array([0j, 1.0 + 0j])
     s = 0.0
     while s < t - 1e-15:
-        h = min(dt, t - s)
-        state = _rk4(state, s, h, f)
+        h = min(ORIGIN_STEP, t - s)
+        stages = np.minimum([s, s + 0.5 * h, s + h], drive.duration)
+        state = _rk4(state, h, f, drive.drivers_at(stages))
         s += h
     return abs(state[1])
 
@@ -190,16 +219,13 @@ def composition_defect(config: AngleConfig, kappa: float, dt: float,
     n = th0.size
     if noise.shape != (n,):
         raise ValueError("need one noise draw per curve")
-    e0 = np.exp(1j * th0)
-    for z in probes:
-        if abs(z) > 1.0 or _driver_distance(z, th0) < 1e-3:
-            raise ValueError("probe outside the disc or too near a driver")
+    if np.any(np.abs(probes) > 1.0) or np.any(
+            _driver_distance(probes, th0) < 1e-3):
+        raise ValueError("probe outside the disc or too near a driver")
     d_b = math.sqrt(kappa * dt) * noise
 
     # joint Euler step of the rotated-frame system
-    w_joint = probes + dt * np.sum(-probes[:, None]
-                                   * (probes[:, None] + e0[None, :])
-                                   / (probes[:, None] - e0[None, :]), axis=1)
+    w_joint = probes + dt * joint_rhs(probes, th0)
 
     # sequential composition with exact rotations
     w = probes.astype(complex)
@@ -225,49 +251,19 @@ def composition_defect_slope(config: AngleConfig, kappa: float, dts,
     return float(slope)
 
 
-def trace_points(drive: DriveHistory, j: int, sample_times,
-                 offset: float = 1e-3, max_steps: int = 200_000
+def trace_points(drive: DriveHistory, j: int, sample_times
                  ) -> list[FlowPoint]:
     """Approximate trace of curve ``j`` via the reverse-time flow.
 
-    For each requested time t the reverse flow replays the drive backwards
-    from a point just inside e^{i theta_j(t)}.  The step shrinks with the
-    squared distance to the current (reversed) drivers, exactly as in the
-    forward flow; runs that exhaust the step budget or leave the disc are
-    marked UNRESOLVED.
+    For each time t the reverse flow replays the drive backwards from
+    TRACE_OFFSET inside e^{i theta_j(t)}, all times in one batch; a run
+    that stops early, or leaves the disc by over 1e-6, is UNRESOLVED.
     """
-    out = []
-    for t in np.atleast_1d(np.asarray(sample_times, dtype=float)):
-        if t < 0.0 or t > drive.duration + 1e-12:
-            raise ValueError("sample time outside the drive history")
-        seed = cmath.exp(1j * float(drive.drivers_at(t)[j]))
-        if t == 0.0:
-            out.append(FlowPoint(seed, PointStatus.INTERIOR))
-            continue
-
-        def f(w, s):
-            return -joint_rhs(w, drive.drivers_at(max(t - s, 0.0)))
-
-        w = seed * (1.0 - offset)
-        s = 0.0
-        ok = True
-        for _ in range(max_steps):
-            if s >= t - 1e-15:
-                break
-            d = _driver_distance(w, drive.drivers_at(max(t - s, 0.0)))
-            h = min(drive.dt_max, 0.05 * d * d, t - s)
-            if h < MIN_FLOW_STEP:
-                ok = False
-                break
-            w = _rk4(w, s, h, f)
-            if not np.isfinite(w.real) or abs(w) > 1.0 + 1e-6:
-                ok = False
-                break
-            if abs(w) > 1.0:
-                w /= abs(w)
-            s += h
-        else:
-            ok = False
-        out.append(FlowPoint(w, PointStatus.INTERIOR if ok
-                             else PointStatus.UNRESOLVED))
-    return out
+    if not 0 <= j < drive.n:
+        raise ValueError(f"curve index {j} outside 0..{drive.n - 1}")
+    t = np.atleast_1d(np.asarray(sample_times, dtype=float))
+    seed = np.exp(1j * drive.drivers_at(t)[..., j])
+    w0 = np.where(t == 0.0, seed, seed * (1.0 - TRACE_OFFSET))
+    w, _, why = _flow(drive, w0, t, t, -1.0, 0.05, 1.0 + 1e-6)
+    return [FlowPoint(complex(x), PointStatus.INTERIOR if r == _DONE
+                      else PointStatus.UNRESOLVED) for x, r in zip(w, why)]

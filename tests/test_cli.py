@@ -70,6 +70,19 @@ class TestSimulate:
             main(["simulate", "--t-end", "0.0101", "-o",
                   str(tmp_path / "t.csv")])
 
+    @pytest.mark.parametrize("args, problem", [
+        (["simulate", "--kappa", "0"], "kappa must be positive"),
+        (["simulate", "--dt", "-1"], "dt must be positive"),
+        (["simulate", "--n-particles", "0"], "n_particles must be >= 1"),
+        (["simulate", "--thinning", "0.001", "--n-samples", "10"],
+         "thinning must be >= dt"),
+        (["trace", "--kappa", "0"], "kappa must be positive"),
+        (["trace", "--dt", "-1"], "dt must be positive"),
+    ])
+    def test_invalid_process_params_rejected(self, args, problem):
+        with pytest.raises(SystemExit, match=problem):
+            main(args + ["-o", "/dev/null"])
+
 
 class TestConfigResolution:
     def test_unknown_key_rejected(self, tmp_path):
@@ -151,6 +164,17 @@ class TestTrace:
         assert len(rows) == 8   # two curves, four points each
         radii = [float(r[2]) ** 2 + float(r[3]) ** 2 for r in rows]
         assert all(r <= 1.0 + 1e-9 for r in radii)
+
+    def test_unresolved_count_and_byte_identical_reruns(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        args = ["trace", "--t-end", "0.2", "--n-points", "5", "--n-particles",
+                "3", "--seed", "4"]
+        main(args + ["-o", str(a)])
+        main(args + ["-o", str(b)])
+        assert a.read_bytes() == b.read_bytes()
+        meta, _, rows = read_csv(a)
+        assert int(meta["unresolved"]) == sum(r[4] == "unresolved"
+                                              for r in rows)
 
 
 class TestValidate:

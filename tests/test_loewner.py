@@ -77,6 +77,11 @@ class TestEvolvePoint:
         with pytest.raises(ValueError):
             evolve_point(1.5 + 0.0j, drive, 0.1)
 
+    @pytest.mark.parametrize("t", [math.nan, -0.1])
+    def test_rejects_bad_time(self, drive, t):
+        with pytest.raises(ValueError):
+            evolve_point(0.2 + 0.1j, drive, t)
+
 
 class TestDerivativeAtOrigin:
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -90,6 +95,30 @@ class TestDerivativeAtOrigin:
         # the rate depends only on the number of curves, not the drive
         assert derivative_at_origin(drive, 0.3) == pytest.approx(
             math.exp(3 * 0.3), rel=1e-6)
+
+    def test_rejects_negative_time(self, drive):
+        with pytest.raises(ValueError):
+            derivative_at_origin(drive, -1.0)
+
+
+class TestTraceLandsOnDriver:
+    """A check that depends on the drive, unlike |G_t'(0)| = e^{N t}: the
+    forward flow to t - eps carries the trace point gamma_j(t) to within
+    O(sqrt(eps)) of its own driver e^{i theta_j(t - eps)}."""
+
+    @pytest.mark.parametrize("kappa", [2.0, 3.0, 4.0, 6.0])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_lands_near_own_driver(self, n, kappa):
+        rec = simulate(ProcessParams(n_particles=n, kappa=kappa, dt=1e-3,
+                                     seed=1), t_end=0.6)
+        drive = DriveHistory.from_trajectory(rec)
+        for j in range(n):
+            for t, pt in zip((0.3, 0.6), trace_points(drive, j, [0.3, 0.6])):
+                for eps in (1e-2, 1e-3):
+                    fp = evolve_point(pt.z, drive, t - eps)
+                    tip = cmath.exp(1j * drive.drivers_at(t - eps)[j])
+                    assert fp.status is PointStatus.INTERIOR
+                    assert abs(fp.z - tip) <= 6.0 * math.sqrt(eps)
 
 
 class TestCompositionDefect:
@@ -127,3 +156,20 @@ class TestTrace:
     def test_rejects_bad_time(self, drive):
         with pytest.raises(ValueError):
             trace_points(drive, 0, [drive.duration + 1.0])
+
+    def test_rejects_nan_time(self, drive):
+        with pytest.raises(ValueError):
+            trace_points(drive, 0, [math.nan])
+
+    @pytest.mark.parametrize("j", [-1, 3])
+    def test_rejects_bad_curve_index(self, drive, j):
+        with pytest.raises(ValueError):
+            trace_points(drive, j, [0.1])
+
+    def test_batch_matches_single_calls(self, drive):
+        # the batch must not couple its points
+        times = np.linspace(0.0, drive.duration, 13)
+        for t, pt in zip(times, trace_points(drive, 2, times)):
+            (single,) = trace_points(drive, 2, [t])
+            assert pt.status is single.status
+            assert abs(pt.z - single.z) <= 1e-14
