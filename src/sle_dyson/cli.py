@@ -126,19 +126,13 @@ def _write_csv(fh, meta: dict, header: list, rows):
         fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
-def _checked(command: str, fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except ValueError as exc:
-        raise SystemExit(f"{command}: {exc}") from None
-
-
 def cmd_simulate(cfg: dict, out_path: str) -> int:
+    if cfg["n_samples"] < 0:
+        raise ValueError("n_samples must be >= 0")
     burn_in = None if cfg["burn_in"] < 0 else cfg["burn_in"]
-    params = _checked("simulate", dyson.ProcessParams,
-                      n_particles=cfg["n_particles"], kappa=cfg["kappa"],
-                      dt=cfg["dt"], seed=cfg["seed"], burn_in=burn_in,
-                      thinning=cfg["thinning"])
+    params = dyson.ProcessParams(
+        n_particles=cfg["n_particles"], kappa=cfg["kappa"], dt=cfg["dt"],
+        seed=cfg["seed"], burn_in=burn_in, thinning=cfg["thinning"])
     meta = {"version": __version__, "seed": params.seed,
             "kappa": params.kappa, "beta": params.beta,
             "n_particles": params.n_particles, "dt": params.dt,
@@ -152,7 +146,7 @@ def cmd_simulate(cfg: dict, out_path: str) -> int:
         header = ["sample", *names]
         rows = ([i, *row] for i, row in enumerate(batch.rows))
     else:
-        rec = _checked("simulate", dyson.simulate, params, cfg["t_end"])
+        rec = dyson.simulate(params, cfg["t_end"])
         meta["t_end"] = cfg["t_end"]
         header = ["t", *names]
         rows = ([t, *row] for t, row in zip(rec.times, rec.states))
@@ -168,7 +162,7 @@ def cmd_validate(cfg: dict, out_path: str) -> int:
         ids = [s.strip() for s in cfg["criteria"].split(",")]
         bad = [s for s in ids if not (s.isdecimal() and 1 <= int(s) <= n)]
         if bad:
-            raise SystemExit(f"unknown criterion id(s) {bad}; "
+            raise ValueError(f"unknown criterion id(s) {bad}; "
                              f"valid ids are 1 to {n}")
         only = {int(s) for s in ids}
     results = run_criteria(quick=bool(cfg["quick"]), only=only)
@@ -194,13 +188,14 @@ def cmd_spectrum(cfg: dict, out_path: str) -> int:
         convention = spectral.TimeConvention[cfg["convention"]]
     except KeyError:
         valid = ", ".join(c.name for c in spectral.TimeConvention)
-        raise SystemExit(f"unknown convention {cfg['convention']!r}; "
+        raise ValueError(f"unknown convention {cfg['convention']!r}; "
                          f"valid values are {valid}") from None
     kappas = [float(s) for s in cfg["kappas"].split(",")]
     rows = []
     for kappa in kappas:
-        exact = spectral.one_arm_lambda_exact(kappa, convention)
-        lam = spectral.adjoint_decay_rate(kappa, cfg["m"], convention)
+        # the library's rates are in the LSW_HALF clock
+        exact = spectral.one_arm_lambda_exact(kappa) * convention.factor
+        lam = spectral.adjoint_decay_rate(kappa, cfg["m"]) * convention.factor
         rows.append([kappa, lam, exact, abs(lam - exact)])
     meta = {"version": __version__, "m": cfg["m"],
             "convention": convention.name}
@@ -223,10 +218,12 @@ def cmd_exponents(cfg: dict, out_path: str) -> int:
 
 
 def cmd_trace(cfg: dict, out_path: str) -> int:
-    params = _checked("trace", dyson.ProcessParams,
-                      n_particles=cfg["n_particles"], kappa=cfg["kappa"],
-                      dt=cfg["dt"], seed=cfg["seed"])
-    rec = _checked("trace", dyson.simulate, params, cfg["t_end"])
+    if cfg["n_points"] < 1:
+        raise ValueError("n_points must be >= 1")
+    params = dyson.ProcessParams(n_particles=cfg["n_particles"],
+                                 kappa=cfg["kappa"], dt=cfg["dt"],
+                                 seed=cfg["seed"])
+    rec = dyson.simulate(params, cfg["t_end"])
     drive = loewner.DriveHistory.from_trajectory(rec)
     times = np.linspace(0.0, cfg["t_end"], cfg["n_points"])
     meta = {"version": __version__, "seed": params.seed,
@@ -272,7 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cfg = resolve_config(args, SCHEMAS[args.command])
-    return COMMANDS[args.command](cfg, args.output)
+    try:
+        return COMMANDS[args.command](cfg, args.output)
+    except ValueError as exc:
+        raise SystemExit(f"{args.command}: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ import math
 import numpy as np
 from scipy import integrate, interpolate
 
-from .dyson import AngleConfig, CollisionError, SampleBatch, TWO_PI, wrap_angle
+from .dyson import SampleBatch, TWO_PI, wrap_angle
 
 
 class BetaConvention(Enum):
@@ -28,25 +28,9 @@ class BetaConvention(Enum):
         return self.value / kappa
 
 
-def log_density_unnormalized(config: AngleConfig, beta: float) -> float:
-    """log of prod_{j<k} |e^{i theta_j} - e^{i theta_k}|^beta.
-
-    Equals beta * sum_{j<k} ln(2 |sin((theta_j - theta_k)/2)|); rotation and
-    permutation invariant.
-    """
-    a = config.angles
-    if a.size == 1:
-        return 0.0
-    j, k = np.triu_indices(a.size, 1)
-    chord = 2.0 * np.abs(np.sin((a[j] - a[k]) / 2.0))
-    if np.any(chord < 1e-300):
-        raise CollisionError("coincident angles: log-density is -infinity")
-    return float(beta * np.sum(np.log(chord)))
-
-
 def gap_normalization(beta: float) -> float:
     """Z(beta) = int_0^{2*pi} sin^beta(s/2) ds by adaptive quadrature."""
-    if beta < 0.0:
+    if not beta >= 0.0:
         raise ValueError("beta must be nonnegative")
     z, _ = integrate.quad(lambda s: math.sin(s / 2.0) ** beta, 0.0, TWO_PI,
                           epsabs=0.0, epsrel=1e-12, limit=200)
@@ -71,63 +55,46 @@ def gap_cdf_n2(beta: float, grid_size: int = 32769):
     return cdf
 
 
-def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed n x n unitary via Ginibre + QR with phase correction.
+ENSEMBLES = ("CUE", "COE", "CSE")
+_BLOCK = 128  # samples per stacked draw; bounds the temporaries' memory
 
-    The naive QR decomposition is not Haar: the R diagonal phases must be
-    absorbed into Q.
+
+def sample_batch(ensemble: str, n: int, n_samples: int, seed) -> SampleBatch:
+    """Draw ``n_samples`` independent eigenangle configurations, each sorted.
+
+    U is Haar on U(n), or on U(2n) for CSE: a Ginibre matrix whose QR
+    factor Q takes up the phases of diag(R) (the bare Q is not Haar).
+    CUE returns the eigenangles of U (beta = 2), COE those of U^T U
+    (beta = 1) and CSE those of the self-dual U^R U with U^R = J U^T J^T
+    (beta = 4), listing each Kramers-degenerate angle once.  Each block of
+    samples makes one ``standard_normal`` call for every sample's real
+    then imaginary part and runs its factorizations stacked; successive
+    calls continue one stream, so the rows do not depend on the block size.
     """
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
-def sample_cue(n: int, seed) -> AngleConfig:
-    """Eigenvalue angles of a Haar unitary (beta = 2), sorted."""
-    rng = _as_rng(seed)
-    u = _haar_unitary(n, rng)
-    return AngleConfig(np.sort(wrap_angle(np.angle(np.linalg.eigvals(u)))))
-
-
-def sample_coe(n: int, seed) -> AngleConfig:
-    """Eigenangles of U^T U with U Haar (beta = 1), sorted."""
-    rng = _as_rng(seed)
-    u = _haar_unitary(n, rng)
-    return AngleConfig(np.sort(wrap_angle(np.angle(np.linalg.eigvals(u.T @ u)))))
-
-
-def sample_cse(n: int, seed) -> AngleConfig:
-    """Eigenangles of the self-dual construction U^R U (beta = 4), sorted.
-
-    U is Haar on U(2n); U^R = J U^T J^{-1} is the quaternion dual.  Each
-    Kramers-degenerate angle is listed once, so n distinct angles return.
-    """
-    rng = _as_rng(seed)
-    u = _haar_unitary(2 * n, rng)
-    jsym = np.zeros((2 * n, 2 * n))
-    jsym[:n, n:] = -np.eye(n)
-    jsym[n:, :n] = np.eye(n)
-    ur = jsym @ u.T @ jsym.T
-    ang = np.sort(wrap_angle(np.angle(np.linalg.eigvals(ur @ u))))
-    # collapse Kramers pairs: keep every other angle of the sorted doubled list
-    return AngleConfig(ang[::2])
-
-
-def sample_batch(sampler: str, n: int, n_samples: int, seed) -> SampleBatch:
-    """Draw ``n_samples`` independent configurations from a matrix ensemble."""
-    fn = {"CUE": sample_cue, "COE": sample_coe, "CSE": sample_cse}[sampler]
-    rng = _as_rng(seed)
+    if ensemble not in ENSEMBLES:
+        raise ValueError(f"unknown ensemble {ensemble!r}; valid ensembles "
+                         f"are {', '.join(ENSEMBLES)}")
+    m = 2 * n if ensemble == "CSE" else n
+    rng = np.random.default_rng(seed)
     rows = np.empty((n_samples, n))
-    for i in range(n_samples):
-        rows[i] = fn(n, rng).angles
-    return SampleBatch(rows=rows, created_by=sampler,
+    for start in range(0, n_samples, _BLOCK):
+        block = rows[start:start + _BLOCK]
+        g = rng.standard_normal((len(block), 2, m, m))
+        q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        u = q * (d / np.abs(d))[:, None, :]
+        ut = np.swapaxes(u, -1, -2)
+        if ensemble == "COE":
+            u = ut @ u
+        elif ensemble == "CSE":
+            jsym = np.zeros((m, m))
+            jsym[:n, n:] = -np.eye(n)
+            jsym[n:, :n] = np.eye(n)
+            u = jsym @ ut @ jsym.T @ u
+        ang = np.sort(wrap_angle(np.angle(np.linalg.eigvals(u))), axis=-1)
+        # CSE: keep every other angle of each sorted, doubled list
+        block[:] = ang[:, ::2] if ensemble == "CSE" else ang
+    return SampleBatch(rows=rows, created_by=ensemble,
                        meta={"seed": seed, "n_particles": n})
 
 

@@ -16,6 +16,9 @@ that makes it symmetric, so it shares the generator's spectrum exactly.
 The lowest decaying mode of the backward generator on the singular branch
 theta^{1-4/kappa} has the closed-form rate (kappa^2-16)/(32 kappa), which
 the solvers here reproduce to second order in the grid spacing.
+
+Every rate here is in the half-speed (LSW_HALF) clock; a Dyson-clock rate
+is ``TimeConvention.DYSON.factor`` times it.
 """
 
 from __future__ import annotations
@@ -33,18 +36,6 @@ from scipy.special import exprel
 TWO_PI = 2.0 * math.pi
 
 
-class BCKind(Enum):
-    DIRICHLET = "dirichlet"
-    NEUMANN = "neumann"
-    REGULAR_SINGULAR = "regular_singular"
-
-
-@dataclass(frozen=True)
-class BoundaryCondition:
-    kind: BCKind
-    exponent: float | None = None
-
-
 class TimeConvention(Enum):
     """Clock bookkeeping: DYSON rates are exactly twice LSW_HALF rates."""
 
@@ -58,16 +49,13 @@ class TimeConvention(Enum):
 
 @dataclass(frozen=True)
 class GridOperator:
-    """A finite-difference operator with its collocation grid and BCs.
+    """A finite-difference operator with its collocation grid.
 
-    ``grid`` holds the cell-centred nodes (i+1/2)h on (0, 2*pi); the
-    boundary rows of ``matrix`` implement the declared conditions.
+    ``grid`` holds the cell-centred nodes (i+1/2)h on (0, 2*pi).
     """
 
     grid: np.ndarray
     matrix: object  # scipy sparse, banded
-    bc_left: BoundaryCondition
-    bc_right: BoundaryCondition
 
     def __post_init__(self):
         m = self.grid.size
@@ -76,22 +64,25 @@ class GridOperator:
         if self.matrix.shape != (m, m):
             raise ValueError("matrix must be square over the grid")
 
-    @property
-    def spacing(self) -> float:
-        return float(self.grid[1] - self.grid[0])
-
 
 def _cell_grid(m: int) -> np.ndarray:
+    if m < 16:
+        raise ValueError("need at least 16 grid nodes")
     h = TWO_PI / m
     return (np.arange(m) + 0.5) * h
 
 
-def one_arm_lambda_exact(kappa: float, convention: TimeConvention
-                         = TimeConvention.LSW_HALF) -> float:
-    """Closed-form lowest decay rate (kappa^2 - 16) / (32 kappa)."""
-    if kappa <= 0.0:
+def one_arm_lambda_exact(kappa: float) -> float:
+    """Closed-form lowest decay rate (kappa^2 - 16) / (32 kappa).
+
+    Zero at kappa = 4; below 4 the particles never meet and no decaying
+    one-arm mode exists.
+    """
+    if not kappa > 0.0:
         raise ValueError("kappa must be positive")
-    return (kappa * kappa - 16.0) / (32.0 * kappa) * convention.factor
+    if kappa < 4.0:
+        raise ValueError("no decaying one-arm mode for kappa < 4")
+    return (kappa * kappa - 16.0) / (32.0 * kappa)
 
 
 def one_arm_eigenfunction(kappa: float, theta) -> np.ndarray:
@@ -100,9 +91,7 @@ def one_arm_eigenfunction(kappa: float, theta) -> np.ndarray:
     return np.sin(theta / 4.0) ** (1.0 - 4.0 / kappa)
 
 
-def build_adjoint_n2(kappa: float, m: int,
-                     convention: TimeConvention = TimeConvention.LSW_HALF,
-                     singular_branch: bool | None = None) -> GridOperator:
+def build_adjoint_n2(kappa: float, m: int) -> GridOperator:
     """Collocation matrix for (kappa/2) h'' + cot(theta/2) h' on (0, 2*pi].
 
     The origin is a regular singular point with indicial exponents 0 and
@@ -112,17 +101,11 @@ def build_adjoint_n2(kappa: float, m: int,
     kappa <= 4 that exponent is nonpositive and only the regular (alpha=0)
     branch makes sense.  The far end 2*pi gets a Neumann ghost cell.
     """
-    if kappa <= 0.0:
+    if not kappa > 0.0:
         raise ValueError("kappa must be positive")
-    if singular_branch is None:
-        singular_branch = kappa > 4.0
-    if singular_branch and kappa <= 4.0:
-        raise ValueError(
-            "singular branch exponent 1 - 4/kappa is nonpositive for "
-            "kappa <= 4; only the regular branch exists there")
-    alpha = 1.0 - 4.0 / kappa if singular_branch else 0.0
-    h = TWO_PI / m
     th = _cell_grid(m)
+    alpha = 1.0 - 4.0 / kappa if kappa > 4.0 else 0.0
+    h = TWO_PI / m
     # three-point stencils: one-sided at the singular end, and at 2*pi a
     # ghost node (m + 1/2) h that mirrors the last cell (Neumann)
     idx = np.clip(np.arange(m) - 1, 0, m - 2)[:, None] + np.arange(3)
@@ -142,12 +125,9 @@ def build_adjoint_n2(kappa: float, m: int,
              + (alpha * ell / x + d1) / np.tan(x / 2.0))
             * (x / pts) ** alpha)
     rows = np.repeat(np.arange(m), 3)
-    a = sp.csc_matrix((vals.ravel() * convention.factor,
-                       (rows, np.minimum(idx, m - 1).ravel())), shape=(m, m))
-    bc_left = (BoundaryCondition(BCKind.REGULAR_SINGULAR, alpha)
-               if singular_branch else BoundaryCondition(BCKind.NEUMANN))
-    return GridOperator(grid=th, matrix=a, bc_left=bc_left,
-                        bc_right=BoundaryCondition(BCKind.NEUMANN))
+    a = sp.csc_matrix((vals.ravel(), (rows, np.minimum(idx, m - 1).ravel())),
+                      shape=(m, m))
+    return GridOperator(grid=th, matrix=a)
 
 
 def lowest_eigenpair(op: GridOperator) -> tuple[float, np.ndarray]:
@@ -169,24 +149,19 @@ def lowest_eigenpair(op: GridOperator) -> tuple[float, np.ndarray]:
     return float(-lam.real), vec
 
 
-def adjoint_decay_rate(kappa: float, m: int,
-                       convention: TimeConvention = TimeConvention.LSW_HALF
-                       ) -> float:
-    lam, _ = lowest_eigenpair(build_adjoint_n2(kappa, m, convention))
+def adjoint_decay_rate(kappa: float, m: int) -> float:
+    lam, _ = lowest_eigenpair(build_adjoint_n2(kappa, m))
     return lam
 
 
-def measured_convergence_order(kappa: float, ms=(32, 64, 128, 256),
-                               convention: TimeConvention
-                               = TimeConvention.LSW_HALF) -> float:
+def measured_convergence_order(kappa: float, ms=(32, 64, 128, 256)) -> float:
     """Fitted order of the eigenvalue error against the exact rate.
 
     Runs on coarse grids; at very fine grids the eigensolver's residual
     floor contaminates the error and the fit becomes meaningless.
     """
-    exact = one_arm_lambda_exact(kappa, convention)
-    errs = [abs(adjoint_decay_rate(kappa, m, convention) - exact)
-            for m in ms]
+    exact = one_arm_lambda_exact(kappa)
+    errs = [abs(adjoint_decay_rate(kappa, m) - exact) for m in ms]
     slope, _ = np.polyfit(np.log([TWO_PI / m for m in ms]), np.log(errs), 1)
     return float(slope)
 
@@ -209,7 +184,7 @@ def _fp_bands(kappa: float, m: int):
     kappa P' + V' P to second order; B > 0 keeps every off-diagonal
     product positive for all kappa > 0.
     """
-    if kappa <= 0.0:
+    if not kappa > 0.0:
         raise ValueError("kappa must be positive")
     h = TWO_PI / m
     delta = h * relative_potential_prime(np.arange(1, m) * h) / kappa
@@ -228,11 +203,10 @@ def build_fp_generator_n2(kappa: float, m: int) -> GridOperator:
     exactly (columns sum to zero) and annihilates the stationary density to
     second order.
     """
+    th = _cell_grid(m)
     lower, diag, upper = _fp_bands(kappa, m)
     mat = sp.diags([lower, diag, upper], offsets=[-1, 0, 1], format="csr")
-    return GridOperator(grid=_cell_grid(m), matrix=mat,
-                        bc_left=BoundaryCondition(BCKind.NEUMANN),
-                        bc_right=BoundaryCondition(BCKind.NEUMANN))
+    return GridOperator(grid=th, matrix=mat)
 
 
 def stationary_gap_density(kappa: float, theta) -> np.ndarray:
@@ -260,30 +234,18 @@ def fp_residual_order(kappa: float, ms=(256, 512, 1024, 2048)) -> float:
     return float(slope)
 
 
-def build_cs_hamiltonian_n2(kappa: float, m: int) -> GridOperator:
-    """Symmetrized form -kappa d^2 + cot^2(th/2)/kappa - csc^2(th/2)/2.
-
-    The fitted density generator L conjugated by the diagonal D that makes
-    it symmetric, H = -D^{-1/2} L D^{1/2}; D is the discrete stationary
-    density, so the ground state is its square root, approximately
-    sin^{2/kappa}(theta/2), at eigenvalue zero.  Stored as a symmetric
-    tridiagonal sparse matrix with Dirichlet ends.
-    """
-    d, e, th = cs_tridiagonal(kappa, m)
-    mat = sp.diags([e, d, e], offsets=[-1, 0, 1], format="csr")
-    return GridOperator(grid=th, matrix=mat,
-                        bc_left=BoundaryCondition(BCKind.DIRICHLET),
-                        bc_right=BoundaryCondition(BCKind.DIRICHLET))
-
-
 def cs_tridiagonal(kappa: float, m: int):
     """Diagonal and off-diagonal of the Hamiltonian, plus the grid.
 
-    Taken from the density-generator bands, so H and -L share their
-    spectrum, which approximates Sutherland's E_n = n + kappa n^2 / 4.
+    H = -D^{-1/2} L D^{1/2}, symmetric tridiagonal, from the density-
+    generator bands: D is the discrete stationary density, so the ground
+    state is its square root, approximately sin^{2/kappa}(theta/2), at
+    eigenvalue zero, and H and -L share their spectrum, which approximates
+    Sutherland's E_n = n + kappa n^2 / 4.
     """
+    th = _cell_grid(m)
     lower, diag, upper = _fp_bands(kappa, m)
-    return -diag, -np.sqrt(lower * upper), _cell_grid(m)
+    return -diag, -np.sqrt(lower * upper), th
 
 
 def cs_ground_state(kappa: float, m: int, n_states: int = 2):
@@ -301,11 +263,10 @@ def normalized_overlap(u, v) -> float:
 
 
 def survival_curve(kappa: float, t_max: float, m: int = 1024,
-                   dt: float = 1e-2,
-                   convention: TimeConvention = TimeConvention.LSW_HALF):
+                   dt: float = 1e-2):
     """Non-meeting probability h(theta, t) by implicit Euler on the
     backward generator; returns (times, h-matrix of shape (nt, m), grid)."""
-    op = build_adjoint_n2(kappa, m, convention)
+    op = build_adjoint_n2(kappa, m)
     lu = spla.splu(sp.identity(m, format="csc") - dt * op.matrix)
     n_steps = int(round(t_max / dt))
     hcur = np.ones(m)
@@ -319,9 +280,7 @@ def survival_curve(kappa: float, t_max: float, m: int = 1024,
 
 
 def survival_probability(kappa: float, theta0: float, t: float,
-                         m: int = 1024, dt: float = 1e-2,
-                         convention: TimeConvention = TimeConvention.LSW_HALF
-                         ) -> float:
+                         m: int = 1024, dt: float = 1e-2) -> float:
     """P(the two particles have not met by time t | gap theta0 at 0).
 
     For kappa <= 4 the particles never collide and the answer is exactly
@@ -336,16 +295,13 @@ def survival_probability(kappa: float, theta0: float, t: float,
         return 1.0
     if t == 0.0:
         return 1.0
-    times, hmat, grid = survival_curve(kappa, t, m=m, dt=dt,
-                                       convention=convention)
+    times, hmat, grid = survival_curve(kappa, t, m=m, dt=dt)
     return float(np.interp(theta0, grid, hmat[-1]))
 
 
 def survival_decay_rate(kappa: float, theta0: float = math.pi,
                         m: int = 512, dt: float = 1e-2,
-                        fit_range=(1e-4, 1e-1),
-                        convention: TimeConvention = TimeConvention.LSW_HALF
-                        ) -> float:
+                        fit_range=(1e-4, 1e-1)) -> float:
     """Fitted asymptotic decay rate of the non-meeting probability.
 
     Least squares on log h(theta0, t) over the window where h lies in
@@ -353,10 +309,9 @@ def survival_decay_rate(kappa: float, theta0: float = math.pi,
     """
     if kappa <= 4.0:
         raise ValueError("no decay for kappa <= 4: survival is constant 1")
-    lam = one_arm_lambda_exact(kappa, convention)
+    lam = one_arm_lambda_exact(kappa)
     t_max = -math.log(fit_range[0] / 2.0) / lam  # generous horizon
-    times, hmat, grid = survival_curve(kappa, t_max, m=m, dt=dt,
-                                       convention=convention)
+    times, hmat, grid = survival_curve(kappa, t_max, m=m, dt=dt)
     j = int(np.argmin(np.abs(grid - theta0)))
     hvals = hmat[:, j]
     mask = (hvals > fit_range[0]) & (hvals < fit_range[1])

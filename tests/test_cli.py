@@ -84,6 +84,24 @@ class TestSimulate:
             main(args + ["-o", "/dev/null"])
 
 
+@pytest.mark.parametrize("args, problem", [
+    (["simulate", "--n-samples", "-5"], "simulate: n_samples must be >= 0"),
+    (["trace", "--n-points", "-1"], "trace: n_points must be >= 1"),
+    (["trace", "--n-points", "0"], "trace: n_points must be >= 1"),
+    (["spectrum", "--m", "8"], "spectrum: need at least 16 grid nodes"),
+    (["spectrum", "--m", "0"], "spectrum: need at least 16 grid nodes"),
+    (["spectrum", "--kappas", "abc"], "spectrum: could not convert"),
+    (["spectrum", "--kappas", "0"], "spectrum: kappa must be positive"),
+    (["spectrum", "--kappas", "nan"], "spectrum: kappa must be positive"),
+    (["spectrum", "--kappas", "2,3"], "spectrum: no decaying one-arm mode"),
+    (["exponents", "--kappas", "0"], "exponents: kappa must be positive"),
+    (["exponents", "--kappas", "1.5x"], "exponents: Invalid literal"),
+])
+def test_bad_input_exits_with_command_and_message(args, problem):
+    with pytest.raises(SystemExit, match=problem):
+        main(args + ["-o", "/dev/null"])
+
+
 class TestConfigResolution:
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
@@ -132,6 +150,18 @@ class TestSpectrum:
         main(["spectrum", "-o", str(a)])
         main(["spectrum", "-o", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_dyson_columns_are_twice_lsw_half(self, tmp_path):
+        cols = {}
+        for conv in ("LSW_HALF", "DYSON"):
+            out = tmp_path / f"{conv}.csv"
+            main(["spectrum", "--kappas", "4,4.5,6,8", "--m", "256",
+                  "--convention", conv, "-o", str(out)])
+            _, _, rows = read_csv(out)
+            cols[conv] = np.array(rows, dtype=float)
+        lsw, dys = cols["LSW_HALF"], cols["DYSON"]
+        assert np.array_equal(dys[:, 0], lsw[:, 0])
+        assert np.array_equal(dys[:, 1:], 2.0 * lsw[:, 1:])
 
     def test_unknown_convention_rejected(self):
         with pytest.raises(SystemExit, match="LSW_HALF, DYSON"):

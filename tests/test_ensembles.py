@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from sle_dyson.ensembles import (TWO_PI, BetaConvention, gap_cdf_n2,
-                                 gap_normalization, ks_statistic,
+from sle_dyson.ensembles import (ENSEMBLES, TWO_PI, BetaConvention,
+                                 gap_cdf_n2, gap_normalization, ks_statistic,
                                  ks_threshold, ks_two_sample,
                                  ks_two_sample_threshold,
-                                 log_density_unnormalized,
                                  pairwise_gap_statistics, row_gaps,
-                                 sample_batch, sample_coe, sample_cse,
-                                 sample_cue)
-from sle_dyson.dyson import AngleConfig
+                                 sample_batch)
+from sle_dyson.dyson import wrap_angle
 
 
 class TestGapOracle:
@@ -23,6 +21,11 @@ class TestGapOracle:
     def test_normalization_beta2(self):
         # int_0^{2pi} sin^2(s/2) ds = pi exactly
         assert gap_normalization(2.0) == pytest.approx(math.pi, abs=1e-10)
+
+    @pytest.mark.parametrize("beta", [-1.0, math.nan])
+    def test_normalization_rejects_bad_beta(self, beta):
+        with pytest.raises(ValueError, match="beta must be nonnegative"):
+            gap_normalization(beta)
 
     def test_cdf_beta2_closed_form(self):
         # antiderivative of sin^2(s/2)/pi is (s - sin s)/(2 pi)
@@ -82,12 +85,47 @@ def oriented_gaps(batch, seed):
     return np.where(flip, TWO_PI - s, s)
 
 
+def reference_rows(ensemble, n, n_samples, seed):
+    """The matrix-model draw one sample at a time: Ginibre, QR, phase fix,
+    then the eigenangles of U, U^T U or J U^T J^T U."""
+    rng = np.random.default_rng(seed)
+    m = 2 * n if ensemble == "CSE" else n
+    rows = np.empty((n_samples, n))
+    for i in range(n_samples):
+        g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        q, r = np.linalg.qr(g)
+        d = np.diagonal(r)
+        u = q * (d / np.abs(d))
+        if ensemble == "COE":
+            u = u.T @ u
+        elif ensemble == "CSE":
+            jsym = np.zeros((m, m))
+            jsym[:n, n:] = -np.eye(n)
+            jsym[n:, :n] = np.eye(n)
+            u = jsym @ u.T @ jsym.T @ u
+        ang = np.sort(wrap_angle(np.angle(np.linalg.eigvals(u))))
+        rows[i] = ang[::2] if ensemble == "CSE" else ang
+    return rows
+
+
 class TestMatrixSamplers:
     def test_shapes_sorted(self):
-        for fn in (sample_cue, sample_coe, sample_cse):
-            cfg = fn(4, 123)
-            assert cfg.n == 4
-            assert np.all(np.diff(cfg.angles) > 0)
+        for ensemble in ENSEMBLES:
+            batch = sample_batch(ensemble, 4, 20, seed=123)
+            assert batch.rows.shape == (20, 4)
+            assert np.all(np.diff(batch.rows, axis=1) > 0)
+            assert batch.created_by == ensemble
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("ensemble", ENSEMBLES)
+    def test_matches_per_sample_reference(self, ensemble, n):
+        # 300 samples span several stacked blocks
+        batch = sample_batch(ensemble, n, 300, seed=8)
+        assert np.array_equal(batch.rows, reference_rows(ensemble, n, 300, 8))
+
+    def test_unknown_ensemble_rejected(self):
+        with pytest.raises(ValueError, match="GUE.*CUE, COE, CSE"):
+            sample_batch("GUE", 2, 10, seed=0)
 
     def test_cue_gap_law_n2(self):
         batch = sample_batch("CUE", 2, 4000, seed=2)
@@ -120,8 +158,3 @@ class TestGapStatistics:
         batch = sample_batch("CUE", 4, 50, seed=7)
         gaps = pairwise_gap_statistics(batch).reshape(50, 4)
         assert np.allclose(gaps.sum(axis=1), TWO_PI)
-
-    def test_log_density_beta_scaling(self):
-        cfg = AngleConfig(np.array([0.1, 1.7, 4.0]))
-        assert log_density_unnormalized(cfg, 4.0) == pytest.approx(
-            2.0 * log_density_unnormalized(cfg, 2.0))

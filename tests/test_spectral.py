@@ -5,11 +5,9 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from sle_dyson.spectral import (TWO_PI, BCKind, BoundaryCondition,
-                                GridOperator, TimeConvention,
-                                adjoint_decay_rate, build_adjoint_n2,
-                                build_cs_hamiltonian_n2,
-                                build_fp_generator_n2, cs_ground_state,
+from sle_dyson.spectral import (TWO_PI, GridOperator, adjoint_decay_rate,
+                                build_adjoint_n2, build_fp_generator_n2,
+                                cs_ground_state,
                                 fp_equilibrium_residual, fp_residual_order,
                                 lowest_eigenpair, measured_convergence_order,
                                 normalized_overlap, one_arm_eigenfunction,
@@ -27,26 +25,35 @@ class TestExactRate:
         assert one_arm_lambda_exact(6.0) == pytest.approx(5.0 / 48.0)
         assert one_arm_lambda_exact(8.0) == pytest.approx(3.0 / 16.0)
 
-    def test_convention_doubling_exact(self):
-        for kappa in (4.5, 5.0, 6.0, 7.0, 8.0):
-            assert one_arm_lambda_exact(kappa, TimeConvention.DYSON) == \
-                2.0 * one_arm_lambda_exact(kappa)
+    @pytest.mark.parametrize("kappa", [0.5, 2.0, 3.0, 3.999])
+    def test_no_decaying_mode_below_four(self, kappa):
+        with pytest.raises(ValueError, match="kappa < 4"):
+            one_arm_lambda_exact(kappa)
+
+
+@pytest.mark.parametrize("kappa", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("fn", [one_arm_lambda_exact,
+                                lambda k: build_adjoint_n2(k, 64),
+                                lambda k: build_fp_generator_n2(k, 64),
+                                lambda k: cs_ground_state(k, 64)])
+def test_nonpositive_or_nan_kappa_rejected(fn, kappa):
+    with pytest.raises(ValueError, match="kappa must be positive"):
+        fn(kappa)
+
+
+@pytest.mark.parametrize("m", [0, 8])
+@pytest.mark.parametrize("fn", [lambda m: build_adjoint_n2(6.0, m),
+                                lambda m: build_fp_generator_n2(6.0, m),
+                                lambda m: cs_ground_state(2.0, m)])
+def test_small_grid_rejected(fn, m):
+    with pytest.raises(ValueError, match="at least 16 grid nodes"):
+        fn(m)
 
 
 class TestAdjointOperator:
     def test_constant_annihilated_on_regular_branch(self):
         op = build_adjoint_n2(3.0, 64)
         assert np.max(np.abs(op.matrix @ np.ones(64))) < 1e-10
-
-    def test_singular_branch_refused_below_four(self):
-        with pytest.raises(ValueError):
-            build_adjoint_n2(3.0, 64, singular_branch=True)
-
-    def test_boundary_metadata(self):
-        op = build_adjoint_n2(6.0, 64)
-        assert op.bc_left.kind is BCKind.REGULAR_SINGULAR
-        assert op.bc_left.exponent == pytest.approx(1.0 - 4.0 / 6.0)
-        assert op.bc_right.kind is BCKind.NEUMANN
 
     def test_minimum_grid_size(self):
         with pytest.raises(ValueError):
@@ -57,13 +64,6 @@ class TestAdjointOperator:
     def test_decay_rate(self, kappa, exact):
         assert adjoint_decay_rate(kappa, 512) == pytest.approx(exact,
                                                                abs=1e-3)
-
-    def test_decay_rate_dyson_clock(self):
-        lsw = adjoint_decay_rate(6.0, 256)
-        dys = adjoint_decay_rate(6.0, 256, TimeConvention.DYSON)
-        # the matrices differ by an exact factor 2; the eigensolves agree
-        # to solver round-off only
-        assert dys == pytest.approx(2.0 * lsw, rel=1e-8)
 
     def test_eigenfunction_shape(self):
         op = build_adjoint_n2(6.0, 512)
@@ -110,9 +110,7 @@ class TestLowestEigenpair:
                + np.diag(np.ones(m - 1), -1)) / h ** 2
         lap[0, 0] += 1.0 / h ** 2
         lap[-1, -1] += 1.0 / h ** 2
-        op = GridOperator(grid=(np.arange(m) + 0.5) * h, matrix=lap,
-                          bc_left=BoundaryCondition(BCKind.NEUMANN),
-                          bc_right=BoundaryCondition(BCKind.NEUMANN))
+        op = GridOperator(grid=(np.arange(m) + 0.5) * h, matrix=lap)
         lam, vec = lowest_eigenpair(op)
         assert lam == pytest.approx(0.0, abs=1e-10)
         assert np.max(np.abs(vec - 1.0)) < 1e-8
@@ -166,11 +164,6 @@ CS_KAPPAS = [0.5, 1.0, 2.0, 2.5, 3.0, 4.0, 6.0, 8.0]
 
 
 class TestCsHamiltonian:
-    def test_symmetry(self):
-        op = build_cs_hamiltonian_n2(2.0, 256)
-        defect = (op.matrix - op.matrix.T).toarray()
-        assert np.max(np.abs(defect)) < 1e-10
-
     @pytest.mark.parametrize("kappa", CS_KAPPAS)
     def test_ground_state(self, kappa):
         vals, vecs, th = cs_ground_state(kappa, 4096)
