@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__, dyson, ensembles, exponents, loewner, spectral
-from .validation import ALL_CRITERIA, run_criteria
+from .validation import ALL_CRITERIA, provenance, run_criteria
 
 FLOAT_FMT = ".17g"
 
@@ -171,6 +171,7 @@ def cmd_validate(cfg: dict, out_path: str) -> int:
         "quick": bool(cfg["quick"]),
         "results": [r.to_dict() for r in results],
         "all_pass": all(r.passed for r in results),
+        "provenance": provenance(),
     }
     with _open_out(out_path) as fh:
         json.dump(report, fh, indent=2, default=float)

@@ -5,21 +5,23 @@ The N-particle diffusion
     dtheta_j = sum_{k != j} cot((theta_j - theta_k)/2) dt + sqrt(kappa) dB_j
 
 never reorders its particles, so it is integrated in sorted coordinates:
-each chain is a row of unwrapped angles x_0 < x_1 < ... < x_{N-1} < x_0 + 2*pi
+each chain holds unwrapped angles x_0 < x_1 < ... < x_{N-1} < x_0 + 2*pi
 whose N gaps sum to 2*pi.  One batched kernel, :func:`_integrate`, advances
-many rows by full steps of dt: rows clear of collision share one
-Euler-Maruyama proposal, rows whose nearest pair is close take an exact
-squared-Bessel pair move, and any row left over takes gap-capped,
-step-halving sub-steps with a reflecting GAP_FLOOR.  :func:`simulate` runs
-the kernel on one row and records every step; :func:`sample_stationary`
-runs it on many independent chains.  The stationary law is the circular
-beta-ensemble with beta = 4/kappa (see :mod:`sle_dyson.ensembles` for the
-reference densities).
+an (N, chains) array, particle j of every chain in row j, by full steps of
+dt, so every per-chain check reduces over the short axis 0: chains clear
+of collision share one Euler-Maruyama proposal, chains whose nearest pair
+is close take an exact squared-Bessel pair move, and any chain left over
+takes gap-capped, step-halving sub-steps with a reflecting GAP_FLOOR.
+:func:`simulate` (one chain, every step recorded) and
+:func:`sample_stationary` (many chains) take and return one row per
+configuration.  The stationary law is the circular beta-ensemble with
+beta = 4/kappa (see :mod:`sle_dyson.ensembles` for the reference densities).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import functools
 import math
 
 import numpy as np
@@ -73,11 +75,8 @@ class AngleConfig:
             raise ValueError("angles must be finite")
         if np.any(arr < 0.0) or np.any(arr >= TWO_PI):
             raise ValueError("angles must lie in [0, 2*pi)")
-        if arr.size > 1:
-            s = np.sort(arr)
-            gaps = np.diff(np.concatenate([s, [s[0] + TWO_PI]]))
-            if np.min(gaps) <= 0.0:
-                raise CollisionError("angles must be pairwise distinct")
+        if _gaps(np.sort(arr)).min() <= 0.0:
+            raise CollisionError("angles must be pairwise distinct")
         object.__setattr__(self, "angles", arr)
 
     @property
@@ -139,23 +138,14 @@ def equally_spaced(n: int, offset: float = 0.0) -> AngleConfig:
     return AngleConfig(wrap_angle(offset + TWO_PI * np.arange(n) / n))
 
 
-def drift_batch(angles: np.ndarray, min_gap: float = 1e-12) -> np.ndarray:
+def drift_batch(angles: np.ndarray) -> np.ndarray:
     """Drift sum_{k != j} cot((theta_j - theta_k)/2) for a (..., N) array.
 
     cot(d/2) has period 2*pi in d, so wrapped angles and the kernel's
     unwrapped sorted rows give the same drift.
     """
     angles = np.asarray(angles, dtype=float)
-    n = angles.shape[-1]
-    if n == 1:
-        return np.zeros_like(angles)
-    t = np.tan((angles[..., :, None] - angles[..., None, :]) / 2.0)
-    cot = np.divide(1.0, t, out=np.zeros_like(t),
-                    where=~np.eye(n, dtype=bool))
-    # |cot(d/2)| ~ 2/|d| near d = 0 mod 2*pi: flags pairs closer than min_gap
-    if not np.all(np.abs(cot) < 2.0 / min_gap):
-        raise CollisionError("coincident angles: cot drift is singular")
-    return cot.sum(axis=-1)
+    return np.moveaxis(_drift(np.moveaxis(angles, -1, 0)), 0, -1)
 
 
 def drift(config: AngleConfig) -> np.ndarray:
@@ -169,109 +159,131 @@ def potential(config: AngleConfig) -> float:
     The drift equals -grad V componentwise.
     """
     a = config.angles
-    if a.size == 1:
-        return 0.0
-    j, k = np.triu_indices(a.size, 1)
+    j, k, _ = _pair_terms(a.size)
     s = np.abs(np.sin((a[j] - a[k]) / 2.0))
     if np.any(s < 1e-300):
         raise CollisionError("coincident angles: potential diverges")
-    return float(-2.0 * np.sum(np.log(s)))
+    return float(np.sum(-2.0 * np.log(s)))
+
+
+@functools.lru_cache
+def _pair_terms(n):
+    """The N(N-1)/2 pairs j < k, and an (N-1, N) table whose column p holds
+    the slots of particle p's drift terms, in ascending partner order, in
+    the stack (cot_jk of every pair, then -cot_jk), as cot_kj = -cot_jk."""
+    j, k = np.triu_indices(n, 1)
+    slot = np.empty((n, n), dtype=np.intp)
+    slot[j, k], slot[k, j] = np.arange(j.size), np.arange(j.size, 2 * j.size)
+    return j, k, slot[~np.eye(n, dtype=bool)].reshape(n, n - 1).T.copy()
+
+
+def _drift(x):
+    """Drift of the particles along axis 0 of ``x``, an (N,) row or an
+    (N, chains) stack: one cot per pair, and each particle adds its terms
+    in ascending partner order, as a sum over a full cot matrix does."""
+    j, k, terms = _pair_terms(x.shape[0])
+    cot = 1.0 / np.tan((x[j] - x[k]) / 2.0)
+    # |cot(d/2)| ~ 2/|d| near d = 0 mod 2*pi: flags pairs closer than 1e-12
+    if not np.abs(cot).max(initial=0.0) < 2e12:
+        raise CollisionError("coincident angles: cot drift is singular")
+    # a sum over the leading axis adds its slices in order, so each
+    # particle's terms in ascending partner order
+    return np.add.reduce(np.concatenate((cot, -cot))[terms], axis=0)
 
 
 def _gaps(x):
-    """Gaps x_{i+1} - x_i of sorted rows, the last one closing the circle."""
-    return np.diff(x, axis=-1, append=x[..., :1] + TWO_PI)
+    """Gaps x_{i+1} - x_i along axis 0, the last one closing the circle."""
+    return np.concatenate((x[1:], x[:1] + TWO_PI)) - x
 
 
 def _accepted(old, new, floor):
-    """Rows of ``new`` that keep every gap >= ``floor`` (so the cyclic order
-    of ``old``) and move no particle by pi or more."""
-    return ((_gaps(new) >= floor).all(axis=-1)
-            & (np.abs(new - old) < np.pi).all(axis=-1))
+    """Chains of ``new`` that keep every gap >= ``floor`` (so the cyclic
+    order of ``old``) and move no particle by pi or more."""
+    return ((_gaps(new).min(axis=0) >= floor)
+            & (np.abs(new - old).max(axis=0) < np.pi))
 
 
 def _pair_jump(x, gaps, mu, kappa, tau, rng):
-    """Advance rows whose nearest pair is close by one exact-gap move.
+    """Advance chains whose nearest pair is close by one exact-gap move.
 
     The squared pair gap is a BESQ(1 + 4/kappa) process up to smooth
     corrections, so its transition over ``tau`` is drawn exactly from a
     scaled noncentral chi-square; the cot-versus-1/s drift difference and
     the differential pull of the other particles enter as an O(tau) drift
     correction.  Midpoint and remaining particles take plain EM updates.
-    Returns (new_rows, ok_mask); rows whose move would break the cyclic
+    Returns (new, ok_mask); chains whose move would break the cyclic
     order, or whose pair is not isolated, are left for the rare path of
     :func:`_integrate`.
     """
-    c, n = x.shape
-    rows = np.arange(c)
-    i = np.argmin(gaps, axis=-1)
+    n, c = x.shape
+    cols = np.arange(c)
+    i = np.argmin(gaps, axis=0)
     k = (i + 1) % n
-    s = gaps[rows, i]
+    s = gaps[i, cols]
     delta = 1.0 + 4.0 / kappa
     v = tau * rng.noncentral_chisquare(delta, s * s / (2.0 * kappa * tau),
                                        size=c)
-    drift_corr = (mu[rows, k] - mu[rows, i]) - 4.0 / s
-    s_new = np.maximum(np.sqrt(2.0 * kappa * v) + drift_corr * tau, GAP_FLOOR)
-    mid = (x[rows, i] + 0.5 * s + 0.5 * (mu[rows, i] + mu[rows, k]) * tau
+    mu_i, mu_k = mu[i, cols], mu[k, cols]
+    s_new = np.maximum(np.sqrt(2.0 * kappa * v)
+                       + ((mu_k - mu_i) - 4.0 / s) * tau, GAP_FLOOR)
+    mid = (x[i, cols] + 0.5 * s + 0.5 * (mu_i + mu_k) * tau
            + math.sqrt(0.5 * kappa * tau) * rng.standard_normal(c))
-    new = x + mu * tau + math.sqrt(kappa * tau) * rng.standard_normal((c, n))
-    new[rows, i] = mid - 0.5 * s_new
+    new = x + mu * tau + math.sqrt(kappa * tau) * rng.standard_normal((c, n)).T
+    new[i, cols] = mid - 0.5 * s_new
     # the pair (x_{N-1}, x_0 + 2*pi) closes the circle: x_0 lives 2*pi lower
-    new[rows, k] = mid + 0.5 * s_new - TWO_PI * (k == 0)
+    new[k, cols] = mid + 0.5 * s_new - TWO_PI * (k == 0)
     ok = _accepted(x, new, 0.5 * GAP_FLOOR)
     if n > 2:
         # only trust the two-body move when the pair is isolated
-        g2 = np.partition(gaps, 1, axis=-1)[:, 1]
-        ok &= g2 > np.maximum(3.0 * s, 0.15)
+        ok &= np.partition(gaps, 1, axis=0)[1] > np.maximum(3.0 * s, 0.15)
     return new, ok
 
 
 def _integrate(x, kappa, dt, n_steps, rng, counts, trail=None):
-    """Advance the sorted rows of ``x`` by ``n_steps`` full steps of ``dt``.
+    """Advance the sorted (N, chains) array ``x`` by ``n_steps`` steps of
+    ``dt``; each step's noise is one (chains, N) draw read transposed.
 
-    Rows clear of collision take one shared Euler-Maruyama proposal, and
-    rows that trip the close-pair guard take :func:`_pair_jump`.  Rows
-    either path rejects take the rare path from where they stood, one row
+    Chains clear of collision take one shared Euler-Maruyama proposal, and
+    chains that trip the close-pair guard take :func:`_pair_jump`.  Chains
+    either path rejects take the rare path from where they stood, one chain
     at a time: sub-steps of at most g^2 / (32 (kappa + N)) for nearest gap
     g, a cap under which the guard always holds, until the step's time is
     used up.  A sub-step that breaks the order is retried with the same
     draws and half the length, and a gap that lands below GAP_FLOOR is
     reflected off it.  Raises :class:`CollisionError` after MAX_HALVINGS
     rejections, or when the gap cap is too small for a sub-step to advance
-    time at all.
-
-    ``counts`` accumulates the PATH_COUNTERS; ``trail``, if given, receives
-    the rows after every step.  Returns the final rows.
+    time at all.  ``counts`` accumulates the PATH_COUNTERS; ``trail``, if
+    given, receives the state after every step.
     """
-    c, n = x.shape
+    n, c = x.shape
     sqrt_kdt = math.sqrt(kappa * dt)
     for step in range(n_steps):
-        mu = drift_batch(x)
+        mu = _drift(x)
         gaps = _gaps(x)
-        new = x + mu * dt + sqrt_kdt * rng.standard_normal((c, n))
+        new = x + mu * dt + sqrt_kdt * rng.standard_normal((c, n)).T
         ok = _accepted(x, new, GAP_FLOOR)
         n_jump = 0
         if n > 1:
             # close-pair trigger: a step may not come near the collision scale
-            near = gaps.min(axis=-1) < (4.0 * sqrt_kdt
-                                        + 4.0 * dt * np.abs(mu).max(axis=-1))
+            near = gaps.min(axis=0) < (4.0 * sqrt_kdt
+                                       + 4.0 * dt * np.abs(mu).max(axis=0))
             if near.any():
-                # a rejected jump's row is redone by the rare path below
+                # a rejected jump's chain is redone by the rare path below
                 idx = np.flatnonzero(near)
-                new[idx], ok[idx] = _pair_jump(x[idx], gaps[idx], mu[idx],
-                                               kappa, dt, rng)
-                n_jump = int(ok[idx].sum())
-        n_ok = int(ok.sum())
-        counts["em_steps"] += n_ok - n_jump
+                new[:, idx], ok[idx] = _pair_jump(
+                    x[:, idx], gaps[:, idx], mu[:, idx], kappa, dt, rng)
+                n_jump = np.count_nonzero(ok[idx])
+        rare = np.flatnonzero(~ok)
+        counts["em_steps"] += c - rare.size - n_jump
         counts["pair_jumps"] += n_jump
-        counts["rare_steps"] += c - n_ok
-        for r in np.flatnonzero(~ok):
-            # row by row: a row draws all its sub-steps' noise before the
-            # next row starts, so one row's sub-step count never reorders
+        counts["rare_steps"] += rare.size
+        for r in rare:
+            # chain by chain: a chain draws all its sub-steps' noise before
+            # the next starts, so one chain's sub-step count never reorders
             # the draws of another
-            xr, left = x[r], dt
+            xr, left = x[:, r], dt
             while left > 1e-15:
-                mu_r = drift_batch(xr)
+                mu_r = _drift(xr)
                 g = _gaps(xr).min()
                 # the gap cap implies the close-pair guard, so no re-check
                 trial = min(g * g / (32.0 * (kappa + n)), left)
@@ -299,7 +311,7 @@ def _integrate(x, kappa, dt, n_steps, rng, counts, trail=None):
                     counts["reflections"] += 1
                 counts["rare_substeps"] += 1
                 xr, left = prop, left - trial
-            new[r] = xr
+            new[:, r] = xr
         x = new
         if trail is not None:
             trail[step] = x
@@ -326,12 +338,12 @@ def simulate(params: ProcessParams, t_end: float,
         raise ValueError("initial configuration has the wrong particle count")
     rng = np.random.default_rng(np.random.SeedSequence(params.seed))
     order = np.argsort(initial.angles)  # sorted slot s holds label order[s]
-    trail = np.empty((n_steps + 1, 1, params.n_particles))
-    trail[0, 0] = initial.angles[order]
+    trail = np.empty((n_steps + 1, params.n_particles, 1))
+    trail[0, :, 0] = initial.angles[order]
     _integrate(trail[0].copy(), params.kappa, params.dt, n_steps, rng,
                dict.fromkeys(PATH_COUNTERS, 0), trail=trail[1:])
     states = np.empty((n_steps + 1, params.n_particles))
-    states[:, order] = wrap_angle(trail[:, 0])
+    states[:, order] = wrap_angle(trail[:, :, 0])
     return TrajectoryRecord(times=np.arange(n_steps + 1) * params.dt,
                             states=states, params=params)
 
@@ -367,7 +379,7 @@ def sample_stationary(params: ProcessParams, n_samples: int,
     rng = np.random.default_rng(np.random.SeedSequence(params.seed))
     n = params.n_particles
     starts = rng.uniform(0.0, TWO_PI, size=n_chains)
-    x = starts[:, None] + TWO_PI * np.arange(n) / n  # sorted, label order
+    x = starts + (TWO_PI * np.arange(n) / n)[:, None]  # (N, chains), sorted
     counts = dict.fromkeys(PATH_COUNTERS, 0)
     x = _integrate(x, params.kappa, params.dt,
                    round(params.effective_burn_in / params.dt), rng, counts)
@@ -375,7 +387,7 @@ def sample_stationary(params: ProcessParams, n_samples: int,
     for k in range(per_chain):
         x = _integrate(x, params.kappa, params.dt,
                        round(params.thinning / params.dt), rng, counts)
-        out[k] = x
+        out[k] = x.T
     rows = wrap_angle(out.reshape(per_chain * n_chains, n)[:n_samples])
     meta = {"seed": params.seed, "kappa": params.kappa, "beta": params.beta,
             "n_particles": n, "dt": params.dt,

@@ -287,10 +287,12 @@ def survival_probability(kappa: float, theta0: float, t: float,
     1.  Above 4 the backward PDE is stepped implicitly from h = 1 with the
     absorbing singular branch at theta = 0.
     """
+    if not kappa > 0.0:
+        raise ValueError("kappa must be positive")
     if not 0.0 < theta0 < TWO_PI:
         raise ValueError("theta0 must lie in (0, 2*pi)")
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
+    if not t >= 0.0:
+        raise ValueError(f"t must be nonnegative, got {t!r}")
     if kappa <= 4.0:
         return 1.0
     if t == 0.0:

@@ -12,13 +12,17 @@ bounds); every deterministic criterion runs at full strength either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 import math
+from pathlib import Path
+import subprocess
+import time
 
 import numpy as np
+import scipy
 
-from . import dyson, ensembles, exponents, loewner, spectral
+from . import __version__, dyson, ensembles, exponents, loewner, spectral
 
 RNG_SEED = 20230
 
@@ -31,6 +35,7 @@ class CriterionResult:
     threshold: float
     passed: bool
     detail: dict = field(default_factory=dict)
+    seconds: float | None = None  # wall time, set by run_criteria
 
     def to_dict(self) -> dict:
         return {
@@ -39,6 +44,7 @@ class CriterionResult:
             "value": float(self.value),
             "threshold": float(self.threshold),
             "pass": bool(self.passed),
+            "seconds": self.seconds,
             "detail": self.detail,
         }
 
@@ -227,5 +233,21 @@ def run_criteria(quick: bool = False, only=None) -> list[CriterionResult]:
     for cid, fn in enumerate(ALL_CRITERIA, start=1):
         if only is not None and cid not in only:
             continue
-        results.append(fn(quick=quick))
+        start = time.perf_counter()
+        result = fn(quick=quick)
+        results.append(replace(result, seconds=time.perf_counter() - start))
     return results
+
+
+def provenance() -> dict:
+    """What produced a report: package, numpy and scipy versions, the git
+    commit of the source tree (None outside a checkout) and the seed."""
+    try:
+        git = subprocess.run(["git", "rev-parse", "HEAD"],
+                             cwd=Path(__file__).parent, capture_output=True,
+                             text=True, timeout=10)
+        sha = git.stdout.strip() if git.returncode == 0 else None
+    except (OSError, subprocess.SubprocessError):
+        sha = None
+    return {"version": __version__, "numpy": np.__version__,
+            "scipy": scipy.__version__, "git_sha": sha, "rng_seed": RNG_SEED}

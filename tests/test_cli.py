@@ -5,6 +5,7 @@ import pytest
 
 from sle_dyson.cli import main
 from sle_dyson.dyson import PATH_COUNTERS
+from sle_dyson.validation import RNG_SEED
 
 
 def read_csv(path):
@@ -217,6 +218,23 @@ class TestValidate:
         assert set(entry) >= {"criterion_id", "value", "threshold", "pass"}
         assert entry["pass"] is True
         assert report["all_pass"] is True
+
+    def test_report_times_and_provenance(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["validate", "--criteria", "9,10", "-o", str(out)]) == 0
+        report = json.loads(out.read_text())
+        for entry in report["results"]:
+            assert isinstance(entry["seconds"], float)
+            assert entry["seconds"] >= 0.0
+        prov = report["provenance"]
+        assert set(prov) == {"version", "numpy", "scipy", "git_sha",
+                             "rng_seed"}
+        assert prov["version"] == report["version"]
+        assert prov["numpy"] == np.__version__
+        assert prov["rng_seed"] == RNG_SEED
+        sha = prov["git_sha"]
+        assert sha is None or (len(sha) == 40
+                               and set(sha) <= set("0123456789abcdef"))
 
     @pytest.mark.parametrize("criteria", ["11", ",", "0", "3,x"])
     def test_unknown_criteria_rejected(self, criteria):

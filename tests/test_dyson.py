@@ -104,10 +104,49 @@ def test_drift_antisymmetry_property(n, seed):
 
 
 def run_kernel(x, kappa, dt, n_steps, seed):
-    """Run the batched kernel on sorted rows; returns (rows, counters)."""
+    """Run the batched kernel on sorted (chains, N) rows; returns (rows,
+    counters).  The kernel itself holds the chains as (N, chains)."""
     counts = dict.fromkeys(PATH_COUNTERS, 0)
     rng = np.random.default_rng(seed)
-    return dyson._integrate(x, kappa, dt, n_steps, rng, counts), counts
+    x = dyson._integrate(np.ascontiguousarray(x.T), kappa, dt, n_steps, rng,
+                         counts)
+    return x.T, counts
+
+
+def row_major_gaps(x):
+    """Gaps of sorted (chains, N) rows, the last one closing the circle."""
+    return np.diff(x, axis=-1, append=x[:, :1] + TWO_PI)
+
+
+def reference_drift(x):
+    """Drift of (chains, N) rows from the full cot matrix, summed over the
+    partner axis."""
+    n = x.shape[-1]
+    t = np.tan((x[..., :, None] - x[..., None, :]) / 2.0)
+    cot = np.divide(1.0, t, out=np.zeros_like(t),
+                    where=~np.eye(n, dtype=bool))
+    return cot.sum(axis=-1)
+
+
+def reference_pair_jump(x, kappa, tau, rng):
+    """One chain-major pair jump of every (chains, N) row, drawing from
+    ``rng`` in the kernel's order."""
+    c, n = x.shape
+    rows = np.arange(c)
+    gaps, mu = row_major_gaps(x), reference_drift(x)
+    i = np.argmin(gaps, axis=-1)
+    k = (i + 1) % n
+    s = gaps[rows, i]
+    v = tau * rng.noncentral_chisquare(1.0 + 4.0 / kappa,
+                                       s * s / (2.0 * kappa * tau), size=c)
+    drift_corr = (mu[rows, k] - mu[rows, i]) - 4.0 / s
+    s_new = np.maximum(np.sqrt(2.0 * kappa * v) + drift_corr * tau, GAP_FLOOR)
+    mid = (x[rows, i] + 0.5 * s + 0.5 * (mu[rows, i] + mu[rows, k]) * tau
+           + math.sqrt(0.5 * kappa * tau) * rng.standard_normal(c))
+    new = x + mu * tau + math.sqrt(kappa * tau) * rng.standard_normal((c, n))
+    new[rows, i] = mid - 0.5 * s_new
+    new[rows, k] = mid + 0.5 * s_new - TWO_PI * (k == 0)
+    return new
 
 
 class TestStepping:
@@ -162,17 +201,60 @@ class TestStepping:
     def test_kernel_kappa_sweep(self, n, kappa):
         rng = np.random.default_rng(100 * n + int(10 * kappa))
         x = np.sort(rng.uniform(0.0, TWO_PI, size=(4, n)), axis=-1)
-        x = x[(dyson._gaps(x) > 0.05).all(axis=-1)]
+        x = x[(row_major_gaps(x) > 0.05).all(axis=-1)]
         assert x.shape[0] >= 2
         for k in range(3):
             x, _ = run_kernel(x, kappa, 2e-3, 20, seed=k)
-            gaps = dyson._gaps(x)
+            gaps = row_major_gaps(x)
             # unwrapped rows stay cyclically sorted above the floor
             assert np.all(gaps >= 0.5 * GAP_FLOOR)
             assert np.allclose(gaps.sum(axis=-1), TWO_PI)
             mu = drift_batch(x)
             assert np.allclose(drift_batch(wrap_angle(x)), mu,
                                rtol=1e-12, atol=1e-12)
+
+
+class TestKernelMatchesRowMajorReference:
+    """The kernel's (N, chains) layout reproduces a chain-major step bit
+    for bit: same draws, same drift summation order, same pair move."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_drift(self, n):
+        rng = np.random.default_rng(n)
+        x = np.sort(rng.uniform(0.0, TWO_PI, size=(64, n)), axis=-1)
+        assert np.array_equal(drift_batch(x), reference_drift(x))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_em_step(self, n):
+        kappa, dt, c = 2.0, 2e-3, 64
+        rng = np.random.default_rng(20 + n)
+        jitter = rng.uniform(-0.2, 0.2, size=(c, n)) * np.pi / n
+        x = equally_spaced(n).angles + jitter + rng.uniform(0.0, TWO_PI,
+                                                            size=(c, 1))
+        new, counts = run_kernel(x, kappa, dt, 1, seed=n)
+        assert counts["em_steps"] == c
+        z = np.random.default_rng(n).standard_normal((c, n))
+        ref = x + reference_drift(x) * dt + math.sqrt(kappa * dt) * z
+        assert np.array_equal(new, ref)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_pair_jump_step(self, n):
+        # every row has one isolated close pair, the closing pair included
+        kappa, dt, c = 3.0, 2e-3, 64
+        rng = np.random.default_rng(40 + n)
+        s = rng.uniform(0.002, 0.02, size=c)
+        gaps = np.empty((c, n))
+        gaps[:] = ((TWO_PI - s) / (n - 1))[:, None]
+        pair = rng.integers(0, n, size=c)
+        gaps[np.arange(c), pair] = s
+        x = np.cumsum(gaps, axis=-1) - gaps + rng.uniform(0.0, 1.0,
+                                                          size=(c, 1))
+        assert np.any(pair == n - 1)
+        new, counts = run_kernel(x, kappa, dt, 1, seed=n)
+        assert counts["pair_jumps"] == c
+        ref_rng = np.random.default_rng(n)
+        ref_rng.standard_normal((c, n))  # the shared proposal's draw
+        assert np.array_equal(new, reference_pair_jump(x, kappa, dt, ref_rng))
 
 
 class TestSimulate:

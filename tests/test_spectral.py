@@ -35,7 +35,9 @@ class TestExactRate:
 @pytest.mark.parametrize("fn", [one_arm_lambda_exact,
                                 lambda k: build_adjoint_n2(k, 64),
                                 lambda k: build_fp_generator_n2(k, 64),
-                                lambda k: cs_ground_state(k, 64)])
+                                lambda k: cs_ground_state(k, 64),
+                                lambda k: survival_probability(k, 1.0, 1.0),
+                                lambda k: survival_probability(k, 1.0, 0.0)])
 def test_nonpositive_or_nan_kappa_rejected(fn, kappa):
     with pytest.raises(ValueError, match="kappa must be positive"):
         fn(kappa)
@@ -213,6 +215,12 @@ class TestSurvival:
         h1 = survival_probability(6.0, math.pi, 1.0, m=256)
         h2 = survival_probability(6.0, math.pi, 3.0, m=256)
         assert 0.0 < h2 < h1 <= 1.0
+
+    @pytest.mark.parametrize("kappa", [3.0, 6.0])
+    @pytest.mark.parametrize("t", [-1.0, math.nan])
+    def test_rejects_negative_or_nan_time(self, kappa, t):
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            survival_probability(kappa, 1.0, t)
 
     def test_rejects_bad_theta(self):
         with pytest.raises(ValueError):
