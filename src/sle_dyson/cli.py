@@ -230,10 +230,11 @@ def cmd_trace(cfg: dict, out_path: str) -> int:
     meta = {"version": __version__, "seed": params.seed,
             "kappa": params.kappa, "n_particles": params.n_particles,
             "t_end": cfg["t_end"], "dt": params.dt}
-    rows = []
-    for j in range(params.n_particles):
-        for t, pt in zip(times, loewner.trace_points(drive, j, times)):
-            rows.append([j, t, pt.z.real, pt.z.imag, pt.status.value])
+    curves = np.repeat(np.arange(params.n_particles), times.size)
+    times = np.tile(times, params.n_particles)
+    rows = [[j, t, pt.z.real, pt.z.imag, pt.status.value]
+            for j, t, pt in zip(curves, times,
+                                loewner.trace_points(drive, curves, times))]
     meta["unresolved"] = sum(row[4] == "unresolved" for row in rows)
     with _open_out(out_path) as fh:
         _write_csv(fh, meta, ["curve", "t", "re", "im", "status"], rows)

@@ -7,7 +7,10 @@ The joint conformal map G_t removing N growing boundary curves satisfies
 with the driving angles supplied by a :class:`DriveHistory` (typically a
 Dyson trajectory).  Forward flow, the derivative at the origin, the
 joint-versus-sequential composition defect and reverse-flow traces live
-here; forward images and trace points share one batched RK4 kernel.
+here.  Forward images and trace points share one batched RK4 kernel: a
+single call advances every (curve, time) point of a trace, and each step
+reads the drive at its middle and end only, its start being the last
+step's end.
 """
 
 from __future__ import annotations
@@ -49,7 +52,8 @@ class DriveHistory:
 
     ``angles`` rows are wrapped to [0, 2*pi); an unwrapped lift is kept
     internally so that linear interpolation between samples never crosses a
-    branch cut.
+    branch cut.  Times must be finite and increase strictly from 0, angles
+    finite and ``dt_max`` positive.
     """
 
     times: np.ndarray
@@ -60,13 +64,25 @@ class DriveHistory:
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
         a = np.atleast_2d(np.asarray(self.angles, dtype=float))
-        if t[0] != 0.0 or np.any(np.diff(t) <= 0.0):
-            raise ValueError("times must increase strictly from 0")
+        if (t.size == 0 or t[0] != 0.0 or not np.isfinite(t).all()
+                or np.any(np.diff(t) <= 0.0)):
+            raise ValueError("times must be finite and increase strictly "
+                             "from 0")
         if a.shape[0] != t.size:
             raise ValueError("one angle row per time stamp required")
+        if not np.isfinite(a).all():
+            raise ValueError("angles must be finite")
+        if not self.dt_max > 0.0:
+            raise ValueError("dt_max must be positive")
+        lift = np.unwrap(a, axis=0)
+        # np.interp's slopes, with a zero row past the last knot so that
+        # the last knot and beyond read the last row
+        slope = np.zeros_like(lift)
+        slope[:-1] = np.diff(lift, axis=0) / np.diff(t)[:, None]
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "angles", wrap_angle(a))
-        object.__setattr__(self, "_lift", np.unwrap(a, axis=0))
+        object.__setattr__(self, "_lift", lift)
+        object.__setattr__(self, "_slope", slope)
 
     @property
     def n(self) -> int:
@@ -78,14 +94,16 @@ class DriveHistory:
 
     def drivers_at(self, t) -> np.ndarray:
         """Angles at time(s) t in [0, duration], NaN rejected, interpolated
-        in the lift: shape (*t, N)."""
+        in the lift: shape (*t, N).
+
+        One search finds every time's interval for all N columns; the
+        value is np.interp's, slope * (t - t_i) + theta_i, bit for bit.
+        """
         t = np.asarray(t)
         if not ((t >= 0.0) & (t <= self.duration + 1e-12)).all():
             raise ValueError("time outside the recorded drive")
-        out = np.empty(np.shape(t) + (self.n,))
-        for j in range(self.n):
-            out[..., j] = np.interp(t, self.times, self._lift[:, j])
-        return out
+        i = np.searchsorted(self.times, t, side="right") - 1
+        return self._slope[i] * (t - self.times[i])[..., None] + self._lift[i]
 
     @classmethod
     def from_trajectory(cls, rec: TrajectoryRecord) -> "DriveHistory":
@@ -103,21 +121,27 @@ class DriveHistory:
 def joint_rhs(g, drivers):
     """Right-hand side -g * sum_j (g + e^{i theta_j})/(g - e^{i theta_j}),
     for points of shape (...) and drivers of shape (..., N)."""
-    g = np.asarray(g, dtype=complex)[..., None]
-    e = np.exp(1j * np.asarray(drivers, dtype=float))
+    return _rhs(np.asarray(g, dtype=complex),
+                np.exp(1j * np.asarray(drivers, dtype=float)))
+
+
+def _rhs(g, e):
+    """joint_rhs with the driving points e = e^{i theta} given."""
+    g = g[..., None]
     denom = g - e
     if (denom == 0.0).any():
         raise ZeroDivisionError("g sits on a driving singularity")
     return -g[..., 0] * ((g + e) / denom).sum(axis=-1)
 
 
-def _driver_distance(g, drivers):
-    e = np.exp(1j * np.asarray(drivers, dtype=float))
+def _driver_distance(g, e):
+    """Distance from each point g to its nearest driving point e."""
     return np.abs(np.asarray(g)[..., None] - e).min(axis=-1)
 
 
 def _rk4(z, dt, f, drivers):
-    """RK4 step of dz/dt = f(z, theta), theta at start, middle, end."""
+    """RK4 step of dz/dt = f(z, drive), the drive given at start, middle
+    and end (as angles or as phases e^{i theta}, whichever f takes)."""
     start, mid, end = drivers
     k1 = f(z, start)
     k2 = f(z + 0.5 * dt * k1, mid)
@@ -128,40 +152,40 @@ def _rk4(z, dt, f, drivers):
 
 def _flow(drive: DriveHistory, w, start, span, direction: float, c: float,
           exit_radius: float):
-    """Adaptive RK4 flow of many points; returns (points, elapsed, why).
+    """Batched adaptive RK4 flow; returns (points, elapsed, why).
 
     Point k starts at w[k] and runs for span[k], reading the drive at
     start[k] + direction * elapsed (-1: backwards, negated field); the step
     is min(dt_max, c d^2, time left), d the distance to the nearest driver.
+    A step reads the drive at its middle and end; its start is the last end.
     It stops below MIN_FLOW_STEP, when not finite or beyond exit_radius
     (value kept) or after MAX_FLOW_STEPS; lesser excursions are clipped.
     """
-    def drivers(t0, u):
-        return drive.drivers_at(
-            np.clip(t0 + direction * u, 0.0, drive.duration))
-
     w = np.array(w, dtype=complex)
     reached, why = np.zeros(w.shape), np.full(w.shape, _DONE)
     live = np.flatnonzero(span > 1e-15)
+    e = np.exp(1j * drive.drivers_at(start[live]))  # callers check start
     for _ in range(MAX_FLOW_STEPS):
         if live.size == 0:
             break
         t0, z, s = start[live], w[live], reached[live]
-        th = drivers(t0, s)
-        d = _driver_distance(z, th)
+        d = _driver_distance(z, e)
         h = np.minimum(np.minimum(drive.dt_max, c * d * d), span[live] - s)
         ok = h >= MIN_FLOW_STEP
         why[live[~ok]] = _STALLED
-        live, t0, z, s, h, th = (a[ok] for a in (live, t0, z, s, h, th))
-        z = _rk4(z, h, lambda x, theta: direction * joint_rhs(x, theta),
-                 (th, drivers(t0, s + 0.5 * h), drivers(t0, s + h)))
+        live, t0, z, s, h, e = (a[ok] for a in (live, t0, z, s, h, e))
+        u = t0 + direction * np.stack([s + 0.5 * h, s + h])
+        mid, end = np.exp(1j * drive.drivers_at(
+            np.maximum(np.minimum(u, drive.duration), 0.0)))
+        z = _rk4(z, h, lambda x, ph: direction * _rhs(x, ph), (e, mid, end))
         r = np.abs(z)
         ok = np.isfinite(z) & (r <= exit_radius)
         why[live[~ok]] = _LEFT
         out = ok & (r > 1.0)
         z[out] /= r[out]
         w[live], reached[live] = z, np.where(ok, s + h, s)
-        live = live[ok & (reached[live] < span[live] - 1e-15)]
+        ok &= reached[live] < span[live] - 1e-15
+        live, e = live[ok], end[ok]
     why[live] = _BUDGET
     return w, reached, why
 
@@ -169,7 +193,7 @@ def _flow(drive: DriveHistory, w, start, span, direction: float, c: float,
 def evolve_point(z: complex, drive: DriveHistory, t: float) -> FlowPoint:
     """Forward image of ``z`` at time ``t``: SWALLOWED when the step gets
     too small near a driver, UNRESOLVED when the flow stops otherwise."""
-    if abs(z) > 1.0 + 1e-12:
+    if not abs(z) <= 1.0 + 1e-12:
         raise ValueError("z must lie in the closed unit disc")
     drive.drivers_at(t)  # rejects a time outside the drive
     (g,), (s,), (why,) = _flow(drive, [z], np.zeros(1), np.full(1, t),
@@ -192,7 +216,7 @@ def derivative_at_origin(drive: DriveHistory, t: float) -> float:
         g, w = state
         e = np.exp(1j * drivers)
         jac = -np.sum((g + e) / (g - e)) - g * np.sum(-2.0 * e / (g - e) ** 2)
-        return np.array([joint_rhs(g, drivers), jac * w])
+        return np.array([_rhs(g, e), jac * w])
 
     state = np.array([0j, 1.0 + 0j])
     s = 0.0
@@ -220,7 +244,7 @@ def composition_defect(config: AngleConfig, kappa: float, dt: float,
     if noise.shape != (n,):
         raise ValueError("need one noise draw per curve")
     if np.any(np.abs(probes) > 1.0) or np.any(
-            _driver_distance(probes, th0) < 1e-3):
+            _driver_distance(probes, np.exp(1j * th0)) < 1e-3):
         raise ValueError("probe outside the disc or too near a driver")
     d_b = math.sqrt(kappa * dt) * noise
 
@@ -251,18 +275,25 @@ def composition_defect_slope(config: AngleConfig, kappa: float, dts,
     return float(slope)
 
 
-def trace_points(drive: DriveHistory, j: int, sample_times
-                 ) -> list[FlowPoint]:
-    """Approximate trace of curve ``j`` via the reverse-time flow.
+def trace_points(drive: DriveHistory, j, sample_times) -> list[FlowPoint]:
+    """Approximate trace of curve(s) ``j`` via the reverse-time flow.
 
-    For each time t the reverse flow replays the drive backwards from
-    TRACE_OFFSET inside e^{i theta_j(t)}, all times in one batch; a run
+    The integer curve index ``j`` broadcasts against ``sample_times``; the
+    points come back in the flattened broadcast order.  For each (curve,
+    time) pair the reverse flow replays the drive backwards from
+    TRACE_OFFSET inside e^{i theta_j(t)}, every pair in one flow; a run
     that stops early, or leaves the disc by over 1e-6, is UNRESOLVED.
     """
-    if not 0 <= j < drive.n:
-        raise ValueError(f"curve index {j} outside 0..{drive.n - 1}")
-    t = np.atleast_1d(np.asarray(sample_times, dtype=float))
-    seed = np.exp(1j * drive.drivers_at(t)[..., j])
+    j = np.asarray(j)
+    if j.dtype.kind not in "iu":
+        raise ValueError(f"curve index must be an integer, not {j.dtype}")
+    bad = j[(j < 0) | (j >= drive.n)]
+    if bad.size:
+        raise ValueError(f"curve index {bad.flat[0]} outside "
+                         f"0..{drive.n - 1}")
+    j, t = (a.ravel() for a in np.broadcast_arrays(
+        j, np.atleast_1d(np.asarray(sample_times, dtype=float))))
+    seed = np.exp(1j * drive.drivers_at(t)[np.arange(t.size), j])
     w0 = np.where(t == 0.0, seed, seed * (1.0 - TRACE_OFFSET))
     w, _, why = _flow(drive, w0, t, t, -1.0, 0.05, 1.0 + 1e-6)
     return [FlowPoint(complex(x), PointStatus.INTERIOR if r == _DONE

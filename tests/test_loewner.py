@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from sle_dyson.dyson import ProcessParams, equally_spaced, simulate
-from sle_dyson.loewner import (DriveHistory, PointStatus,
+from sle_dyson.dyson import (ProcessParams, equally_spaced, simulate,
+                             wrap_angle)
+from sle_dyson.loewner import (MAX_FLOW_STEPS, MIN_FLOW_STEP, TRACE_OFFSET,
+                               DriveHistory, PointStatus,
                                composition_defect, composition_defect_slope,
                                derivative_at_origin, evolve_point, joint_rhs,
                                trace_points)
@@ -16,6 +18,54 @@ def drive():
     rec = simulate(ProcessParams(n_particles=3, kappa=4.0, dt=1e-3, seed=1),
                    t_end=0.3)
     return DriveHistory.from_trajectory(rec)
+
+
+def interp_reference(dh, t):
+    """Drive angles by per-column np.interp in the lift (the angles given
+    to ``dh`` must be wrapped already, so that unwrapping ``dh.angles``
+    recovers the lift bit for bit)."""
+    return np.stack([np.interp(t, dh.times, np.unwrap(dh.angles[:, j]))
+                     for j in range(dh.n)], axis=-1)
+
+
+def reference_flow(dh, w, start, span, direction, c, exit_radius):
+    """The adaptive RK4 flow as one loop that reads the drive by per-column
+    np.interp at all three stages and calls joint_rhs at all four."""
+    def drivers(t0, u):
+        return interp_reference(dh, np.clip(t0 + direction * u, 0.0,
+                                            dh.duration))
+
+    def f(x, theta):
+        return direction * joint_rhs(x, theta)
+
+    w = np.array(w, dtype=complex)
+    reached, why = np.zeros(w.shape), np.full(w.shape, "done", dtype=object)
+    live = np.flatnonzero(span > 1e-15)
+    for _ in range(MAX_FLOW_STEPS):
+        if live.size == 0:
+            break
+        t0, z, s = start[live], w[live], reached[live]
+        th = drivers(t0, s)
+        d = np.abs(z[:, None] - np.exp(1j * th)).min(axis=-1)
+        h = np.minimum(np.minimum(dh.dt_max, c * d * d), span[live] - s)
+        ok = h >= MIN_FLOW_STEP
+        why[live[~ok]] = "stalled"
+        live, t0, z, s, h, th = (a[ok] for a in (live, t0, z, s, h, th))
+        mid, end = drivers(t0, s + 0.5 * h), drivers(t0, s + h)
+        k1 = f(z, th)
+        k2 = f(z + 0.5 * h * k1, mid)
+        k3 = f(z + 0.5 * h * k2, mid)
+        k4 = f(z + h * k3, end)
+        z = z + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        r = np.abs(z)
+        ok = np.isfinite(z) & (r <= exit_radius)
+        why[live[~ok]] = "left"
+        out = ok & (r > 1.0)
+        z[out] /= r[out]
+        w[live], reached[live] = z, np.where(ok, s + h, s)
+        live = live[ok & (reached[live] < span[live] - 1e-15)]
+    why[live] = "budget"
+    return w, reached, why
 
 
 class TestJointRhs:
@@ -57,6 +107,48 @@ class TestDriveHistory:
         dh = DriveHistory.constant(equally_spaced(2), 2.0, 1.0)
         assert dh.drivers_at(0.7) == pytest.approx([0.0, math.pi])
 
+    @pytest.mark.parametrize("kwargs", [
+        {"times": []},
+        {"times": [0.0, math.nan, 1.0]},
+        {"times": [0.0, 1.0, math.inf]},
+        {"angles": [[0.0], [math.nan], [1.0]]},
+        {"angles": [[0.0], [1.0], [-math.inf]]},
+        {"dt_max": 0.0},
+        {"dt_max": -1e-3},
+        {"dt_max": math.nan},
+    ], ids=["no-time", "nan-time", "inf-time", "nan-angle", "inf-angle", "dt_max-0",
+            "dt_max-negative", "dt_max-nan"])
+    def test_rejects_bad_input(self, kwargs):
+        args = {"times": [0.0, 0.5, 1.0], "angles": [[0.0], [0.5], [1.0]],
+                "kappa": 2.0, **kwargs}
+        with pytest.raises(ValueError):
+            DriveHistory(**args)
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_drivers_at_matches_interp(self, n):
+        # one search for all columns equals np.interp column by column,
+        # bit for bit, on a non-uniform grid: random times, every knot and
+        # both endpoints
+        rng = np.random.default_rng(n)
+        times = np.concatenate([[0.0], np.cumsum(rng.uniform(1e-4, 0.1, 60))])
+        walk = np.cumsum(rng.normal(0, 1.0, (times.size, n)), axis=0)
+        dh = DriveHistory(times=times, angles=wrap_angle(walk), kappa=2.0)
+        t = np.concatenate([rng.uniform(0, dh.duration, 10_000), times,
+                            [0.0, dh.duration,
+                             np.nextafter(dh.duration, np.inf)]])
+        np.testing.assert_array_equal(dh.drivers_at(t),
+                                      interp_reference(dh, t))
+        for x in (0.0, times[7], dh.duration):
+            np.testing.assert_array_equal(dh.drivers_at(x),
+                                          interp_reference(dh, x))
+
+    def test_drivers_at_matches_interp_constant(self):
+        dh = DriveHistory.constant(equally_spaced(3, offset=0.4), 2.0, 0.7)
+        t = np.concatenate([np.random.default_rng(0).uniform(0, 0.7, 1000),
+                            [0.0, 0.7]])
+        np.testing.assert_array_equal(dh.drivers_at(t),
+                                      interp_reference(dh, t))
+
 
 class TestEvolvePoint:
     def test_interior_point_stays_interior(self, drive):
@@ -76,6 +168,12 @@ class TestEvolvePoint:
     def test_rejects_exterior(self, drive):
         with pytest.raises(ValueError):
             evolve_point(1.5 + 0.0j, drive, 0.1)
+
+    @pytest.mark.parametrize("z", [complex(math.nan, 0.0),
+                                   complex(0.0, math.nan)])
+    def test_rejects_nan_point(self, drive, z):
+        with pytest.raises(ValueError):
+            evolve_point(z, drive, 0.2)
 
     @pytest.mark.parametrize("t", [math.nan, -0.1])
     def test_rejects_bad_time(self, drive, t):
@@ -161,10 +259,28 @@ class TestTrace:
         with pytest.raises(ValueError):
             trace_points(drive, 0, [math.nan])
 
-    @pytest.mark.parametrize("j", [-1, 3])
+    @pytest.mark.parametrize("j", [-1, 3, 1.5, 1.0, True,
+                                   np.array([0.0, 1.0]),
+                                   np.array([True, False]),
+                                   np.array([0, 3])],
+                             ids=["-1", "3", "1.5", "1.0", "True",
+                                  "float-array", "bool-array",
+                                  "array-out-of-range"])
     def test_rejects_bad_curve_index(self, drive, j):
         with pytest.raises(ValueError):
-            trace_points(drive, j, [0.1])
+            trace_points(drive, j, [0.1, 0.2])
+
+    def test_rejects_curve_indices_not_broadcasting(self, drive):
+        with pytest.raises(ValueError):
+            trace_points(drive, [0, 1], [0.1, 0.2, 0.3])
+
+    def test_broadcast_matches_per_curve_calls(self, drive):
+        times = np.linspace(0.0, drive.duration, 7)
+        batch = trace_points(drive, np.repeat(np.arange(drive.n), times.size),
+                             np.tile(times, drive.n))
+        single = [p for j in range(drive.n) for p in
+                  trace_points(drive, j, times)]
+        assert batch == single
 
     def test_batch_matches_single_calls(self, drive):
         # the batch must not couple its points
@@ -173,3 +289,45 @@ class TestTrace:
             (single,) = trace_points(drive, 2, [t])
             assert pt.status is single.status
             assert abs(pt.z - single.z) <= 1e-14
+
+
+class TestFlowMatchesReference:
+    """The flow kernel reuses each step's end-stage drive read as the next
+    step's start stage and batches every curve; it must agree bit for bit
+    with the plain loop kept here."""
+
+    @pytest.fixture(scope="class", params=[(n, k) for n in (1, 2, 4)
+                                           for k in (2.0, 6.0)],
+                    ids=lambda p: f"n{p[0]}-k{p[1]:g}")
+    def case(self, request):
+        n, kappa = request.param
+        rec = simulate(ProcessParams(n_particles=n, kappa=kappa, dt=1e-3,
+                                     seed=3), t_end=0.3)
+        return DriveHistory.from_trajectory(rec)
+
+    def test_trace_points(self, case):
+        times = np.linspace(0.0, case.duration, 5)
+        curves = np.repeat(np.arange(case.n), times.size)
+        t = np.tile(times, case.n)
+        seed = np.exp(1j * interp_reference(case, t)[np.arange(t.size),
+                                                       curves])
+        w0 = np.where(t == 0.0, seed, seed * (1.0 - TRACE_OFFSET))
+        w, _, why = reference_flow(case, w0, t, t, -1.0, 0.05, 1.0 + 1e-6)
+        got = trace_points(case, curves, t)
+        np.testing.assert_array_equal([p.z for p in got], w)
+        assert [p.status is PointStatus.INTERIOR for p in got] == list(
+            why == "done")
+
+    def test_evolve_point(self, case):
+        # an interior point, one at a curve base, and the trace tip
+        tip = trace_points(case, case.n - 1, [0.2])[0].z
+        for z in (0.3 - 0.2j, cmath.exp(1j * case.angles[0, 0]) * (1 - 1e-7),
+                  tip):
+            fp = evolve_point(z, case, 0.2)
+            (g,), (s,), (why,) = reference_flow(
+                case, [z], np.zeros(1), np.full(1, 0.2), 1.0, 0.2, np.inf)
+            assert fp.z == g
+            assert fp.status is {"done": PointStatus.INTERIOR,
+                                 "stalled": PointStatus.SWALLOWED}.get(
+                why, PointStatus.UNRESOLVED)
+            assert fp.swallow_time == (s if why == "stalled" else None)
