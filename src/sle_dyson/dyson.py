@@ -103,12 +103,14 @@ class ProcessParams:
     def __post_init__(self):
         if self.n_particles < 1:
             raise ValueError("n_particles must be >= 1")
-        if not self.kappa > 0.0:
-            raise ValueError("kappa must be positive")
-        if not self.dt > 0.0:
-            raise ValueError("dt must be positive")
-        if self.burn_in is not None and self.burn_in < 0.0:
-            raise ValueError("burn_in must be nonnegative")
+        if not 0.0 < self.kappa < math.inf:
+            raise ValueError("kappa must be positive and finite")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
+        if self.burn_in is not None and not 0.0 <= self.burn_in < math.inf:
+            raise ValueError("burn_in must be nonnegative and finite")
+        if not math.isfinite(self.thinning):
+            raise ValueError("thinning must be finite")
         if self.thinning < self.dt:
             raise ValueError("thinning must be >= dt")
 
@@ -325,8 +327,8 @@ def simulate(params: ProcessParams, t_end: float,
     ``t_end`` must be a positive integer multiple of ``params.dt`` (to a
     relative 1e-9).  Bit-for-bit reproducible from (seed, params, initial).
     """
-    if not t_end > 0.0:
-        raise ValueError("t_end must be positive")
+    if not 0.0 < t_end < math.inf:
+        raise ValueError("t_end must be positive and finite")
     ratio = t_end / params.dt
     n_steps = round(ratio)
     if not math.isclose(ratio, n_steps, rel_tol=1e-9):

@@ -79,6 +79,16 @@ class TestSimulate:
          "thinning must be >= dt"),
         (["trace", "--kappa", "0"], "kappa must be positive"),
         (["trace", "--dt", "-1"], "dt must be positive"),
+        (["simulate", "--t-end", "inf"], "t_end must be positive and finite"),
+        (["trace", "--t-end", "inf"], "t_end must be positive and finite"),
+        (["simulate", "--thinning", "inf", "--n-samples", "5"],
+         "thinning must be finite"),
+        (["simulate", "--burn-in", "inf", "--n-samples", "5"],
+         "burn_in must be nonnegative and finite"),
+        (["simulate", "--burn-in", "nan", "--n-samples", "5"],
+         "burn_in must be nonnegative and finite"),
+        (["simulate", "--dt", "inf"], "dt must be positive and finite"),
+        (["trace", "--kappa", "inf"], "kappa must be positive and finite"),
     ])
     def test_invalid_process_params_rejected(self, args, problem):
         with pytest.raises(SystemExit, match=problem):

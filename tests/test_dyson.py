@@ -34,6 +34,24 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ProcessParams(n_particles=2, kappa=0.0)
 
+    @pytest.mark.parametrize("field, value, problem", [
+        ("kappa", math.inf, "kappa must be positive and finite"),
+        ("dt", math.inf, "dt must be positive and finite"),
+        ("burn_in", math.inf, "burn_in must be nonnegative and finite"),
+        ("burn_in", math.nan, "burn_in must be nonnegative and finite"),
+        ("thinning", math.inf, "thinning must be finite"),
+        ("thinning", math.nan, "thinning must be finite"),
+    ])
+    def test_rejects_non_finite_params(self, field, value, problem):
+        with pytest.raises(ValueError, match=problem):
+            ProcessParams(**{"n_particles": 2, "kappa": 2.0, field: value})
+
+    @pytest.mark.parametrize("t_end", [math.inf, math.nan])
+    def test_simulate_rejects_bad_t_end(self, t_end):
+        with pytest.raises(ValueError, match="t_end must be positive and "
+                                             "finite"):
+            simulate(ProcessParams(n_particles=2, kappa=2.0), t_end=t_end)
+
     def test_default_burn_in(self):
         p = ProcessParams(n_particles=3, kappa=2.0)
         assert p.effective_burn_in == pytest.approx(10.0 + 2.0 * math.log(3))

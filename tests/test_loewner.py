@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from sle_dyson.dyson import (ProcessParams, equally_spaced, simulate,
-                             wrap_angle)
-from sle_dyson.loewner import (MAX_FLOW_STEPS, MIN_FLOW_STEP, TRACE_OFFSET,
+from sle_dyson.dyson import (AngleConfig, ProcessParams, equally_spaced,
+                             simulate, wrap_angle)
+from sle_dyson.loewner import (MAX_FLOW_STEPS, MIN_FLOW_STEP,
                                DriveHistory, PointStatus,
                                composition_defect, composition_defect_slope,
                                derivative_at_origin, evolve_point, joint_rhs,
@@ -28,9 +28,15 @@ def interp_reference(dh, t):
                      for j in range(dh.n)], axis=-1)
 
 
+RK4_TRACE_OFFSET = 1e-3  # the RK4 reverse flow's seeds start this far inside
+
+
 def reference_flow(dh, w, start, span, direction, c, exit_radius):
     """The adaptive RK4 flow as one loop that reads the drive by per-column
-    np.interp at all three stages and calls joint_rhs at all four."""
+    np.interp at all three stages and calls joint_rhs at all four.  It
+    runs forwards (direction 1) or, with the field negated, backwards (-1)
+    from time start; backwards, it is the RK4 reverse flow that the zipper
+    trace is checked against."""
     def drivers(t0, u):
         return interp_reference(dh, np.clip(t0 + direction * u, 0.0,
                                             dh.duration))
@@ -219,6 +225,55 @@ class TestTraceLandsOnDriver:
                     assert abs(fp.z - tip) <= 6.0 * math.sqrt(eps)
 
 
+class TestTraceExact:
+    """Traces with closed forms.  One driver held at theta gives the radial
+    slit with tip e^{i theta}(1-s)/(1+s), s = sqrt(1 - e^{-t}).  N equally
+    spaced drivers held still give N slits: G^N is that one-slit map at
+    time N^2 t, so gamma_j(t) = e^{i theta_j} ((1-s)/(1+s))^{1/N} with
+    s = sqrt(1 - e^{-N^2 t})."""
+
+    def test_single_slit(self):
+        # the knots of DriveHistory.constant are 0 and 1; the second drive
+        # holds the same angle on 300 uneven knots, whose maps compose
+        # exactly
+        knots = np.concatenate([[0.0], np.cumsum(
+            np.random.default_rng(5).uniform(1e-4, 6e-3, 300))])
+        knots /= knots[-1]
+        for dh in (DriveHistory.constant(AngleConfig(np.array([0.7])), 2.0,
+                                         1.0),
+                   DriveHistory(times=knots, angles=np.full((301, 1), 0.7),
+                                kappa=2.0)):
+            times = np.array([0.1, 0.37, knots[150], 1.0])
+            s = np.sqrt(1.0 - np.exp(-times))
+            exact = np.exp(0.7j) * (1.0 - s) / (1.0 + s)
+            pts = trace_points(dh, 0, times)
+            assert all(p.status is PointStatus.INTERIOR for p in pts)
+            np.testing.assert_allclose([p.z for p in pts], exact, rtol=0,
+                                       atol=1e-12)
+
+    def test_time_zero_is_the_driver(self, drive):
+        pts = trace_points(drive, np.arange(drive.n), 0.0)
+        assert [p.z for p in pts] == list(np.exp(1j * drive.drivers_at(0.0)))
+        assert all(p.status is PointStatus.INTERIOR for p in pts)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_equally_spaced_slits(self, n):
+        # each knot interval composes the N one-slit maps in turn, a
+        # splitting whose error is first order in the knot spacing: at
+        # spacing 1e-3 it measured 8e-5, 2.1e-4 and 3.9e-4 at N = 2, 3, 4
+        knots = np.linspace(0.0, 1.0, 1001)
+        theta = equally_spaced(n, offset=0.3).angles
+        dh = DriveHistory(times=knots, angles=np.tile(theta, (knots.size, 1)),
+                          kappa=2.0)
+        times = np.array([0.05, 0.3705, 1.0])
+        s = np.sqrt(1.0 - np.exp(-n * n * times))
+        for j in range(n):
+            exact = np.exp(1j * theta[j]) * ((1.0 - s) / (1.0 + s)) ** (1 / n)
+            pts = trace_points(dh, j, times)
+            np.testing.assert_allclose([p.z for p in pts], exact, rtol=0,
+                                       atol=1e-3)
+
+
 class TestCompositionDefect:
     def test_second_order_slope(self):
         rng = np.random.default_rng(7)
@@ -292,9 +347,10 @@ class TestTrace:
 
 
 class TestFlowMatchesReference:
-    """The flow kernel reuses each step's end-stage drive read as the next
-    step's start stage and batches every curve; it must agree bit for bit
-    with the plain loop kept here."""
+    """The forward flow kernel reuses each step's end-stage drive read as
+    the next step's start stage; it must agree bit for bit with the plain
+    loop kept here.  The zipper trace must agree with that loop's reverse
+    flow to a stated tolerance."""
 
     @pytest.fixture(scope="class", params=[(n, k) for n in (1, 2, 4)
                                            for k in (2.0, 6.0)],
@@ -306,17 +362,24 @@ class TestFlowMatchesReference:
         return DriveHistory.from_trajectory(rec)
 
     def test_trace_points(self, case):
+        # The zipper holds each driver at its right-end value on each knot
+        # interval and starts on the driver; the RK4 reverse flow reads the
+        # linearly interpolated drive and starts RK4_TRACE_OFFSET inside.
+        # Over seeds 3-7 at these N and kappa the two differed by at most
+        # 0.039 (0.053 at kappa 8), with a median of at most 0.009 per case.
         times = np.linspace(0.0, case.duration, 5)
         curves = np.repeat(np.arange(case.n), times.size)
         t = np.tile(times, case.n)
         seed = np.exp(1j * interp_reference(case, t)[np.arange(t.size),
                                                        curves])
-        w0 = np.where(t == 0.0, seed, seed * (1.0 - TRACE_OFFSET))
+        w0 = np.where(t == 0.0, seed, seed * (1.0 - RK4_TRACE_OFFSET))
         w, _, why = reference_flow(case, w0, t, t, -1.0, 0.05, 1.0 + 1e-6)
+        assert (why == "done").all()
         got = trace_points(case, curves, t)
-        np.testing.assert_array_equal([p.z for p in got], w)
-        assert [p.status is PointStatus.INTERIOR for p in got] == list(
-            why == "done")
+        assert all(p.status is PointStatus.INTERIOR for p in got)
+        dz = np.abs(np.array([p.z for p in got]) - w)
+        assert dz.max() <= 0.08
+        assert np.median(dz) <= 0.02
 
     def test_evolve_point(self, case):
         # an interior point, one at a curve base, and the trace tip
