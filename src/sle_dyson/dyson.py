@@ -101,7 +101,10 @@ class ProcessParams:
     thinning: float = 0.4
 
     def __post_init__(self):
-        if self.n_particles < 1:
+        n = self.n_particles
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError("n_particles must be an integer")
+        if n < 1:
             raise ValueError("n_particles must be >= 1")
         if not 0.0 < self.kappa < math.inf:
             raise ValueError("kappa must be positive and finite")
@@ -377,6 +380,8 @@ def sample_stationary(params: ProcessParams, n_samples: int,
         raise ValueError("n_samples must be positive")
     if n_chains is None:
         n_chains = int(min(n_samples, 1024))
+    if n_chains < 1:
+        raise ValueError("n_chains must be >= 1")
     per_chain = -(-n_samples // n_chains)  # ceil
     rng = np.random.default_rng(np.random.SeedSequence(params.seed))
     n = params.n_particles

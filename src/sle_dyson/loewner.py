@@ -8,8 +8,8 @@ with the driving angles supplied by a :class:`DriveHistory` (typically a
 Dyson trajectory).  Forward flow, the derivative at the origin, the
 joint-versus-sequential composition defect and traces live here.
 
-Forward images run one batched adaptive RK4 kernel; each step reads the
-drive at its middle and end only, its start being the last step's end.
+A forward image is one adaptive RK4 loop; each step reads the drive at
+its middle and end only, its start being the last step's end.
 
 Traces are unzipped with explicit maps (the zipper method of Kennedy,
 J. Stat. Phys. 128 (2007) 1125, and Marshall & Rohde, SIAM J. Numer.
@@ -35,9 +35,8 @@ import numpy as np
 from .dyson import AngleConfig, TrajectoryRecord, wrap_angle
 
 MIN_FLOW_STEP = 1e-12
-MAX_FLOW_STEPS = 200_000  # step budget of each point in _flow
+MAX_FLOW_STEPS = 200_000  # step budget of evolve_point
 ORIGIN_STEP = 1e-3        # fixed RK4 step of derivative_at_origin
-_DONE, _STALLED, _NONFINITE, _BUDGET = range(4)  # why _flow stopped a point
 
 
 class PointStatus(Enum):
@@ -67,7 +66,6 @@ class DriveHistory:
 
     times: np.ndarray
     angles: np.ndarray  # shape (len(times), N), wrapped
-    kappa: float
     dt_max: float = 1e-3
 
     def __post_init__(self):
@@ -116,15 +114,14 @@ class DriveHistory:
 
     @classmethod
     def from_trajectory(cls, rec: TrajectoryRecord) -> "DriveHistory":
-        return cls(times=rec.times, angles=rec.states,
-                   kappa=rec.params.kappa, dt_max=rec.params.dt)
+        return cls(times=rec.times, angles=rec.states, dt_max=rec.params.dt)
 
     @classmethod
-    def constant(cls, config: AngleConfig, kappa: float, duration: float,
+    def constant(cls, config: AngleConfig, duration: float,
                  dt_max: float = 1e-3) -> "DriveHistory":
         times = np.array([0.0, duration])
         angles = np.vstack([config.angles, config.angles])
-        return cls(times=times, angles=angles, kappa=kappa, dt_max=dt_max)
+        return cls(times=times, angles=angles, dt_max=dt_max)
 
 
 def joint_rhs(g, drivers):
@@ -159,53 +156,39 @@ def _rk4(z, dt, f, drivers):
     return z + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _flow(drive: DriveHistory, w, span):
-    """Batched adaptive forward RK4 flow; returns (points, elapsed, why).
-
-    Point k starts at w[k] at time 0 and runs for span[k]; the step is
-    min(dt_max, 0.2 d^2, time left), d the distance to the nearest driver.
-    A step reads the drive at its middle and end; its start is the last end.
-    It stops below MIN_FLOW_STEP, when not finite or after MAX_FLOW_STEPS;
-    a step that ends outside the disc is clipped back to the circle.
-    """
-    w = np.array(w, dtype=complex)
-    reached, why = np.zeros(w.shape), np.full(w.shape, _DONE)
-    live = np.flatnonzero(span > 1e-15)
-    e = np.exp(1j * drive.drivers_at(np.zeros(live.size)))
-    for _ in range(MAX_FLOW_STEPS):
-        if live.size == 0:
-            break
-        z, s = w[live], reached[live]
-        d = _driver_distance(z, e)
-        h = np.minimum(np.minimum(drive.dt_max, 0.2 * d * d), span[live] - s)
-        ok = h >= MIN_FLOW_STEP
-        why[live[~ok]] = _STALLED
-        live, z, s, h, e = (a[ok] for a in (live, z, s, h, e))
-        mid, end = np.exp(1j * drive.drivers_at(
-            np.minimum(np.stack([s + 0.5 * h, s + h]), drive.duration)))
-        z = _rk4(z, h, _rhs, (e, mid, end))
-        ok = np.isfinite(z)
-        why[live[~ok]] = _NONFINITE
-        r = np.abs(z)
-        out = ok & (r > 1.0)
-        z[out] /= r[out]
-        w[live], reached[live] = z, np.where(ok, s + h, s)
-        ok &= reached[live] < span[live] - 1e-15
-        live, e = live[ok], end[ok]
-    why[live] = _BUDGET
-    return w, reached, why
-
-
 def evolve_point(z: complex, drive: DriveHistory, t: float) -> FlowPoint:
-    """Forward image of ``z`` at time ``t``: SWALLOWED when the step gets
-    too small near a driver, UNRESOLVED when the flow stops otherwise."""
+    """Forward image of ``z`` at time ``t`` by adaptive RK4.
+
+    The step is min(dt_max, 0.2 d^2, time left), d the distance to the
+    nearest driver; it reads the drive at its middle and end, its start
+    being the last step's end, and a step that ends outside the disc is
+    clipped back to the circle.  SWALLOWED when the step falls below
+    MIN_FLOW_STEP, UNRESOLVED when the image is not finite or after
+    MAX_FLOW_STEPS steps.
+    """
     if not abs(z) <= 1.0 + 1e-12:
         raise ValueError("z must lie in the closed unit disc")
     drive.drivers_at(t)  # rejects a time outside the drive
-    (g,), (s,), (why,) = _flow(drive, [z], np.full(1, t))
-    if why == _STALLED:
-        return FlowPoint(complex(g), PointStatus.SWALLOWED, float(s))
-    return FlowPoint(complex(g), PointStatus.INTERIOR if why == _DONE
+    # the point, time and step are length-1 arrays and the phases (1, N):
+    # numpy's scalar path rounds some complex products differently
+    g, s = np.full(1, z, dtype=complex), np.zeros(1)
+    e = np.exp(1j * drive.drivers_at(s))
+    for _ in range(MAX_FLOW_STEPS):
+        if s >= t - 1e-15:
+            break
+        d = _driver_distance(g, e)
+        h = np.minimum(np.minimum(drive.dt_max, 0.2 * d * d), t - s)
+        if h < MIN_FLOW_STEP:
+            return FlowPoint(g.item(), PointStatus.SWALLOWED, s.item())
+        mid, end = np.exp(1j * drive.drivers_at(
+            np.minimum(np.stack([s + 0.5 * h, s + h]), drive.duration)))
+        g = _rk4(g, h, _rhs, (e, mid, end))
+        if not np.isfinite(g).all():
+            return FlowPoint(g.item(), PointStatus.UNRESOLVED)
+        if np.abs(g) > 1.0:
+            g /= np.abs(g)
+        s, e = s + h, end
+    return FlowPoint(g.item(), PointStatus.INTERIOR if s >= t - 1e-15
                      else PointStatus.UNRESOLVED)
 
 

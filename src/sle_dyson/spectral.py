@@ -18,13 +18,12 @@ theta^{1-4/kappa} has the closed-form rate (kappa^2-16)/(32 kappa), which
 the solvers here reproduce to second order in the grid spacing.
 
 Every rate here is in the half-speed (LSW_HALF) clock; a Dyson-clock rate
-is ``TimeConvention.DYSON.factor`` times it.
+is twice it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 import math
 
 import numpy as np
@@ -34,17 +33,9 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import exprel
 
 TWO_PI = 2.0 * math.pi
-
-
-class TimeConvention(Enum):
-    """Clock bookkeeping: DYSON rates are exactly twice LSW_HALF rates."""
-
-    LSW_HALF = 1.0
-    DYSON = 2.0
-
-    @property
-    def factor(self) -> float:
-        return self.value
+SURVIVAL_DT = 1e-2              # implicit-Euler step of the survival solve
+DECAY_THETA0 = math.pi          # initial gap of the decay-rate fit
+DECAY_FIT_RANGE = (1e-4, 1e-1)  # survival values the decay rate is fitted on
 
 
 @dataclass(frozen=True)
@@ -234,24 +225,18 @@ def fp_residual_order(kappa: float, ms=(256, 512, 1024, 2048)) -> float:
     return float(slope)
 
 
-def cs_tridiagonal(kappa: float, m: int):
-    """Diagonal and off-diagonal of the Hamiltonian, plus the grid.
+def cs_ground_state(kappa: float, m: int, n_states: int = 2):
+    """Lowest eigenpairs of the Hamiltonian via the tridiagonal solver.
 
     H = -D^{-1/2} L D^{1/2}, symmetric tridiagonal, from the density-
     generator bands: D is the discrete stationary density, so the ground
     state is its square root, approximately sin^{2/kappa}(theta/2), at
     eigenvalue zero, and H and -L share their spectrum, which approximates
-    Sutherland's E_n = n + kappa n^2 / 4.
+    Sutherland's E_n = n + kappa n^2 / 4.  Returns (values, vectors, grid).
     """
     th = _cell_grid(m)
     lower, diag, upper = _fp_bands(kappa, m)
-    return -diag, -np.sqrt(lower * upper), th
-
-
-def cs_ground_state(kappa: float, m: int, n_states: int = 2):
-    """Lowest eigenpairs of the Hamiltonian via the tridiagonal solver."""
-    d, e, th = cs_tridiagonal(kappa, m)
-    vals, vecs = eigh_tridiagonal(d, e, select="i",
+    vals, vecs = eigh_tridiagonal(-diag, -np.sqrt(lower * upper), select="i",
                                   select_range=(0, n_states - 1))
     return vals, vecs, th
 
@@ -262,30 +247,25 @@ def normalized_overlap(u, v) -> float:
     return float(abs(u @ v) / (np.linalg.norm(u) * np.linalg.norm(v)))
 
 
-def survival_curve(kappa: float, t_max: float, m: int = 1024,
-                   dt: float = 1e-2):
-    """Non-meeting probability h(theta, t) by implicit Euler on the
-    backward generator; returns (times, h-matrix of shape (nt, m), grid)."""
-    op = build_adjoint_n2(kappa, m)
-    lu = spla.splu(sp.identity(m, format="csc") - dt * op.matrix)
-    n_steps = int(round(t_max / dt))
-    hcur = np.ones(m)
-    out = np.empty((n_steps + 1, m))
-    out[0] = hcur
-    for k in range(n_steps):
-        hcur = lu.solve(hcur)
-        out[k + 1] = hcur
-    times = np.arange(n_steps + 1) * dt
-    return times, out, op.grid
+def _survival_steps(op: GridOperator, n_steps: int):
+    """Non-meeting probability h(theta, t) on op's grid at t = SURVIVAL_DT,
+    2 SURVIVAL_DT, ..., n_steps SURVIVAL_DT: implicit Euler on the backward
+    generator ``op`` from h = 1, one step per item."""
+    h = np.ones(op.grid.size)
+    lu = spla.splu(sp.identity(h.size, format="csc") - SURVIVAL_DT * op.matrix)
+    for _ in range(n_steps):
+        h = lu.solve(h)
+        yield h
 
 
 def survival_probability(kappa: float, theta0: float, t: float,
-                         m: int = 1024, dt: float = 1e-2) -> float:
+                         m: int = 1024) -> float:
     """P(the two particles have not met by time t | gap theta0 at 0).
 
-    For kappa <= 4 the particles never collide and the answer is exactly
-    1.  Above 4 the backward PDE is stepped implicitly from h = 1 with the
-    absorbing singular branch at theta = 0.
+    ``t`` must be a nonnegative integer multiple of SURVIVAL_DT (to a
+    relative 1e-9).  For kappa <= 4 the particles never collide and the
+    answer is exactly 1.  Above 4 the backward PDE is stepped implicitly
+    from h = 1 with the absorbing singular branch at theta = 0.
     """
     if not kappa > 0.0:
         raise ValueError("kappa must be positive")
@@ -293,31 +273,35 @@ def survival_probability(kappa: float, theta0: float, t: float,
         raise ValueError("theta0 must lie in (0, 2*pi)")
     if not t >= 0.0:
         raise ValueError(f"t must be nonnegative, got {t!r}")
-    if kappa <= 4.0:
+    ratio = t / SURVIVAL_DT
+    if not (math.isfinite(ratio)
+            and math.isclose(ratio, round(ratio), rel_tol=1e-9)):
+        raise ValueError(f"t={t!r} is not a finite integer multiple of the "
+                         f"step {SURVIVAL_DT!r}")
+    if kappa <= 4.0 or t == 0.0:
         return 1.0
-    if t == 0.0:
-        return 1.0
-    times, hmat, grid = survival_curve(kappa, t, m=m, dt=dt)
-    return float(np.interp(theta0, grid, hmat[-1]))
+    op = build_adjoint_n2(kappa, m)
+    for h in _survival_steps(op, round(ratio)):
+        pass
+    return float(np.interp(theta0, op.grid, h))
 
 
-def survival_decay_rate(kappa: float, theta0: float = math.pi,
-                        m: int = 512, dt: float = 1e-2,
-                        fit_range=(1e-4, 1e-1)) -> float:
+def survival_decay_rate(kappa: float, m: int = 512) -> float:
     """Fitted asymptotic decay rate of the non-meeting probability.
 
-    Least squares on log h(theta0, t) over the window where h lies in
-    ``fit_range``; matches one_arm_lambda_exact for kappa > 4.
+    Least squares on log h(DECAY_THETA0, t) over the window where h lies in
+    DECAY_FIT_RANGE; matches one_arm_lambda_exact for kappa > 4.
     """
     if kappa <= 4.0:
         raise ValueError("no decay for kappa <= 4: survival is constant 1")
-    lam = one_arm_lambda_exact(kappa)
-    t_max = -math.log(fit_range[0] / 2.0) / lam  # generous horizon
-    times, hmat, grid = survival_curve(kappa, t_max, m=m, dt=dt)
-    j = int(np.argmin(np.abs(grid - theta0)))
-    hvals = hmat[:, j]
-    mask = (hvals > fit_range[0]) & (hvals < fit_range[1])
-    if mask.sum() < 10:
+    lo, hi = DECAY_FIT_RANGE
+    t_max = -math.log(lo / 2.0) / one_arm_lambda_exact(kappa)  # generous
+    n_steps = int(round(t_max / SURVIVAL_DT))
+    op = build_adjoint_n2(kappa, m)
+    j = int(np.argmin(np.abs(op.grid - DECAY_THETA0)))
+    hvals = np.fromiter((h[j] for h in _survival_steps(op, n_steps)), float)
+    k = np.flatnonzero((hvals > lo) & (hvals < hi))  # hvals[k]: step k + 1
+    if k.size < 10:
         raise ArithmeticError("too few points in the decay-fit window")
-    slope, _ = np.polyfit(times[mask], np.log(hvals[mask]), 1)
+    slope, _ = np.polyfit((k + 1) * SURVIVAL_DT, np.log(hvals[k]), 1)
     return float(-slope)

@@ -107,6 +107,10 @@ class TestSimulate:
     (["spectrum", "--kappas", "2,3"], "spectrum: no decaying one-arm mode"),
     (["exponents", "--kappas", "0"], "exponents: kappa must be positive"),
     (["exponents", "--kappas", "1.5x"], "exponents: Invalid literal"),
+    (["simulate", "--burn-in", "-5", "--n-samples", "5"],
+     "simulate: burn_in must be nonnegative"),
+    (["validate", "--quick", "7", "--criteria", "9"],
+     "validate: quick must be 0 or 1"),
 ])
 def test_bad_input_exits_with_command_and_message(args, problem):
     with pytest.raises(SystemExit, match=problem):

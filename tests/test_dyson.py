@@ -46,6 +46,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=problem):
             ProcessParams(**{"n_particles": 2, "kappa": 2.0, field: value})
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, np.bool_(True), "2"],
+                             ids=["2.5", "2.0", "True", "np.bool_", "str"])
+    def test_rejects_non_integer_particle_count(self, n):
+        with pytest.raises(ValueError, match="n_particles must be an "
+                                             "integer"):
+            ProcessParams(n_particles=n, kappa=2.0)
+
+    def test_accepts_numpy_integer_particle_count(self):
+        assert ProcessParams(n_particles=np.int64(3), kappa=2.0).beta == 2.0
+
+    @pytest.mark.parametrize("n_chains", [0, -3])
+    def test_sample_stationary_rejects_chain_count(self, n_chains):
+        with pytest.raises(ValueError, match="n_chains must be >= 1"):
+            sample_stationary(ProcessParams(n_particles=2, kappa=2.0), 8,
+                              n_chains=n_chains)
+
     @pytest.mark.parametrize("t_end", [math.inf, math.nan])
     def test_simulate_rejects_bad_t_end(self, t_end):
         with pytest.raises(ValueError, match="t_end must be positive and "

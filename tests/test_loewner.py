@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -103,14 +104,14 @@ class TestDriveHistory:
     def test_rejects_unsorted_times(self):
         with pytest.raises(ValueError):
             DriveHistory(times=np.array([0.0, 0.2, 0.1]),
-                         angles=np.zeros((3, 1)), kappa=2.0)
+                         angles=np.zeros((3, 1)))
 
     def test_out_of_range(self, drive):
         with pytest.raises(ValueError):
             drive.drivers_at(drive.duration + 1.0)
 
     def test_constant_drive(self):
-        dh = DriveHistory.constant(equally_spaced(2), 2.0, 1.0)
+        dh = DriveHistory.constant(equally_spaced(2), 1.0)
         assert dh.drivers_at(0.7) == pytest.approx([0.0, math.pi])
 
     @pytest.mark.parametrize("kwargs", [
@@ -126,7 +127,7 @@ class TestDriveHistory:
             "dt_max-negative", "dt_max-nan"])
     def test_rejects_bad_input(self, kwargs):
         args = {"times": [0.0, 0.5, 1.0], "angles": [[0.0], [0.5], [1.0]],
-                "kappa": 2.0, **kwargs}
+                **kwargs}
         with pytest.raises(ValueError):
             DriveHistory(**args)
 
@@ -138,7 +139,7 @@ class TestDriveHistory:
         rng = np.random.default_rng(n)
         times = np.concatenate([[0.0], np.cumsum(rng.uniform(1e-4, 0.1, 60))])
         walk = np.cumsum(rng.normal(0, 1.0, (times.size, n)), axis=0)
-        dh = DriveHistory(times=times, angles=wrap_angle(walk), kappa=2.0)
+        dh = DriveHistory(times=times, angles=wrap_angle(walk))
         t = np.concatenate([rng.uniform(0, dh.duration, 10_000), times,
                             [0.0, dh.duration,
                              np.nextafter(dh.duration, np.inf)]])
@@ -149,7 +150,7 @@ class TestDriveHistory:
                                           interp_reference(dh, x))
 
     def test_drivers_at_matches_interp_constant(self):
-        dh = DriveHistory.constant(equally_spaced(3, offset=0.4), 2.0, 0.7)
+        dh = DriveHistory.constant(equally_spaced(3, offset=0.4), 0.7)
         t = np.concatenate([np.random.default_rng(0).uniform(0, 0.7, 1000),
                             [0.0, 0.7]])
         np.testing.assert_array_equal(dh.drivers_at(t),
@@ -190,7 +191,7 @@ class TestEvolvePoint:
 class TestDerivativeAtOrigin:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_exponential_rate(self, n):
-        dh = DriveHistory.constant(equally_spaced(n), 2.0, 0.5)
+        dh = DriveHistory.constant(equally_spaced(n), 0.5)
         for t in (0.1, 0.5):
             assert derivative_at_origin(dh, t) == pytest.approx(
                 math.exp(n * t), rel=1e-6)
@@ -239,10 +240,8 @@ class TestTraceExact:
         knots = np.concatenate([[0.0], np.cumsum(
             np.random.default_rng(5).uniform(1e-4, 6e-3, 300))])
         knots /= knots[-1]
-        for dh in (DriveHistory.constant(AngleConfig(np.array([0.7])), 2.0,
-                                         1.0),
-                   DriveHistory(times=knots, angles=np.full((301, 1), 0.7),
-                                kappa=2.0)):
+        for dh in (DriveHistory.constant(AngleConfig(np.array([0.7])), 1.0),
+                   DriveHistory(times=knots, angles=np.full((301, 1), 0.7))):
             times = np.array([0.1, 0.37, knots[150], 1.0])
             s = np.sqrt(1.0 - np.exp(-times))
             exact = np.exp(0.7j) * (1.0 - s) / (1.0 + s)
@@ -263,8 +262,7 @@ class TestTraceExact:
         # spacing 1e-3 it measured 8e-5, 2.1e-4 and 3.9e-4 at N = 2, 3, 4
         knots = np.linspace(0.0, 1.0, 1001)
         theta = equally_spaced(n, offset=0.3).angles
-        dh = DriveHistory(times=knots, angles=np.tile(theta, (knots.size, 1)),
-                          kappa=2.0)
+        dh = DriveHistory(times=knots, angles=np.tile(theta, (knots.size, 1)))
         times = np.array([0.05, 0.3705, 1.0])
         s = np.sqrt(1.0 - np.exp(-n * n * times))
         for j in range(n):
@@ -347,9 +345,9 @@ class TestTrace:
 
 
 class TestFlowMatchesReference:
-    """The forward flow kernel reuses each step's end-stage drive read as
-    the next step's start stage; it must agree bit for bit with the plain
-    loop kept here.  The zipper trace must agree with that loop's reverse
+    """The forward flow reuses each step's end-stage drive read as the next
+    step's start stage; it must agree bit for bit with the plain loop kept
+    here.  The zipper trace must agree with that loop's reverse
     flow to a stated tolerance."""
 
     @pytest.fixture(scope="class", params=[(n, k) for n in (1, 2, 4)
@@ -382,13 +380,15 @@ class TestFlowMatchesReference:
         assert np.median(dz) <= 0.02
 
     def test_evolve_point(self, case):
-        # an interior point, one at a curve base, and the trace tip
+        # an interior point, one at a curve base, and the trace tip, at
+        # t = 0, at a t below the flow's 1e-15 time tolerance, and at 0.2
         tip = trace_points(case, case.n - 1, [0.2])[0].z
-        for z in (0.3 - 0.2j, cmath.exp(1j * case.angles[0, 0]) * (1 - 1e-7),
-                  tip):
-            fp = evolve_point(z, case, 0.2)
+        for z, t in itertools.product(
+                (0.3 - 0.2j, cmath.exp(1j * case.angles[0, 0]) * (1 - 1e-7),
+                 tip), (0.0, 1e-16, 0.2)):
+            fp = evolve_point(z, case, t)
             (g,), (s,), (why,) = reference_flow(
-                case, [z], np.zeros(1), np.full(1, 0.2), 1.0, 0.2, np.inf)
+                case, [z], np.zeros(1), np.full(1, t), 1.0, 0.2, np.inf)
             assert fp.z == g
             assert fp.status is {"done": PointStatus.INTERIOR,
                                  "stalled": PointStatus.SWALLOWED}.get(

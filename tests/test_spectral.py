@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from sle_dyson.spectral import (TWO_PI, GridOperator, adjoint_decay_rate,
+from sle_dyson.spectral import (SURVIVAL_DT, TWO_PI, GridOperator,
+                                adjoint_decay_rate,
                                 build_adjoint_n2, build_fp_generator_n2,
                                 cs_ground_state,
                                 fp_equilibrium_residual, fp_residual_order,
@@ -198,7 +200,62 @@ class TestCsHamiltonian:
         assert abs(gap - decay) < 1e-3
 
 
+def reference_survival_curve(kappa, t_max, m):
+    """Implicit Euler on the backward generator from h = 1, every step kept:
+    (times, h table of shape (steps + 1, m), grid)."""
+    op = build_adjoint_n2(kappa, m)
+    lu = spla.splu(sp.identity(m, format="csc") - SURVIVAL_DT * op.matrix)
+    n_steps = int(round(t_max / SURVIVAL_DT))
+    out = np.empty((n_steps + 1, m))
+    out[0] = 1.0
+    for k in range(n_steps):
+        out[k + 1] = lu.solve(out[k])
+    return np.arange(n_steps + 1) * SURVIVAL_DT, out, op.grid
+
+
+def reference_decay_rate(kappa, m=512):
+    """The decay-rate fit on the full table at theta0 = pi, fitted where
+    1e-4 < h < 1e-1."""
+    t_max = -math.log(1e-4 / 2.0) / one_arm_lambda_exact(kappa)
+    times, table, grid = reference_survival_curve(kappa, t_max, m)
+    h = table[:, int(np.argmin(np.abs(grid - math.pi)))]
+    mask = (h > 1e-4) & (h < 1e-1)
+    slope, _ = np.polyfit(times[mask], np.log(h[mask]), 1)
+    return float(-slope)
+
+
 class TestSurvival:
+    @pytest.mark.parametrize("kappa", [4.5, 6.0, 8.0])
+    def test_decay_rate_matches_table(self, kappa):
+        # the streamed solve keeps one column of the table; same bits
+        assert survival_decay_rate(kappa) == reference_decay_rate(kappa)
+
+    @pytest.mark.parametrize("kappa", [5.0, 8.0])
+    def test_probability_matches_table(self, kappa):
+        times, table, grid = reference_survival_curve(kappa, 2.0, 256)
+        for k in (1, 37, 100, 200):
+            for theta0 in (1.0, math.pi, 5.5):
+                assert survival_probability(kappa, theta0, times[k],
+                                            m=256) == float(
+                    np.interp(theta0, grid, table[k]))
+
+    def test_decay_rate_memory(self):
+        # the table at kappa 4.5 would hold 33,556 x 512 floats (131 MiB)
+        tracemalloc.start()
+        try:
+            survival_decay_rate(4.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
+    @pytest.mark.parametrize("kappa", [3.0, 6.0])
+    @pytest.mark.parametrize("t", [0.004, 0.015, 1e-16, 1.0 + 1e-4,
+                                   math.inf])
+    def test_rejects_time_off_the_step_grid(self, kappa, t):
+        with pytest.raises(ValueError, match="integer multiple"):
+            survival_probability(kappa, 1.0, t)
+
     def test_time_zero(self):
         assert survival_probability(6.0, 1.0, 0.0) == 1.0
 
