@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import __version__, dyson, ensembles, exponents, loewner, spectral
+from . import __version__, dyson, exponents, loewner, spectral
 from .validation import ALL_CRITERIA, provenance, run_criteria
 
 FLOAT_FMT = ".17g"

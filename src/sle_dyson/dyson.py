@@ -323,6 +323,17 @@ def _integrate(x, kappa, dt, n_steps, rng, counts, trail=None):
     return x
 
 
+def _n_steps(name: str, duration: float, dt: float) -> int:
+    """Steps of ``dt`` in ``duration``, which must be an integer multiple of
+    ``dt`` to a relative 1e-9."""
+    ratio = duration / dt
+    n_steps = round(ratio)
+    if not math.isclose(ratio, n_steps, rel_tol=1e-9):
+        raise ValueError(f"{name}={duration!r} is not an integer multiple of "
+                         f"dt={dt!r}")
+    return n_steps
+
+
 def simulate(params: ProcessParams, t_end: float,
              initial: AngleConfig | None = None) -> TrajectoryRecord:
     """Integrate one trajectory to ``t_end``, recording every ``params.dt``.
@@ -332,11 +343,7 @@ def simulate(params: ProcessParams, t_end: float,
     """
     if not 0.0 < t_end < math.inf:
         raise ValueError("t_end must be positive and finite")
-    ratio = t_end / params.dt
-    n_steps = round(ratio)
-    if not math.isclose(ratio, n_steps, rel_tol=1e-9):
-        raise ValueError(f"t_end={t_end!r} is not an integer multiple of "
-                         f"dt={params.dt!r}")
+    n_steps = _n_steps("t_end", t_end, params.dt)
     if initial is None:
         initial = equally_spaced(params.n_particles)
     if initial.n != params.n_particles:
@@ -374,26 +381,34 @@ def sample_stationary(params: ProcessParams, n_samples: int,
 
     Runs a deterministic number of independent chains in parallel (each from
     the equally spaced start), discards the burn-in, then retains one row per
-    chain every ``params.thinning`` time units.
+    chain every ``params.thinning`` time units.  ``params.thinning`` and an
+    explicit ``params.burn_in`` must be integer multiples of ``params.dt``
+    (to a relative 1e-9); the default burn-in is rounded to the dt grid.
     """
+    if (isinstance(n_samples, bool)
+            or not isinstance(n_samples, (int, np.integer))):
+        raise ValueError("n_samples must be an integer")
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     if n_chains is None:
         n_chains = int(min(n_samples, 1024))
     if n_chains < 1:
         raise ValueError("n_chains must be >= 1")
+    if params.burn_in is None:
+        burn_steps = round(params.effective_burn_in / params.dt)
+    else:
+        burn_steps = _n_steps("burn_in", params.burn_in, params.dt)
+    thin_steps = _n_steps("thinning", params.thinning, params.dt)
     per_chain = -(-n_samples // n_chains)  # ceil
     rng = np.random.default_rng(np.random.SeedSequence(params.seed))
     n = params.n_particles
     starts = rng.uniform(0.0, TWO_PI, size=n_chains)
     x = starts + (TWO_PI * np.arange(n) / n)[:, None]  # (N, chains), sorted
     counts = dict.fromkeys(PATH_COUNTERS, 0)
-    x = _integrate(x, params.kappa, params.dt,
-                   round(params.effective_burn_in / params.dt), rng, counts)
+    x = _integrate(x, params.kappa, params.dt, burn_steps, rng, counts)
     out = np.empty((per_chain, n_chains, n))
     for k in range(per_chain):
-        x = _integrate(x, params.kappa, params.dt,
-                       round(params.thinning / params.dt), rng, counts)
+        x = _integrate(x, params.kappa, params.dt, thin_steps, rng, counts)
         out[k] = x.T
     rows = wrap_angle(out.reshape(per_chain * n_chains, n)[:n_samples])
     meta = {"seed": params.seed, "kappa": params.kappa, "beta": params.beta,

@@ -1,56 +1,39 @@
 """Circular beta-ensemble densities, matrix-model samplers and KS statistics.
 
-The N=2 gap law with density sin^beta(s/2)/Z(beta) on (0, 2*pi), normalized
-by adaptive quadrature, is the trusted oracle against which both the SDE
+The N=2 gap law with density sin^beta(s/2)/Z(beta) on (0, 2*pi), whose
+exact incomplete-beta CDF is the trusted oracle against which both the SDE
 sampler and the classical matrix ensembles (COE/CUE/CSE, beta = 1, 2, 4)
 are checked.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 import math
 
 import numpy as np
-from scipy import integrate, interpolate
+from scipy.special import betainc
 
 from .dyson import SampleBatch, TWO_PI, wrap_angle
 
 
-class BetaConvention(Enum):
-    """Mapping from the SLE parameter kappa to the ensemble beta."""
-
-    DYSON_4_OVER_KAPPA = 4.0   # realized by the simulated SDE
-    CFT_2_OVER_KAPPA = 2.0
-    CORRECTED_8_OVER_KAPPA = 8.0
-
-    def beta(self, kappa: float) -> float:
-        return self.value / kappa
-
-
-def gap_normalization(beta: float) -> float:
-    """Z(beta) = int_0^{2*pi} sin^beta(s/2) ds by adaptive quadrature."""
-    if not beta >= 0.0:
-        raise ValueError("beta must be nonnegative")
-    z, _ = integrate.quad(lambda s: math.sin(s / 2.0) ** beta, 0.0, TWO_PI,
-                          epsabs=0.0, epsrel=1e-12, limit=200)
-    return z
-
-
-def gap_cdf_n2(beta: float, grid_size: int = 32769):
+def gap_cdf_n2(beta: float):
     """CDF of the two-particle gap, density sin^beta(s/2)/Z(beta) on (0, 2*pi).
 
-    Built from a cubic-spline antiderivative of the density on a fine grid;
-    this quadrature construction is the independent oracle for all N=2 tests.
+    Substituting x = sin^2(s/4), so that sin(s/2) = 2 sqrt(x(1-x)) and
+    ds = 2 dx / sqrt(x(1-x)), turns the density into x^(a-1) (1-x)^(a-1)
+    with a = (beta+1)/2: the CDF is the regularized incomplete beta
+    function I_x(a, a).  Above s = pi it is taken as 1 - F(2*pi - s), by
+    the density's symmetry, since x rounds near 1 and I_x would lose the
+    upper tail to that rounding.
     """
-    z = gap_normalization(beta)
-    s = np.linspace(0.0, TWO_PI, grid_size)
-    dens = np.sin(s / 2.0) ** beta / z
-    anti = interpolate.CubicSpline(s, dens).antiderivative()
+    if not beta >= 0.0:
+        raise ValueError("beta must be nonnegative")
+    a = (beta + 1.0) / 2.0
 
     def cdf(x):
         x = np.clip(np.asarray(x, dtype=float), 0.0, TWO_PI)
-        return np.clip(anti(x), 0.0, 1.0)
+        f = betainc(a, a, np.sin(np.minimum(x, TWO_PI - x) / 4.0) ** 2)
+        return np.where(x <= np.pi, f, 1.0 - f)
 
     return cdf
 

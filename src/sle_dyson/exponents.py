@@ -7,15 +7,24 @@ p(p-1)*beta/2 can be asserted with zero tolerance.
 
 Three beta conventions are in circulation (beta = 4/kappa from the
 stationary Dyson law, 2/kappa from a boundary-operator counting, and
-8/kappa from the corrected conformal-factor argument); this module takes
-no position on which is physical and simply computes under each.
+8/kappa from the corrected conformal-factor argument).  BetaConvention
+names them by their exact integer numerators; this module takes no
+position on which is physical and simply computes under each.
 """
 
 from __future__ import annotations
 
+from enum import Enum
 from fractions import Fraction
 
-from .ensembles import BetaConvention
+
+class BetaConvention(Enum):
+    """Mapping from the SLE parameter kappa to the ensemble beta, as the
+    exact numerator of beta = value/kappa."""
+
+    DYSON_4_OVER_KAPPA = 4   # realized by the simulated SDE
+    CFT_2_OVER_KAPPA = 2
+    CORRECTED_8_OVER_KAPPA = 8
 
 
 def _as_fraction(x) -> Fraction:
@@ -30,7 +39,7 @@ def beta_from_kappa(kappa, convention: BetaConvention
     kappa = _as_fraction(kappa)
     if kappa <= 0:
         raise ValueError("kappa must be positive")
-    return Fraction(int(convention.value)) / kappa
+    return Fraction(convention.value) / kappa
 
 
 def kac_h_1_s(kappa, p: int) -> Fraction:

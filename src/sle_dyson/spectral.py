@@ -36,6 +36,10 @@ TWO_PI = 2.0 * math.pi
 SURVIVAL_DT = 1e-2              # implicit-Euler step of the survival solve
 DECAY_THETA0 = math.pi          # initial gap of the decay-rate fit
 DECAY_FIT_RANGE = (1e-4, 1e-1)  # survival values the decay rate is fitted on
+MAX_SURVIVAL_STEPS = 10**6      # step budget of one survival solve
+ADJOINT_ORDER_GRIDS = (32, 64, 128, 256)  # m of measured_convergence_order
+FP_ORDER_GRIDS = (256, 512, 1024, 2048)   # m of fp_residual_order
+FP_RESIDUAL_WINDOW = (np.pi / 4.0, 7.0 * np.pi / 4.0)  # theta of FP residual
 
 
 @dataclass(frozen=True)
@@ -145,13 +149,14 @@ def adjoint_decay_rate(kappa: float, m: int) -> float:
     return lam
 
 
-def measured_convergence_order(kappa: float, ms=(32, 64, 128, 256)) -> float:
+def measured_convergence_order(kappa: float) -> float:
     """Fitted order of the eigenvalue error against the exact rate.
 
     Runs on coarse grids; at very fine grids the eigensolver's residual
     floor contaminates the error and the fit becomes meaningless.
     """
     exact = one_arm_lambda_exact(kappa)
+    ms = ADJOINT_ORDER_GRIDS
     errs = [abs(adjoint_decay_rate(kappa, m) - exact) for m in ms]
     slope, _ = np.polyfit(np.log([TWO_PI / m for m in ms]), np.log(errs), 1)
     return float(slope)
@@ -205,8 +210,7 @@ def stationary_gap_density(kappa: float, theta) -> np.ndarray:
     return np.sin(np.asarray(theta, dtype=float) / 2.0) ** (4.0 / kappa)
 
 
-def fp_equilibrium_residual(kappa: float, m: int,
-                            window=(np.pi / 4.0, 7.0 * np.pi / 4.0)) -> float:
+def fp_equilibrium_residual(kappa: float, m: int) -> float:
     """Sup-norm of the generator applied to the stationary density.
 
     Measured away from the endpoints: for kappa > 4 the density has
@@ -215,11 +219,13 @@ def fp_equilibrium_residual(kappa: float, m: int,
     """
     op = build_fp_generator_n2(kappa, m)
     res = op.matrix @ stationary_gap_density(kappa, op.grid)
-    mask = (op.grid > window[0]) & (op.grid < window[1])
+    lo, hi = FP_RESIDUAL_WINDOW
+    mask = (op.grid > lo) & (op.grid < hi)
     return float(np.max(np.abs(res[mask])))
 
 
-def fp_residual_order(kappa: float, ms=(256, 512, 1024, 2048)) -> float:
+def fp_residual_order(kappa: float) -> float:
+    ms = FP_ORDER_GRIDS
     errs = [fp_equilibrium_residual(kappa, m) for m in ms]
     slope, _ = np.polyfit(np.log([TWO_PI / m for m in ms]), np.log(errs), 1)
     return float(slope)
@@ -250,7 +256,12 @@ def normalized_overlap(u, v) -> float:
 def _survival_steps(op: GridOperator, n_steps: int):
     """Non-meeting probability h(theta, t) on op's grid at t = SURVIVAL_DT,
     2 SURVIVAL_DT, ..., n_steps SURVIVAL_DT: implicit Euler on the backward
-    generator ``op`` from h = 1, one step per item."""
+    generator ``op`` from h = 1, one step per item.  Raises ValueError
+    when ``n_steps`` exceeds MAX_SURVIVAL_STEPS."""
+    if n_steps > MAX_SURVIVAL_STEPS:
+        raise ValueError(f"survival solve needs {n_steps} steps of "
+                         f"{SURVIVAL_DT}, more than the budget of "
+                         f"{MAX_SURVIVAL_STEPS}")
     h = np.ones(op.grid.size)
     lu = spla.splu(sp.identity(h.size, format="csc") - SURVIVAL_DT * op.matrix)
     for _ in range(n_steps):

@@ -50,7 +50,7 @@ class CriterionResult:
 
 
 def criterion_1_stationary_law(quick: bool = False) -> CriterionResult:
-    """KS distance of stationary N=2 gap samples vs the quadrature CDF."""
+    """KS distance of stationary N=2 gap samples vs the exact gap CDF."""
     n_samples = 20_000 if quick else 100_000
     threshold = 0.022 if quick else 0.01
     kappas = (2.0, 3.0, 4.0, 8.0 / 3.0)

@@ -111,6 +111,10 @@ class TestSimulate:
      "simulate: burn_in must be nonnegative"),
     (["validate", "--quick", "7", "--criteria", "9"],
      "validate: quick must be 0 or 1"),
+    (["simulate", "--n-samples", "8", "--dt", "0.3"],
+     "simulate: thinning=0.4 is not an integer multiple of dt=0.3"),
+    (["simulate", "--n-samples", "8", "--burn-in", "0.0009"],
+     "simulate: burn_in=0.0009 is not an integer multiple of dt=0.002"),
 ])
 def test_bad_input_exits_with_command_and_message(args, problem):
     with pytest.raises(SystemExit, match=problem):

@@ -62,6 +62,31 @@ class TestConfigValidation:
             sample_stationary(ProcessParams(n_particles=2, kappa=2.0), 8,
                               n_chains=n_chains)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, np.bool_(True)],
+                             ids=["2.5", "3.0", "True", "np.bool_"])
+    def test_sample_stationary_rejects_non_integer_count(self, n):
+        with pytest.raises(ValueError, match="n_samples must be an integer"):
+            sample_stationary(ProcessParams(n_particles=2, kappa=2.0), n)
+
+    def test_sample_stationary_accepts_numpy_integer_count(self):
+        p = ProcessParams(n_particles=2, kappa=2.0, burn_in=0.0,
+                          thinning=4e-3)
+        assert sample_stationary(p, np.int64(3)).rows.shape == (3, 2)
+
+    @pytest.mark.parametrize("fields, problem", [
+        ({"burn_in": 0.0009}, "burn_in=0.0009 is not an integer multiple "
+                              "of dt=0.002"),
+        ({"burn_in": 1.001, "dt": 2e-3 / 3.0}, "burn_in=1.001 is not"),
+        ({"thinning": 0.4, "dt": 0.3}, "thinning=0.4 is not an integer "
+                                       "multiple of dt=0.3"),
+        ({"thinning": 0.005}, "thinning=0.005 is not"),
+    ], ids=["burn_in-below-dt", "burn_in", "thinning-above-dt", "thinning"])
+    def test_sample_stationary_rejects_times_off_the_dt_grid(self, fields,
+                                                              problem):
+        p = ProcessParams(n_particles=2, kappa=2.0, **fields)
+        with pytest.raises(ValueError, match=problem):
+            sample_stationary(p, 8)
+
     @pytest.mark.parametrize("t_end", [math.inf, math.nan])
     def test_simulate_rejects_bad_t_end(self, t_end):
         with pytest.raises(ValueError, match="t_end must be positive and "

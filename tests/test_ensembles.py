@@ -2,10 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
-from sle_dyson.ensembles import (ENSEMBLES, TWO_PI, BetaConvention,
-                                 gap_cdf_n2, gap_normalization, ks_statistic,
+from sle_dyson.ensembles import (ENSEMBLES, TWO_PI, gap_cdf_n2, ks_statistic,
                                  ks_threshold, ks_two_sample,
                                  ks_two_sample_threshold,
                                  pairwise_gap_statistics, row_gaps,
@@ -13,19 +12,28 @@ from sle_dyson.ensembles import (ENSEMBLES, TWO_PI, BetaConvention,
 from sle_dyson.dyson import wrap_angle
 
 
+def quad_gap_cdf(beta, x):
+    """sin^beta(s/2) integrated over (0, x), over its integral on (0, 2*pi),
+    by adaptive quadrature."""
+    def mass(b):
+        return integrate.quad(lambda s: math.sin(s / 2.0) ** beta, 0.0, b,
+                              epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    return mass(x) / mass(TWO_PI)
+
+
 class TestGapOracle:
-    def test_normalization_beta1(self):
-        # int_0^{2pi} sin(s/2) ds = 4 exactly
-        assert gap_normalization(1.0) == pytest.approx(4.0, abs=1e-10)
-
-    def test_normalization_beta2(self):
-        # int_0^{2pi} sin^2(s/2) ds = pi exactly
-        assert gap_normalization(2.0) == pytest.approx(math.pi, abs=1e-10)
-
     @pytest.mark.parametrize("beta", [-1.0, math.nan])
     def test_normalization_rejects_bad_beta(self, beta):
         with pytest.raises(ValueError, match="beta must be nonnegative"):
-            gap_normalization(beta)
+            gap_cdf_n2(beta)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.1, 0.5, 4.0 / 3.0, 1.5, 2.0,
+                                      4.0])
+    def test_cdf_matches_quadrature(self, beta):
+        x = np.concatenate(([1e-6, TWO_PI - 1e-6],
+                            np.linspace(0.05, TWO_PI - 0.05, 20)))
+        ref = [quad_gap_cdf(beta, v) for v in x]
+        assert np.max(np.abs(gap_cdf_n2(beta)(x) - ref)) < 1e-12
 
     def test_cdf_beta2_closed_form(self):
         # antiderivative of sin^2(s/2)/pi is (s - sin s)/(2 pi)
@@ -41,13 +49,6 @@ class TestGapOracle:
         assert f[0] == pytest.approx(0.0, abs=1e-12)
         assert f[-1] == pytest.approx(1.0, abs=1e-9)
         assert np.all(np.diff(f) >= -1e-12)
-
-    def test_convention_values(self):
-        assert BetaConvention.DYSON_4_OVER_KAPPA.beta(8.0 / 3.0) == \
-            pytest.approx(1.5)
-        assert BetaConvention.CFT_2_OVER_KAPPA.beta(4.0) == pytest.approx(0.5)
-        assert BetaConvention.CORRECTED_8_OVER_KAPPA.beta(4.0) == \
-            pytest.approx(2.0)
 
 
 class TestKsToolkit:

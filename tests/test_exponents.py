@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sle_dyson.ensembles import BetaConvention
-from sle_dyson.exponents import (ansatz_exponent, beta_from_kappa,
-                                 exponent_table, fusion_exponent, h21,
-                                 kac_h_1_s)
+from sle_dyson.exponents import (BetaConvention, ansatz_exponent,
+                                 beta_from_kappa, exponent_table,
+                                 fusion_exponent, h21, kac_h_1_s)
 
 rational_kappas = st.builds(F, st.integers(min_value=1, max_value=60),
                             st.integers(min_value=1, max_value=12))

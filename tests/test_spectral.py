@@ -256,6 +256,16 @@ class TestSurvival:
         with pytest.raises(ValueError, match="integer multiple"):
             survival_probability(kappa, 1.0, t)
 
+    @pytest.mark.parametrize("solve", [
+        lambda: survival_decay_rate(4.001),  # 15.8 million steps
+        lambda: survival_decay_rate(4.01),   # 1.59 million steps
+        lambda: survival_probability(6.0, math.pi, 1e5),  # 10 million steps
+    ], ids=["decay-4.001", "decay-4.01", "probability-t1e5"])
+    def test_rejects_solve_over_step_budget(self, solve):
+        with pytest.raises(ValueError, match="more than the budget of "
+                                             "1000000"):
+            solve()
+
     def test_time_zero(self):
         assert survival_probability(6.0, 1.0, 0.0) == 1.0
 
