@@ -47,7 +47,8 @@ SCHEMAS = {
         "dt": (float, 2e-3, "nominal time step"),
         "t_end": (float, 1.0, "trajectory length (trajectory mode)"),
         "n_samples": (int, 0, "if > 0, emit stationary samples instead"),
-        "burn_in": (float, None, "burn-in time; omitted = 10 + 2 ln N"),
+        "burn_in": (float, None,
+                    "burn-in time; omitted = 10 + 2 ln N on the dt grid"),
         "thinning": (float, 0.4, "time between retained samples"),
     },
     "validate": {

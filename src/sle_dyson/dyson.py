@@ -88,9 +88,10 @@ class AngleConfig:
 class ProcessParams:
     """Parameters of the circular interacting diffusion.
 
-    ``burn_in=None`` selects the default 10 + 2*ln(N) time units, chosen so
-    that the exponentially fast relaxation (rate constant of order one) has
-    equilibrated fluctuations from the equally spaced start.
+    ``burn_in=None`` selects the default 10 + 2*ln(N) time units, rounded
+    to the dt grid, chosen so that the exponentially fast relaxation (rate
+    constant of order one) has equilibrated fluctuations from the equally
+    spaced start.
     """
 
     n_particles: int
@@ -124,9 +125,11 @@ class ProcessParams:
 
     @property
     def effective_burn_in(self) -> float:
+        """The burn-in time that runs: ``burn_in``, or the default."""
         if self.burn_in is not None:
             return self.burn_in
-        return 10.0 + 2.0 * math.log(self.n_particles)
+        default = 10.0 + 2.0 * math.log(self.n_particles)
+        return round(default / self.dt) * self.dt
 
 
 @dataclass(frozen=True)
@@ -143,19 +146,9 @@ def equally_spaced(n: int, offset: float = 0.0) -> AngleConfig:
     return AngleConfig(wrap_angle(offset + TWO_PI * np.arange(n) / n))
 
 
-def drift_batch(angles: np.ndarray) -> np.ndarray:
-    """Drift sum_{k != j} cot((theta_j - theta_k)/2) for a (..., N) array.
-
-    cot(d/2) has period 2*pi in d, so wrapped angles and the kernel's
-    unwrapped sorted rows give the same drift.
-    """
-    angles = np.asarray(angles, dtype=float)
-    return np.moveaxis(_drift(np.moveaxis(angles, -1, 0)), 0, -1)
-
-
 def drift(config: AngleConfig) -> np.ndarray:
-    """Drift vector of the diffusion at ``config``."""
-    return drift_batch(config.angles)
+    """Drift vector sum_{k != j} cot((theta_j - theta_k)/2) at ``config``."""
+    return _drift(config.angles)
 
 
 def potential(config: AngleConfig) -> float:
@@ -383,7 +376,7 @@ def sample_stationary(params: ProcessParams, n_samples: int,
     the equally spaced start), discards the burn-in, then retains one row per
     chain every ``params.thinning`` time units.  ``params.thinning`` and an
     explicit ``params.burn_in`` must be integer multiples of ``params.dt``
-    (to a relative 1e-9); the default burn-in is rounded to the dt grid.
+    (to a relative 1e-9); the default burn-in is on the dt grid already.
     """
     if (isinstance(n_samples, bool)
             or not isinstance(n_samples, (int, np.integer))):
@@ -394,10 +387,7 @@ def sample_stationary(params: ProcessParams, n_samples: int,
         n_chains = int(min(n_samples, 1024))
     if n_chains < 1:
         raise ValueError("n_chains must be >= 1")
-    if params.burn_in is None:
-        burn_steps = round(params.effective_burn_in / params.dt)
-    else:
-        burn_steps = _n_steps("burn_in", params.burn_in, params.dt)
+    burn_steps = _n_steps("burn_in", params.effective_burn_in, params.dt)
     thin_steps = _n_steps("thinning", params.thinning, params.dt)
     per_chain = -(-n_samples // n_chains)  # ceil
     rng = np.random.default_rng(np.random.SeedSequence(params.seed))

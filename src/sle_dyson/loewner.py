@@ -5,11 +5,8 @@ The joint conformal map G_t removing N growing boundary curves satisfies
     dG/dt = -G * sum_j (G + e^{i theta_j(t)}) / (G - e^{i theta_j(t)})
 
 with the driving angles supplied by a :class:`DriveHistory` (typically a
-Dyson trajectory).  Forward flow, the derivative at the origin, the
-joint-versus-sequential composition defect and traces live here.
-
-A forward image is one adaptive RK4 loop; each step reads the drive at
-its middle and end only, its start being the last step's end.
+Dyson trajectory).  The derivative at the origin, the joint-versus-
+sequential composition defect and traces live here.
 
 Traces are unzipped with explicit maps (the zipper method of Kennedy,
 J. Stat. Phys. 128 (2007) 1125, and Marshall & Rohde, SIAM J. Numer.
@@ -34,24 +31,20 @@ import numpy as np
 
 from .dyson import AngleConfig, TrajectoryRecord, wrap_angle
 
-MIN_FLOW_STEP = 1e-12
-MAX_FLOW_STEPS = 200_000  # step budget of evolve_point
-ORIGIN_STEP = 1e-3        # fixed RK4 step of derivative_at_origin
+ORIGIN_STEP = 1e-3  # fixed RK4 step of derivative_at_origin
 
 
 class PointStatus(Enum):
     INTERIOR = "interior"
-    SWALLOWED = "swallowed"
     UNRESOLVED = "unresolved"
 
 
 @dataclass(frozen=True)
 class FlowPoint:
-    """Image of a point under the flow, or its swallowing time."""
+    """A trace point and whether it came out finite."""
 
     z: complex
     status: PointStatus
-    swallow_time: float | None = None
 
 
 @dataclass(frozen=True)
@@ -60,13 +53,12 @@ class DriveHistory:
 
     ``angles`` rows are wrapped to [0, 2*pi); an unwrapped lift is kept
     internally so that linear interpolation between samples never crosses a
-    branch cut.  Times must be finite and increase strictly from 0, angles
-    finite and ``dt_max`` positive.
+    branch cut.  Times must be finite and increase strictly from 0, and
+    angles must be finite.
     """
 
     times: np.ndarray
     angles: np.ndarray  # shape (len(times), N), wrapped
-    dt_max: float = 1e-3
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -79,8 +71,6 @@ class DriveHistory:
             raise ValueError("one angle row per time stamp required")
         if not np.isfinite(a).all():
             raise ValueError("angles must be finite")
-        if not self.dt_max > 0.0:
-            raise ValueError("dt_max must be positive")
         lift = np.unwrap(a, axis=0)
         # np.interp's slopes, with a zero row past the last knot so that
         # the last knot and beyond read the last row
@@ -114,14 +104,13 @@ class DriveHistory:
 
     @classmethod
     def from_trajectory(cls, rec: TrajectoryRecord) -> "DriveHistory":
-        return cls(times=rec.times, angles=rec.states, dt_max=rec.params.dt)
+        return cls(times=rec.times, angles=rec.states)
 
     @classmethod
-    def constant(cls, config: AngleConfig, duration: float,
-                 dt_max: float = 1e-3) -> "DriveHistory":
+    def constant(cls, config: AngleConfig, duration: float) -> "DriveHistory":
         times = np.array([0.0, duration])
         angles = np.vstack([config.angles, config.angles])
-        return cls(times=times, angles=angles, dt_max=dt_max)
+        return cls(times=times, angles=angles)
 
 
 def joint_rhs(g, drivers):
@@ -140,56 +129,15 @@ def _rhs(g, e):
     return -g[..., 0] * ((g + e) / denom).sum(axis=-1)
 
 
-def _driver_distance(g, e):
-    """Distance from each point g to its nearest driving point e."""
-    return np.abs(np.asarray(g)[..., None] - e).min(axis=-1)
-
-
 def _rk4(z, dt, f, drivers):
     """RK4 step of dz/dt = f(z, drive), the drive given at start, middle
-    and end (as angles or as phases e^{i theta}, whichever f takes)."""
+    and end."""
     start, mid, end = drivers
     k1 = f(z, start)
     k2 = f(z + 0.5 * dt * k1, mid)
     k3 = f(z + 0.5 * dt * k2, mid)
     k4 = f(z + dt * k3, end)
     return z + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def evolve_point(z: complex, drive: DriveHistory, t: float) -> FlowPoint:
-    """Forward image of ``z`` at time ``t`` by adaptive RK4.
-
-    The step is min(dt_max, 0.2 d^2, time left), d the distance to the
-    nearest driver; it reads the drive at its middle and end, its start
-    being the last step's end, and a step that ends outside the disc is
-    clipped back to the circle.  SWALLOWED when the step falls below
-    MIN_FLOW_STEP, UNRESOLVED when the image is not finite or after
-    MAX_FLOW_STEPS steps.
-    """
-    if not abs(z) <= 1.0 + 1e-12:
-        raise ValueError("z must lie in the closed unit disc")
-    drive.drivers_at(t)  # rejects a time outside the drive
-    # the point, time and step are length-1 arrays and the phases (1, N):
-    # numpy's scalar path rounds some complex products differently
-    g, s = np.full(1, z, dtype=complex), np.zeros(1)
-    e = np.exp(1j * drive.drivers_at(s))
-    for _ in range(MAX_FLOW_STEPS):
-        if s >= t - 1e-15:
-            break
-        d = _driver_distance(g, e)
-        h = np.minimum(np.minimum(drive.dt_max, 0.2 * d * d), t - s)
-        if h < MIN_FLOW_STEP:
-            return FlowPoint(g.item(), PointStatus.SWALLOWED, s.item())
-        mid, end = np.exp(1j * drive.drivers_at(
-            np.minimum(np.stack([s + 0.5 * h, s + h]), drive.duration)))
-        g = _rk4(g, h, _rhs, (e, mid, end))
-        if not np.isfinite(g).all():
-            return FlowPoint(g.item(), PointStatus.UNRESOLVED)
-        if np.abs(g) > 1.0:
-            g /= np.abs(g)
-        s, e = s + h, end
-    return FlowPoint(g.item(), PointStatus.INTERIOR if s >= t - 1e-15
-                     else PointStatus.UNRESOLVED)
 
 
 def derivative_at_origin(drive: DriveHistory, t: float) -> float:
@@ -232,7 +180,7 @@ def composition_defect(config: AngleConfig, kappa: float, dt: float,
     if noise.shape != (n,):
         raise ValueError("need one noise draw per curve")
     if np.any(np.abs(probes) > 1.0) or np.any(
-            _driver_distance(probes, np.exp(1j * th0)) < 1e-3):
+            np.abs(probes[:, None] - np.exp(1j * th0)) < 1e-3):
         raise ValueError("probe outside the disc or too near a driver")
     d_b = math.sqrt(kappa * dt) * noise
 

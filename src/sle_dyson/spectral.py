@@ -253,64 +253,36 @@ def normalized_overlap(u, v) -> float:
     return float(abs(u @ v) / (np.linalg.norm(u) * np.linalg.norm(v)))
 
 
-def _survival_steps(op: GridOperator, n_steps: int):
-    """Non-meeting probability h(theta, t) on op's grid at t = SURVIVAL_DT,
-    2 SURVIVAL_DT, ..., n_steps SURVIVAL_DT: implicit Euler on the backward
-    generator ``op`` from h = 1, one step per item.  Raises ValueError
-    when ``n_steps`` exceeds MAX_SURVIVAL_STEPS."""
-    if n_steps > MAX_SURVIVAL_STEPS:
-        raise ValueError(f"survival solve needs {n_steps} steps of "
-                         f"{SURVIVAL_DT}, more than the budget of "
-                         f"{MAX_SURVIVAL_STEPS}")
-    h = np.ones(op.grid.size)
-    lu = spla.splu(sp.identity(h.size, format="csc") - SURVIVAL_DT * op.matrix)
-    for _ in range(n_steps):
-        h = lu.solve(h)
-        yield h
-
-
-def survival_probability(kappa: float, theta0: float, t: float,
-                         m: int = 1024) -> float:
-    """P(the two particles have not met by time t | gap theta0 at 0).
-
-    ``t`` must be a nonnegative integer multiple of SURVIVAL_DT (to a
-    relative 1e-9).  For kappa <= 4 the particles never collide and the
-    answer is exactly 1.  Above 4 the backward PDE is stepped implicitly
-    from h = 1 with the absorbing singular branch at theta = 0.
-    """
-    if not kappa > 0.0:
-        raise ValueError("kappa must be positive")
-    if not 0.0 < theta0 < TWO_PI:
-        raise ValueError("theta0 must lie in (0, 2*pi)")
-    if not t >= 0.0:
-        raise ValueError(f"t must be nonnegative, got {t!r}")
-    ratio = t / SURVIVAL_DT
-    if not (math.isfinite(ratio)
-            and math.isclose(ratio, round(ratio), rel_tol=1e-9)):
-        raise ValueError(f"t={t!r} is not a finite integer multiple of the "
-                         f"step {SURVIVAL_DT!r}")
-    if kappa <= 4.0 or t == 0.0:
-        return 1.0
-    op = build_adjoint_n2(kappa, m)
-    for h in _survival_steps(op, round(ratio)):
-        pass
-    return float(np.interp(theta0, op.grid, h))
-
-
 def survival_decay_rate(kappa: float, m: int = 512) -> float:
     """Fitted asymptotic decay rate of the non-meeting probability.
 
-    Least squares on log h(DECAY_THETA0, t) over the window where h lies in
-    DECAY_FIT_RANGE; matches one_arm_lambda_exact for kappa > 4.
+    Implicit Euler on the backward generator from h = 1, in steps of
+    SURVIVAL_DT, keeping h at the node nearest DECAY_THETA0; least squares
+    on log h over the steps where h lies in DECAY_FIT_RANGE.  Raises
+    ValueError when the solve needs more than MAX_SURVIVAL_STEPS steps.
+    Each step damps the slowest mode by 1/(1 + lambda SURVIVAL_DT), not
+    e^{-lambda SURVIVAL_DT}, so the result reads low against
+    one_arm_lambda_exact by about lambda * SURVIVAL_DT / 2 relative, on
+    top of the grid error: -0.09% at kappa = 8, -2.0% at kappa = 130 and
+    -13% at kappa = 1000.
     """
     if kappa <= 4.0:
         raise ValueError("no decay for kappa <= 4: survival is constant 1")
     lo, hi = DECAY_FIT_RANGE
     t_max = -math.log(lo / 2.0) / one_arm_lambda_exact(kappa)  # generous
     n_steps = int(round(t_max / SURVIVAL_DT))
+    if n_steps > MAX_SURVIVAL_STEPS:
+        raise ValueError(f"survival solve needs {n_steps} steps of "
+                         f"{SURVIVAL_DT}, more than the budget of "
+                         f"{MAX_SURVIVAL_STEPS}")
     op = build_adjoint_n2(kappa, m)
     j = int(np.argmin(np.abs(op.grid - DECAY_THETA0)))
-    hvals = np.fromiter((h[j] for h in _survival_steps(op, n_steps)), float)
+    lu = spla.splu(sp.identity(m, format="csc") - SURVIVAL_DT * op.matrix)
+    h = np.ones(m)
+    hvals = np.empty(n_steps)
+    for i in range(n_steps):
+        h = lu.solve(h)
+        hvals[i] = h[j]
     k = np.flatnonzero((hvals > lo) & (hvals < hi))  # hvals[k]: step k + 1
     if k.size < 10:
         raise ArithmeticError("too few points in the decay-fit window")

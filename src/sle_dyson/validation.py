@@ -27,6 +27,11 @@ from . import __version__, dyson, ensembles, exponents, loewner, spectral
 RNG_SEED = 20230
 
 
+def _paths(batch: dyson.SampleBatch) -> dict:
+    """The sampler's PATH_COUNTERS for one batch."""
+    return {k: int(batch.meta[k]) for k in dyson.PATH_COUNTERS}
+
+
 @dataclass(frozen=True)
 class CriterionResult:
     criterion_id: int
@@ -50,28 +55,31 @@ class CriterionResult:
 
 
 def criterion_1_stationary_law(quick: bool = False) -> CriterionResult:
-    """KS distance of stationary N=2 gap samples vs the exact gap CDF."""
+    """KS distance of stationary N=2 gap samples vs the exact gap CDF; the
+    detail's ``paths`` holds each kappa's PATH_COUNTERS."""
     n_samples = 20_000 if quick else 100_000
     threshold = 0.022 if quick else 0.01
     kappas = (2.0, 3.0, 4.0, 8.0 / 3.0)
-    per = {}
+    per, paths = {}, {}
     for kappa in kappas:
         params = dyson.ProcessParams(n_particles=2, kappa=kappa,
                                      seed=RNG_SEED)
         batch = dyson.sample_stationary(params, n_samples)
         gaps = ensembles.row_gaps(batch.rows)
         cdf = ensembles.gap_cdf_n2(4.0 / kappa)
-        per[f"kappa={kappa:g}"] = ensembles.ks_statistic(gaps, cdf)
+        key = f"kappa={kappa:g}"
+        per[key], paths[key] = ensembles.ks_statistic(gaps, cdf), _paths(batch)
     worst = max(per.values())
     return CriterionResult(1, "stationary_law_n2", worst, threshold,
-                           worst < threshold, per)
+                           worst < threshold, {**per, "paths": paths})
 
 
 def criterion_2_classical_beta(quick: bool = False) -> CriterionResult:
-    """Two-sample KS: Dyson-SDE gaps vs COE/CUE/CSE matrix gaps."""
+    """Two-sample KS: Dyson-SDE gaps vs COE/CUE/CSE matrix gaps; the
+    detail's ``paths`` holds each SDE config's PATH_COUNTERS."""
     n_samples = 2_000 if quick else 10_000
     pairs = ((4.0, "COE"), (2.0, "CUE"), (1.0, "CSE"))
-    per = {}
+    per, paths = {}, {}
     ratios = []
     for n in (2, 3):
         for kappa, sampler in pairs:
@@ -84,11 +92,12 @@ def criterion_2_classical_beta(quick: bool = False) -> CriterionResult:
             g2 = ensembles.pairwise_gap_statistics(mat)
             d = ensembles.ks_two_sample(g1, g2)
             thr = ensembles.ks_two_sample_threshold(n_samples, n_samples)
-            per[f"n={n},{sampler.lower()}"] = {"d": d, "threshold": thr}
+            key = f"n={n},{sampler.lower()}"
+            per[key], paths[key] = {"d": d, "threshold": thr}, _paths(sde)
             ratios.append(d / thr)
     worst = max(ratios)
     return CriterionResult(2, "classical_beta_crosscheck", worst, 1.0,
-                           worst < 1.0, per)
+                           worst < 1.0, {**per, "paths": paths})
 
 
 def criterion_3_one_arm_eigenvalue(quick: bool = False) -> CriterionResult:

@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from sle_dyson import dyson
 from sle_dyson.cli import main
 from sle_dyson.dyson import PATH_COUNTERS
 from sle_dyson.validation import RNG_SEED
@@ -65,6 +67,16 @@ class TestSimulate:
         # 20 chains, one row each: burn-in 1 plus one thinning of 0.4
         assert (counts["em_steps"] + counts["pair_jumps"]
                 + counts["rare_steps"]) == 20 * (500 + 200)
+
+    def test_default_burn_in_is_the_time_that_ran(self, tmp_path):
+        out = tmp_path / "s.csv"
+        main(["simulate", "--n-samples", "8", "-o", str(out)])
+        meta, _, _ = read_csv(out)
+        # 10 + 2 ln 2 = 11.386... runs as 5,693 steps of dt = 0.002
+        assert meta["burn_in"] == format(5693 * 0.002, ".17g")
+        counts = {k: int(meta[k]) for k in PATH_COUNTERS}
+        assert (counts["em_steps"] + counts["pair_jumps"]
+                + counts["rare_steps"]) == 8 * (5693 + 200)
 
     def test_t_end_not_multiple_of_dt_rejected(self, tmp_path):
         with pytest.raises(SystemExit, match="multiple of dt"):
@@ -253,6 +265,32 @@ class TestValidate:
         sha = prov["git_sha"]
         assert sha is None or (len(sha) == 40
                                and set(sha) <= set("0123456789abcdef"))
+
+    def test_sampled_criteria_report_their_paths(self, tmp_path,
+                                                 monkeypatch):
+        # 64 rows after a short burn-in keep this a check of the report,
+        # not of the law; the counters must be those of the batches sampled
+        batches = []
+
+        def few_rows(params, n_samples):
+            batches.append(sample_stationary(replace(params, burn_in=0.4),
+                                             64))
+            return batches[-1]
+
+        sample_stationary = dyson.sample_stationary
+        monkeypatch.setattr(dyson, "sample_stationary", few_rows)
+        out = tmp_path / "report.json"
+        main(["validate", "--criteria", "1,2", "--quick", "1", "-o", str(out)])
+        c1, c2 = json.loads(out.read_text())["results"]
+        paths = [c1["detail"].pop("paths"), c2["detail"].pop("paths")]
+        assert [list(p) for p in paths] == [list(c1["detail"]),
+                                            list(c2["detail"])]
+        assert [counts for p in paths for counts in p.values()] == [
+            {k: b.meta[k] for k in PATH_COUNTERS} for b in batches]
+        # the KS maxima see only KS values
+        assert c1["value"] == max(c1["detail"].values())
+        assert c2["value"] == max(e["d"] / e["threshold"]
+                                  for e in c2["detail"].values())
 
     @pytest.mark.parametrize("criteria", ["11", ",", "0", "3,x"])
     def test_unknown_criteria_rejected(self, criteria):

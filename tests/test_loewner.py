@@ -1,5 +1,4 @@
 import cmath
-import itertools
 import math
 
 import numpy as np
@@ -7,11 +6,9 @@ import pytest
 
 from sle_dyson.dyson import (AngleConfig, ProcessParams, equally_spaced,
                              simulate, wrap_angle)
-from sle_dyson.loewner import (MAX_FLOW_STEPS, MIN_FLOW_STEP,
-                               DriveHistory, PointStatus,
+from sle_dyson.loewner import (DriveHistory, PointStatus,
                                composition_defect, composition_defect_slope,
-                               derivative_at_origin, evolve_point, joint_rhs,
-                               trace_points)
+                               derivative_at_origin, joint_rhs, trace_points)
 
 
 @pytest.fixture(scope="module")
@@ -30,14 +27,18 @@ def interp_reference(dh, t):
 
 
 RK4_TRACE_OFFSET = 1e-3  # the RK4 reverse flow's seeds start this far inside
+FLOW_DT_MAX = 1e-3       # largest step of reference_flow
+FLOW_MIN_STEP = 1e-12    # a smaller step stalls the point
+FLOW_MAX_STEPS = 200_000  # step budget of reference_flow
 
 
 def reference_flow(dh, w, start, span, direction, c, exit_radius):
     """The adaptive RK4 flow as one loop that reads the drive by per-column
-    np.interp at all three stages and calls joint_rhs at all four.  It
-    runs forwards (direction 1) or, with the field negated, backwards (-1)
-    from time start; backwards, it is the RK4 reverse flow that the zipper
-    trace is checked against."""
+    np.interp at all three stages and calls joint_rhs at all four.  Each
+    step is min(FLOW_DT_MAX, c d^2, time left), d the distance to the
+    nearest driver.  It runs forwards (direction 1) or, with the field
+    negated, backwards (-1) from time start; backwards, it is the RK4
+    reverse flow that the zipper trace is checked against."""
     def drivers(t0, u):
         return interp_reference(dh, np.clip(t0 + direction * u, 0.0,
                                             dh.duration))
@@ -48,14 +49,14 @@ def reference_flow(dh, w, start, span, direction, c, exit_radius):
     w = np.array(w, dtype=complex)
     reached, why = np.zeros(w.shape), np.full(w.shape, "done", dtype=object)
     live = np.flatnonzero(span > 1e-15)
-    for _ in range(MAX_FLOW_STEPS):
+    for _ in range(FLOW_MAX_STEPS):
         if live.size == 0:
             break
         t0, z, s = start[live], w[live], reached[live]
         th = drivers(t0, s)
         d = np.abs(z[:, None] - np.exp(1j * th)).min(axis=-1)
-        h = np.minimum(np.minimum(dh.dt_max, c * d * d), span[live] - s)
-        ok = h >= MIN_FLOW_STEP
+        h = np.minimum(np.minimum(FLOW_DT_MAX, c * d * d), span[live] - s)
+        ok = h >= FLOW_MIN_STEP
         why[live[~ok]] = "stalled"
         live, t0, z, s, h, th = (a[ok] for a in (live, t0, z, s, h, th))
         mid, end = drivers(t0, s + 0.5 * h), drivers(t0, s + h)
@@ -120,11 +121,7 @@ class TestDriveHistory:
         {"times": [0.0, 1.0, math.inf]},
         {"angles": [[0.0], [math.nan], [1.0]]},
         {"angles": [[0.0], [1.0], [-math.inf]]},
-        {"dt_max": 0.0},
-        {"dt_max": -1e-3},
-        {"dt_max": math.nan},
-    ], ids=["no-time", "nan-time", "inf-time", "nan-angle", "inf-angle", "dt_max-0",
-            "dt_max-negative", "dt_max-nan"])
+    ], ids=["no-time", "nan-time", "inf-time", "nan-angle", "inf-angle"])
     def test_rejects_bad_input(self, kwargs):
         args = {"times": [0.0, 0.5, 1.0], "angles": [[0.0], [0.5], [1.0]],
                 **kwargs}
@@ -157,37 +154,6 @@ class TestDriveHistory:
                                       interp_reference(dh, t))
 
 
-class TestEvolvePoint:
-    def test_interior_point_stays_interior(self, drive):
-        fp = evolve_point(0.2 + 0.1j, drive, 0.2)
-        assert fp.status is PointStatus.INTERIOR
-        assert abs(fp.z) <= 1.0
-
-    def test_origin_fixed(self, drive):
-        assert evolve_point(0.0j, drive, 0.3).z == 0.0
-
-    def test_point_at_curve_base_swallowed(self, drive):
-        z = cmath.exp(1j * drive.angles[0, 0]) * (1.0 - 1e-7)
-        fp = evolve_point(z, drive, 0.3)
-        assert fp.status is PointStatus.SWALLOWED
-        assert fp.swallow_time is not None and fp.swallow_time < 0.3
-
-    def test_rejects_exterior(self, drive):
-        with pytest.raises(ValueError):
-            evolve_point(1.5 + 0.0j, drive, 0.1)
-
-    @pytest.mark.parametrize("z", [complex(math.nan, 0.0),
-                                   complex(0.0, math.nan)])
-    def test_rejects_nan_point(self, drive, z):
-        with pytest.raises(ValueError):
-            evolve_point(z, drive, 0.2)
-
-    @pytest.mark.parametrize("t", [math.nan, -0.1])
-    def test_rejects_bad_time(self, drive, t):
-        with pytest.raises(ValueError):
-            evolve_point(0.2 + 0.1j, drive, t)
-
-
 class TestDerivativeAtOrigin:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_exponential_rate(self, n):
@@ -217,13 +183,16 @@ class TestTraceLandsOnDriver:
         rec = simulate(ProcessParams(n_particles=n, kappa=kappa, dt=1e-3,
                                      seed=1), t_end=0.6)
         drive = DriveHistory.from_trajectory(rec)
-        for j in range(n):
-            for t, pt in zip((0.3, 0.6), trace_points(drive, j, [0.3, 0.6])):
-                for eps in (1e-2, 1e-3):
-                    fp = evolve_point(pt.z, drive, t - eps)
-                    tip = cmath.exp(1j * drive.drivers_at(t - eps)[j])
-                    assert fp.status is PointStatus.INTERIOR
-                    assert abs(fp.z - tip) <= 6.0 * math.sqrt(eps)
+        # every (curve, time, eps) at once: the flow treats its points
+        # independently
+        j, t, eps = (a.ravel() for a in np.meshgrid(
+            np.arange(n), [0.3, 0.6], [1e-2, 1e-3], indexing="ij"))
+        z = np.array([p.z for p in trace_points(drive, j, t)])
+        w, _, why = reference_flow(drive, z, np.zeros(t.size), t - eps, 1.0,
+                                   0.2, np.inf)
+        tip = np.exp(1j * drive.drivers_at(t - eps)[np.arange(t.size), j])
+        assert (why == "done").all()
+        assert (np.abs(w - tip) <= 6.0 * np.sqrt(eps)).all()
 
 
 class TestTraceExact:
@@ -345,10 +314,8 @@ class TestTrace:
 
 
 class TestFlowMatchesReference:
-    """The forward flow reuses each step's end-stage drive read as the next
-    step's start stage; it must agree bit for bit with the plain loop kept
-    here.  The zipper trace must agree with that loop's reverse
-    flow to a stated tolerance."""
+    """The zipper trace must agree with the RK4 reverse flow of
+    reference_flow to a stated tolerance."""
 
     @pytest.fixture(scope="class", params=[(n, k) for n in (1, 2, 4)
                                            for k in (2.0, 6.0)],
@@ -378,19 +345,3 @@ class TestFlowMatchesReference:
         dz = np.abs(np.array([p.z for p in got]) - w)
         assert dz.max() <= 0.08
         assert np.median(dz) <= 0.02
-
-    def test_evolve_point(self, case):
-        # an interior point, one at a curve base, and the trace tip, at
-        # t = 0, at a t below the flow's 1e-15 time tolerance, and at 0.2
-        tip = trace_points(case, case.n - 1, [0.2])[0].z
-        for z, t in itertools.product(
-                (0.3 - 0.2j, cmath.exp(1j * case.angles[0, 0]) * (1 - 1e-7),
-                 tip), (0.0, 1e-16, 0.2)):
-            fp = evolve_point(z, case, t)
-            (g,), (s,), (why,) = reference_flow(
-                case, [z], np.zeros(1), np.full(1, t), 1.0, 0.2, np.inf)
-            assert fp.z == g
-            assert fp.status is {"done": PointStatus.INTERIOR,
-                                 "stalled": PointStatus.SWALLOWED}.get(
-                why, PointStatus.UNRESOLVED)
-            assert fp.swallow_time == (s if why == "stalled" else None)

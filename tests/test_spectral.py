@@ -15,8 +15,7 @@ from sle_dyson.spectral import (SURVIVAL_DT, TWO_PI, GridOperator,
                                 normalized_overlap, one_arm_eigenfunction,
                                 one_arm_lambda_exact,
                                 relative_potential_prime,
-                                stationary_gap_density, survival_decay_rate,
-                                survival_probability)
+                                stationary_gap_density, survival_decay_rate)
 
 
 class TestExactRate:
@@ -37,9 +36,7 @@ class TestExactRate:
 @pytest.mark.parametrize("fn", [one_arm_lambda_exact,
                                 lambda k: build_adjoint_n2(k, 64),
                                 lambda k: build_fp_generator_n2(k, 64),
-                                lambda k: cs_ground_state(k, 64),
-                                lambda k: survival_probability(k, 1.0, 1.0),
-                                lambda k: survival_probability(k, 1.0, 0.0)])
+                                lambda k: cs_ground_state(k, 64)])
 def test_nonpositive_or_nan_kappa_rejected(fn, kappa):
     with pytest.raises(ValueError, match="kappa must be positive"):
         fn(kappa)
@@ -230,15 +227,6 @@ class TestSurvival:
         # the streamed solve keeps one column of the table; same bits
         assert survival_decay_rate(kappa) == reference_decay_rate(kappa)
 
-    @pytest.mark.parametrize("kappa", [5.0, 8.0])
-    def test_probability_matches_table(self, kappa):
-        times, table, grid = reference_survival_curve(kappa, 2.0, 256)
-        for k in (1, 37, 100, 200):
-            for theta0 in (1.0, math.pi, 5.5):
-                assert survival_probability(kappa, theta0, times[k],
-                                            m=256) == float(
-                    np.interp(theta0, grid, table[k]))
-
     def test_decay_rate_memory(self):
         # the table at kappa 4.5 would hold 33,556 x 512 floats (131 MiB)
         tracemalloc.start()
@@ -249,46 +237,16 @@ class TestSurvival:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
 
-    @pytest.mark.parametrize("kappa", [3.0, 6.0])
-    @pytest.mark.parametrize("t", [0.004, 0.015, 1e-16, 1.0 + 1e-4,
-                                   math.inf])
-    def test_rejects_time_off_the_step_grid(self, kappa, t):
-        with pytest.raises(ValueError, match="integer multiple"):
-            survival_probability(kappa, 1.0, t)
-
     @pytest.mark.parametrize("solve", [
         lambda: survival_decay_rate(4.001),  # 15.8 million steps
         lambda: survival_decay_rate(4.01),   # 1.59 million steps
-        lambda: survival_probability(6.0, math.pi, 1e5),  # 10 million steps
-    ], ids=["decay-4.001", "decay-4.01", "probability-t1e5"])
+    ], ids=["decay-4.001", "decay-4.01"])
     def test_rejects_solve_over_step_budget(self, solve):
         with pytest.raises(ValueError, match="more than the budget of "
                                              "1000000"):
             solve()
 
-    def test_time_zero(self):
-        assert survival_probability(6.0, 1.0, 0.0) == 1.0
-
-    def test_simple_phase_constant_one(self):
-        assert survival_probability(3.0, 1.0, 5.0) == 1.0
-        assert survival_probability(4.0, 2.0, 2.0) == 1.0
-
     def test_decay_rate_kappa6(self):
         rate = survival_decay_rate(6.0, m=512)
         exact = one_arm_lambda_exact(6.0)
         assert abs(rate - exact) / exact < 0.02
-
-    def test_monotone_in_time(self):
-        h1 = survival_probability(6.0, math.pi, 1.0, m=256)
-        h2 = survival_probability(6.0, math.pi, 3.0, m=256)
-        assert 0.0 < h2 < h1 <= 1.0
-
-    @pytest.mark.parametrize("kappa", [3.0, 6.0])
-    @pytest.mark.parametrize("t", [-1.0, math.nan])
-    def test_rejects_negative_or_nan_time(self, kappa, t):
-        with pytest.raises(ValueError, match="t must be nonnegative"):
-            survival_probability(kappa, 1.0, t)
-
-    def test_rejects_bad_theta(self):
-        with pytest.raises(ValueError):
-            survival_probability(6.0, 0.0, 1.0)
