@@ -36,7 +36,9 @@ class TestExactRate:
 @pytest.mark.parametrize("fn", [one_arm_lambda_exact,
                                 lambda k: build_adjoint_n2(k, 64),
                                 lambda k: build_fp_generator_n2(k, 64),
-                                lambda k: cs_ground_state(k, 64)])
+                                lambda k: cs_ground_state(k, 64),
+                                lambda k: adjoint_decay_rate(k, 64),
+                                lambda k: fp_equilibrium_residual(k, 64)])
 def test_nonpositive_or_nan_kappa_rejected(fn, kappa):
     with pytest.raises(ValueError, match="kappa must be positive"):
         fn(kappa)
