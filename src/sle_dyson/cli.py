@@ -1,14 +1,12 @@
 """Command-line harness: simulate, validate, spectrum, exponents, trace.
 
-Configuration is a flat key=value namespace per subcommand.  Precedence,
-lowest to highest: built-in defaults, a plain-text config file
-(``--config``, lines ``key = value``, '#' comments), environment
-variables ``SLE_<KEY>``, then command-line flags.  Unknown config-file
-keys are rejected outright.
+Each subcommand's options are its command-line flags alone, with the
+types, defaults and help of ``SCHEMAS``; a value of the wrong type exits
+with argparse's message naming the flag.
 
 All CSV output carries '#'-prefixed metadata lines and prints floats with
 17 significant digits so files round-trip bit-exactly; given the same
-seed and config, every output byte is reproducible.
+seed and flags, every output byte is reproducible.
 
 The library's rates are all in the half-speed LSW_HALF clock; ``spectrum
 --convention DYSON`` alone converts them, by the factor in ``CLOCKS``.
@@ -19,14 +17,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 from fractions import Fraction
 
 import numpy as np
 
-from . import __version__, dyson, exponents, loewner, spectral
-from .validation import ALL_CRITERIA, provenance, run_criteria
+from . import __version__, dyson, loewner
 
 FLOAT_FMT = ".17g"
 CLOCKS = {"LSW_HALF": 1.0, "DYSON": 2.0}  # rate factor of each clock
@@ -75,49 +71,6 @@ SCHEMAS = {
 }
 
 
-def _parse(schema: dict, key: str, val: str, where: str):
-    """Convert a config value to its schema type, or exit naming its source."""
-    typ = schema[key][0]
-    try:
-        return typ(val)
-    except ValueError:
-        raise SystemExit(f"{where}: {key} = {val!r} is not a valid "
-                         f"{typ.__name__}") from None
-
-
-def _read_config_file(path: str, schema: dict) -> dict:
-    out = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise SystemExit(f"{path}:{lineno}: expected key = value")
-            key, val = (s.strip() for s in line.split("=", 1))
-            if key not in schema:
-                raise SystemExit(f"{path}:{lineno}: unknown key '{key}'")
-            out[key] = _parse(schema, key, val, f"{path}:{lineno}")
-    return out
-
-
-def resolve_config(args: argparse.Namespace, schema: dict) -> dict:
-    """Defaults < config file < SLE_* environment < explicit flags."""
-    cfg = {k: v[1] for k, v in schema.items()}
-    if args.config:
-        cfg.update(_read_config_file(args.config, schema))
-    for key in schema:
-        var = f"SLE_{key.upper()}"
-        env = os.environ.get(var)
-        if env is not None:
-            cfg[key] = _parse(schema, key, env, var)
-    for key in schema:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    return cfg
-
-
 def _open_out(path):
     # stdout is borrowed, not owned: leaving the block must not close it
     return open(path, "w") if path else contextlib.nullcontext(sys.stdout)
@@ -139,13 +92,12 @@ def cmd_simulate(cfg: dict, out_path: str) -> int:
         seed=cfg["seed"], burn_in=cfg["burn_in"], thinning=cfg["thinning"])
     meta = {"version": __version__, "seed": params.seed,
             "kappa": params.kappa, "beta": params.beta,
-            "n_particles": params.n_particles, "dt": params.dt,
-            "burn_in": params.effective_burn_in,
-            "thinning": params.thinning}
+            "n_particles": params.n_particles, "dt": params.dt}
     names = [f"theta_{j + 1}" for j in range(params.n_particles)]
     if cfg["n_samples"] > 0:
         batch = dyson.sample_stationary(params, cfg["n_samples"])
-        meta["n_samples"] = cfg["n_samples"]
+        meta.update(burn_in=params.effective_burn_in,
+                    thinning=params.thinning, n_samples=cfg["n_samples"])
         meta.update((k, batch.meta[k]) for k in dyson.PATH_COUNTERS)
         header = ["sample", *names]
         rows = ([i, *row] for i, row in enumerate(batch.rows))
@@ -160,6 +112,7 @@ def cmd_simulate(cfg: dict, out_path: str) -> int:
 
 
 def cmd_validate(cfg: dict, out_path: str) -> int:
+    from .validation import ALL_CRITERIA, provenance, run_criteria
     if cfg["quick"] not in (0, 1):
         raise ValueError(f"quick must be 0 or 1, not {cfg['quick']}")
     only = None
@@ -191,6 +144,7 @@ def cmd_validate(cfg: dict, out_path: str) -> int:
 
 
 def cmd_spectrum(cfg: dict, out_path: str) -> int:
+    from . import spectral
     factor = CLOCKS.get(cfg["convention"])
     if factor is None:
         raise ValueError(f"unknown convention {cfg['convention']!r}; "
@@ -211,6 +165,7 @@ def cmd_spectrum(cfg: dict, out_path: str) -> int:
 
 
 def cmd_exponents(cfg: dict, out_path: str) -> int:
+    from . import exponents
     kappas = [Fraction(s.strip()) for s in cfg["kappas"].split(",")]
     table = exponents.exponent_table(kappas, p_max=cfg["p_max"])
     header = list(table[0].keys())
@@ -261,21 +216,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, schema in SCHEMAS.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", help="flat key = value config file")
         p.add_argument("-o", "--output",
                        help="output file (default: stdout)")
         for key, (typ, default, help_text) in schema.items():
             p.add_argument(f"--{key.replace('_', '-')}", dest=key,
-                           type=typ, default=None,
+                           type=typ, default=default,
                            help=f"{help_text} (default: {default})")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = resolve_config(args, SCHEMAS[args.command])
     try:
-        return COMMANDS[args.command](cfg, args.output)
+        return COMMANDS[args.command](vars(args), args.output)
     except ValueError as exc:
         raise SystemExit(f"{args.command}: {exc}") from None
 

@@ -270,7 +270,7 @@ def _integrate(x, kappa, dt, n_steps, rng, counts, trail=None):
                 idx = np.flatnonzero(near)
                 new[:, idx], ok[idx] = _pair_jump(
                     x[:, idx], gaps[:, idx], mu[:, idx], kappa, dt, rng)
-                n_jump = np.count_nonzero(ok[idx])
+                n_jump = int(np.count_nonzero(ok[idx]))
         rare = np.flatnonzero(~ok)
         counts["em_steps"] += c - rare.size - n_jump
         counts["pair_jumps"] += n_jump

@@ -73,8 +73,8 @@ def one_arm_lambda_exact(kappa: float) -> float:
     Zero at kappa = 4; below 4 the particles never meet and no decaying
     one-arm mode exists.
     """
-    if not kappa > 0.0:
-        raise ValueError("kappa must be positive")
+    if not 0.0 < kappa < math.inf:
+        raise ValueError("kappa must be positive and finite")
     if kappa < 4.0:
         raise ValueError("no decaying one-arm mode for kappa < 4")
     return (kappa * kappa - 16.0) / (32.0 * kappa)
@@ -96,8 +96,8 @@ def build_adjoint_n2(kappa: float, m: int) -> GridOperator:
     kappa <= 4 that exponent is nonpositive and only the regular (alpha=0)
     branch makes sense.  The far end 2*pi gets a Neumann ghost cell.
     """
-    if not kappa > 0.0:
-        raise ValueError("kappa must be positive")
+    if not 0.0 < kappa < math.inf:
+        raise ValueError("kappa must be positive and finite")
     th = _cell_grid(m)
     alpha = 1.0 - 4.0 / kappa if kappa > 4.0 else 0.0
     h = TWO_PI / m
@@ -180,8 +180,8 @@ def _fp_bands(kappa: float, m: int):
     kappa P' + V' P to second order; B > 0 keeps every off-diagonal
     product positive for all kappa > 0.
     """
-    if not kappa > 0.0:
-        raise ValueError("kappa must be positive")
+    if not 0.0 < kappa < math.inf:
+        raise ValueError("kappa must be positive and finite")
     h = TWO_PI / m
     delta = h * relative_potential_prime(np.arange(1, m) * h) / kappa
     upper = kappa / h ** 2 / exprel(-delta)  # L[f-1, f]

@@ -29,7 +29,7 @@ RNG_SEED = 20230
 
 def _paths(batch: dyson.SampleBatch) -> dict:
     """The sampler's PATH_COUNTERS for one batch."""
-    return {k: int(batch.meta[k]) for k in dyson.PATH_COUNTERS}
+    return {k: batch.meta[k] for k in dyson.PATH_COUNTERS}
 
 
 @dataclass(frozen=True)

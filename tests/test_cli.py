@@ -34,6 +34,8 @@ class TestSimulate:
         assert header == ["t", "theta_1", "theta_2"]
         assert meta["kappa"] == "2"
         assert len(rows) == 11
+        # a trajectory runs from t = 0: it has no burn-in and no thinning
+        assert "burn_in" not in meta and "thinning" not in meta
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -127,43 +129,29 @@ class TestSimulate:
      "simulate: thinning=0.4 is not an integer multiple of dt=0.3"),
     (["simulate", "--n-samples", "8", "--burn-in", "0.0009"],
      "simulate: burn_in=0.0009 is not an integer multiple of dt=0.002"),
+    (["spectrum", "--kappas", "inf"],
+     "spectrum: kappa must be positive and finite"),
 ])
 def test_bad_input_exits_with_command_and_message(args, problem):
     with pytest.raises(SystemExit, match=problem):
         main(args + ["-o", "/dev/null"])
 
 
-class TestConfigResolution:
-    def test_unknown_key_rejected(self, tmp_path):
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text("kappa = 3\nbogus = 1\n")
-        with pytest.raises(SystemExit):
-            main(["simulate", "--config", str(cfg), "-o", "/dev/null"])
+def test_options_come_from_flags_alone(tmp_path, monkeypatch):
+    monkeypatch.setenv("SLE_M", "16")
+    monkeypatch.setenv("SLE_KAPPA", "5")
+    spec, traj = tmp_path / "spec.csv", tmp_path / "traj.csv"
+    assert main(["spectrum", "--kappas", "6", "-o", str(spec)]) == 0
+    assert main(["simulate", "--t-end", "0.02", "-o", str(traj)]) == 0
+    assert read_csv(spec)[0]["m"] == "4096"
+    assert read_csv(traj)[0]["kappa"] == "2"
 
-    def test_bad_type_in_config_file(self, tmp_path):
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text("seed = 1\nkappa = three\n")
-        with pytest.raises(SystemExit, match=rf"{cfg}:2: kappa = 'three' "
-                                             r"is not a valid float"):
-            main(["simulate", "--config", str(cfg), "-o", "/dev/null"])
 
-    def test_bad_type_in_environment(self, monkeypatch):
-        monkeypatch.setenv("SLE_SEED", "1.5")
-        with pytest.raises(SystemExit, match=r"SLE_SEED: seed = '1.5' "
-                                             r"is not a valid int"):
-            main(["simulate", "-o", "/dev/null"])
-
-    def test_env_overrides_file_flag_overrides_env(self, tmp_path,
-                                                   monkeypatch):
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text("kappa = 3.0\nt_end = 0.01  # comment\n")
-        monkeypatch.setenv("SLE_KAPPA", "4.0")
-        out = tmp_path / "o.csv"
-        main(["simulate", "--config", str(cfg), "--kappa", "5.0",
-              "-o", str(out)])
-        meta, _, rows = read_csv(out)
-        assert meta["kappa"] == "5"          # flag beats env beats file
-        assert len(rows) == 6                # file t_end survives
+def test_bad_flag_type_names_the_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--seed", "1.5", "-o", "/dev/null"])
+    assert exc.value.code != 0
+    assert "--seed: invalid int value: '1.5'" in capsys.readouterr().err
 
 
 class TestSpectrum:

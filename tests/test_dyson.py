@@ -247,6 +247,7 @@ class TestStepping:
         # this configuration exercises the pair jump and the rare path
         assert meta["pair_jumps"] > 0 and meta["rare_steps"] > 0
         assert meta["rare_substeps"] >= meta["rare_steps"]
+        assert all(type(meta[k]) is int for k in PATH_COUNTERS)
 
     def test_pair_jump_across_the_wrap(self):
         # the nearest pair is (x_1, x_0 + 2*pi): the jump moves x_0 a little,

@@ -32,7 +32,7 @@ class TestExactRate:
             one_arm_lambda_exact(kappa)
 
 
-@pytest.mark.parametrize("kappa", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("kappa", [0.0, -1.0, math.nan, math.inf])
 @pytest.mark.parametrize("fn", [one_arm_lambda_exact,
                                 lambda k: build_adjoint_n2(k, 64),
                                 lambda k: build_fp_generator_n2(k, 64),
