@@ -41,11 +41,11 @@ SCHEMAS = {
         "kappa": (float, 2.0, "diffusion parameter"),
         "seed": (int, 0, "RNG seed"),
         "dt": (float, 2e-3, "nominal time step"),
-        "t_end": (float, 1.0, "trajectory length (trajectory mode)"),
+        "t_end": (float, None, "trajectory length; omitted = 1"),
         "n_samples": (int, 0, "if > 0, emit stationary samples instead"),
         "burn_in": (float, None,
                     "burn-in time; omitted = 10 + 2 ln N on the dt grid"),
-        "thinning": (float, 0.4, "time between retained samples"),
+        "thinning": (float, None, "time between samples; omitted = 0.4"),
     },
     "validate": {
         "quick": (int, 0, "1 = reduced samples, looser KS bounds; 0 = full"),
@@ -87,14 +87,20 @@ def _write_csv(fh, meta: dict, header: list, rows):
 def cmd_simulate(cfg: dict, out_path: str) -> int:
     if cfg["n_samples"] < 0:
         raise ValueError("n_samples must be >= 0")
+    sampling = cfg["n_samples"] > 0
+    for key in ("t_end",) if sampling else ("burn_in", "thinning"):
+        if cfg[key] is not None:
+            raise ValueError(f"--{key.replace('_', '-')} is read only when "
+                             f"--n-samples is {'0' if sampling else '> 0'}")
+    given = {k: cfg[k] for k in ("burn_in", "thinning") if cfg[k] is not None}
     params = dyson.ProcessParams(
         n_particles=cfg["n_particles"], kappa=cfg["kappa"], dt=cfg["dt"],
-        seed=cfg["seed"], burn_in=cfg["burn_in"], thinning=cfg["thinning"])
+        seed=cfg["seed"], **given)
     meta = {"version": __version__, "seed": params.seed,
             "kappa": params.kappa, "beta": params.beta,
             "n_particles": params.n_particles, "dt": params.dt}
     names = [f"theta_{j + 1}" for j in range(params.n_particles)]
-    if cfg["n_samples"] > 0:
+    if sampling:
         batch = dyson.sample_stationary(params, cfg["n_samples"])
         meta.update(burn_in=params.effective_burn_in,
                     thinning=params.thinning, n_samples=cfg["n_samples"])
@@ -102,8 +108,9 @@ def cmd_simulate(cfg: dict, out_path: str) -> int:
         header = ["sample", *names]
         rows = ([i, *row] for i, row in enumerate(batch.rows))
     else:
-        rec = dyson.simulate(params, cfg["t_end"])
-        meta["t_end"] = cfg["t_end"]
+        t_end = 1.0 if cfg["t_end"] is None else cfg["t_end"]
+        rec = dyson.simulate(params, t_end)
+        meta["t_end"] = t_end
         header = ["t", *names]
         rows = ([t, *row] for t, row in zip(rec.times, rec.states))
     with _open_out(out_path) as fh:

@@ -1,6 +1,7 @@
 """Reduced two-particle operators on the relative angle theta in (0, 2*pi).
 
-Two banded discretizations of the same diffusion, in one place:
+Two tridiagonal discretizations of the same diffusion, in one place, each
+held as its three bands and solved by LAPACK's tridiagonal routines:
 
 * the backward (first-passage) generator acting on observables,
   (kappa/2) h'' + cot(theta/2) h'  in the half-speed clock, collocated on
@@ -12,6 +13,7 @@ Two banded discretizations of the same diffusion, in one place:
 The Calogero-Sutherland Hamiltonian is not discretized separately: it is
 the symmetrized fitted generator, -D^{-1/2} L D^{1/2} with the diagonal D
 that makes it symmetric, so it shares the generator's spectrum exactly.
+The backward generator is symmetrized the same way for its eigensolve.
 
 The lowest decaying mode of the backward generator on the singular branch
 theta^{1-4/kappa} has the closed-form rate (kappa^2-16)/(32 kappa), which
@@ -27,9 +29,8 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.special import exprel
 
 TWO_PI = 2.0 * math.pi
@@ -44,20 +45,19 @@ FP_RESIDUAL_WINDOW = (np.pi / 4.0, 7.0 * np.pi / 4.0)  # theta of FP residual
 
 @dataclass(frozen=True)
 class GridOperator:
-    """A finite-difference operator with its collocation grid.
+    """A finite-difference operator S^{-1} T S with its collocation grid.
 
-    ``grid`` holds the cell-centred nodes (i+1/2)h on (0, 2*pi).
+    ``grid`` holds the cell-centred nodes (i+1/2)h on (0, 2*pi).  T is the
+    tridiagonal matrix with sub-, main and super-diagonal ``lower``,
+    ``diag`` and ``upper``, and S = I + c e_0 e_1^T, so the operator and T
+    share their spectrum and every eigenvector entry but the first.
     """
 
     grid: np.ndarray
-    matrix: object  # scipy sparse, banded
-
-    def __post_init__(self):
-        m = self.grid.size
-        if m < 16:
-            raise ValueError("need at least 16 grid nodes")
-        if self.matrix.shape != (m, m):
-            raise ValueError("matrix must be square over the grid")
+    lower: np.ndarray
+    diag: np.ndarray
+    upper: np.ndarray
+    c: float = 0.0
 
 
 def _cell_grid(m: int) -> np.ndarray:
@@ -95,6 +95,10 @@ def build_adjoint_n2(kappa: float, m: int) -> GridOperator:
     which keeps the scheme second order through the singular endpoint; for
     kappa <= 4 that exponent is nonpositive and only the regular (alpha=0)
     branch makes sense.  The far end 2*pi gets a Neumann ghost cell.
+
+    Rows 0 and 1 share the one-sided stencil on nodes 0-2, so the matrix A
+    has one entry off its bands, A[0, 2]; c = -A[0, 2] / A[1, 2] clears it,
+    and the bands returned are those of T = S A S^{-1}.
     """
     if not 0.0 < kappa < math.inf:
         raise ValueError("kappa must be positive and finite")
@@ -119,29 +123,37 @@ def build_adjoint_n2(kappa: float, m: int) -> GridOperator:
                             + 2.0 * alpha * d1 / x + d2)
              + (alpha * ell / x + d1) / np.tan(x / 2.0))
             * (x / pts) ** alpha)
-    rows = np.repeat(np.arange(m), 3)
-    a = sp.csc_matrix((vals.ravel(), (rows, np.minimum(idx, m - 1).ravel())),
-                      shape=(m, m))
-    return GridOperator(grid=th, matrix=a)
+    # row i holds A[i, i-1], A[i, i], A[i, i+1], except row 0 (A[0, 0..2])
+    # and row m-1, whose ghost column folds into the diagonal
+    lower, diag, upper = vals[1:, 0], vals[:, 1].copy(), vals[:-1, 2].copy()
+    diag[-1] += vals[-1, 2]
+    # S A S^{-1}: row 0 += c row 1, then column 1 -= c column 0
+    c = -vals[0, 2] / vals[1, 2]
+    diag[0], upper[0] = vals[0, :2] + c * vals[1, :2]
+    upper[0] -= c * diag[0]
+    diag[1] -= c * lower[0]
+    return GridOperator(th, lower, diag, upper, c)
 
 
 def lowest_eigenpair(op: GridOperator) -> tuple[float, np.ndarray]:
     """Slowest decaying mode of the operator: (decay rate, eigenfunction).
 
-    The decay rate is minus the largest real eigenvalue.  The eigenvector
-    is scaled to max-norm 1 with positive sign at its interior maximum.
-    Shift-invert Arnoldi from a fixed start vector, so reruns are
-    bit-identical.
+    The decay rate is minus the largest eigenvalue.  The bands are
+    symmetrized by a diagonal similarity, as in cs_ground_state, and solved
+    by LAPACK bisection and inverse iteration, so reruns are bit-identical.
+    The eigenvector is scaled to max-norm 1 with positive sign at its
+    interior maximum.  Raises ValueError where an off-diagonal product
+    T[i+1, i] T[i, i+1] is not positive, so that no such similarity exists:
+    on the regular branch, for kappa below about 1.35.
     """
-    vals, vecs = spla.eigs(sp.csc_matrix(op.matrix), k=4, sigma=0.5,
-                           v0=np.ones(op.grid.size))
-    pick = int(np.argmax(vals.real))
-    lam, vec = vals[pick], vecs[:, pick]
-    if abs(lam.imag) > 1e-8 * max(1.0, abs(lam.real)):
-        raise ArithmeticError("leading eigenvalue is not real")
-    vec = vec.real
-    vec = vec / vec[np.argmax(np.abs(vec))]
-    return float(-lam.real), vec
+    prod = op.lower * op.upper
+    if not np.all(prod > 0.0):
+        raise ValueError("an off-diagonal product is not positive")
+    off = np.sqrt(prod)
+    lam, y = eigh_tridiagonal(-op.diag, -off, select="i", select_range=(0, 0))
+    vec = np.cumprod(np.append(1.0, off / op.upper)) * y[:, 0]
+    vec[0] -= op.c * vec[1]
+    return float(lam[0]), vec / vec[np.argmax(np.abs(vec))]
 
 
 def adjoint_decay_rate(kappa: float, m: int) -> float:
@@ -167,42 +179,31 @@ def relative_potential_prime(theta):
     return -2.0 / np.tan(np.asarray(theta, dtype=float) / 2.0)
 
 
-def _fp_bands(kappa: float, m: int):
-    """Sub-, main and super-diagonal of the fitted density generator.
+def build_fp_generator_n2(kappa: float, m: int) -> GridOperator:
+    """Density-evolution matrix d/dth(V' P + kappa P') in flux form.
 
-    Cell i sees (F_{i+1} - F_i)/h, with the Scharfetter-Gummel flux through
-    face f (between cells f-1 and f, at theta_f = f h)
+    Finite volumes on cell-centred nodes: cell i sees (F_{i+1} - F_i)/h,
+    with the Scharfetter-Gummel flux through face f (between cells f-1
+    and f, at theta_f = f h)
 
         F_f = (kappa/h) [B(-delta_f) P_f - B(delta_f) P_{f-1}],
         delta_f = h V'(theta_f) / kappa,   B(x) = x / (e^x - 1),
 
     and zero flux through both ends.  B(-x) - B(x) = x, so F_f is
-    kappa P' + V' P to second order; B > 0 keeps every off-diagonal
-    product positive for all kappa > 0.
+    kappa P' + V' P to second order and the matrix annihilates the
+    stationary density to second order; its columns sum to zero, so it
+    conserves total mass exactly; B > 0 keeps every off-diagonal product
+    positive for all kappa > 0.
     """
+    th = _cell_grid(m)
     if not 0.0 < kappa < math.inf:
         raise ValueError("kappa must be positive and finite")
     h = TWO_PI / m
     delta = h * relative_potential_prime(np.arange(1, m) * h) / kappa
     upper = kappa / h ** 2 / exprel(-delta)  # L[f-1, f]
     lower = kappa / h ** 2 / exprel(delta)   # L[f, f-1]
-    # columns sum to zero: mass is conserved exactly
     diag = -(np.append(lower, 0.0) + np.insert(upper, 0, 0.0))
-    return lower, diag, upper
-
-
-def build_fp_generator_n2(kappa: float, m: int) -> GridOperator:
-    """Density-evolution matrix d/dth(V' P + kappa P') in flux form.
-
-    Finite volumes on cell-centred nodes with an exponentially fitted flux
-    and zero flux through both ends, so the matrix conserves total mass
-    exactly (columns sum to zero) and annihilates the stationary density to
-    second order.
-    """
-    th = _cell_grid(m)
-    lower, diag, upper = _fp_bands(kappa, m)
-    mat = sp.diags([lower, diag, upper], offsets=[-1, 0, 1], format="csr")
-    return GridOperator(grid=th, matrix=mat)
+    return GridOperator(th, lower, diag, upper)
 
 
 def stationary_gap_density(kappa: float, theta) -> np.ndarray:
@@ -218,7 +219,10 @@ def fp_equilibrium_residual(kappa: float, m: int) -> float:
     survives, while on any interior window the residual is O(h^2).
     """
     op = build_fp_generator_n2(kappa, m)
-    res = op.matrix @ stationary_gap_density(kappa, op.grid)
+    p = stationary_gap_density(kappa, op.grid)
+    res = op.diag * p
+    res[1:] += op.lower * p[:-1]
+    res[:-1] += op.upper * p[1:]
     lo, hi = FP_RESIDUAL_WINDOW
     mask = (op.grid > lo) & (op.grid < hi)
     return float(np.max(np.abs(res[mask])))
@@ -240,11 +244,10 @@ def cs_ground_state(kappa: float, m: int, n_states: int = 2):
     eigenvalue zero, and H and -L share their spectrum, which approximates
     Sutherland's E_n = n + kappa n^2 / 4.  Returns (values, vectors, grid).
     """
-    th = _cell_grid(m)
-    lower, diag, upper = _fp_bands(kappa, m)
-    vals, vecs = eigh_tridiagonal(-diag, -np.sqrt(lower * upper), select="i",
-                                  select_range=(0, n_states - 1))
-    return vals, vecs, th
+    op = build_fp_generator_n2(kappa, m)
+    vals, vecs = eigh_tridiagonal(-op.diag, -np.sqrt(op.lower * op.upper),
+                                  select="i", select_range=(0, n_states - 1))
+    return vals, vecs, op.grid
 
 
 def normalized_overlap(u, v) -> float:
@@ -258,7 +261,9 @@ def survival_decay_rate(kappa: float, m: int = 512) -> float:
 
     Implicit Euler on the backward generator from h = 1, in steps of
     SURVIVAL_DT, keeping h at the node nearest DECAY_THETA0; least squares
-    on log h over the steps where h lies in DECAY_FIT_RANGE.  Raises
+    on log h over the steps where h lies in DECAY_FIT_RANGE.  The steps
+    run on the bands T from S 1, with I - SURVIVAL_DT T factored once by
+    LAPACK dgttrf; S changes node 0 only, so h[j] is A's own.  Raises
     ValueError when the solve needs more than MAX_SURVIVAL_STEPS steps.
     Each step damps the slowest mode by 1/(1 + lambda SURVIVAL_DT), not
     e^{-lambda SURVIVAL_DT}, so the result reads low against
@@ -277,11 +282,12 @@ def survival_decay_rate(kappa: float, m: int = 512) -> float:
                          f"{MAX_SURVIVAL_STEPS}")
     op = build_adjoint_n2(kappa, m)
     j = int(np.argmin(np.abs(op.grid - DECAY_THETA0)))
-    lu = spla.splu(sp.identity(m, format="csc") - SURVIVAL_DT * op.matrix)
-    h = np.ones(m)
+    lu = dgttrf(-SURVIVAL_DT * op.lower, 1.0 - SURVIVAL_DT * op.diag,
+                -SURVIVAL_DT * op.upper)[:5]
+    h = np.append(1.0 + op.c, np.ones(m - 1))  # S 1
     hvals = np.empty(n_steps)
     for i in range(n_steps):
-        h = lu.solve(h)
+        h = dgttrs(*lu, h)[0]
         hvals[i] = h[j]
     k = np.flatnonzero((hvals > lo) & (hvals < hi))  # hvals[k]: step k + 1
     if k.size < 10:

@@ -131,6 +131,14 @@ class TestSimulate:
      "simulate: burn_in=0.0009 is not an integer multiple of dt=0.002"),
     (["spectrum", "--kappas", "inf"],
      "spectrum: kappa must be positive and finite"),
+    (["simulate", "--t-end", "0.02", "--burn-in", "5"],
+     "simulate: --burn-in is read only when --n-samples is > 0"),
+    (["simulate", "--t-end", "0.02", "--thinning", "0.7"],
+     "simulate: --thinning is read only when --n-samples is > 0"),
+    (["simulate", "--n-samples", "0", "--burn-in", "1"],
+     "simulate: --burn-in is read only when --n-samples is > 0"),
+    (["simulate", "--n-samples", "8", "--t-end", "0.02"],
+     "simulate: --t-end is read only when --n-samples is 0"),
 ])
 def test_bad_input_exits_with_command_and_message(args, problem):
     with pytest.raises(SystemExit, match=problem):

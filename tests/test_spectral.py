@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from sle_dyson.spectral import (SURVIVAL_DT, TWO_PI, GridOperator,
                                 adjoint_decay_rate,
@@ -16,6 +17,17 @@ from sle_dyson.spectral import (SURVIVAL_DT, TWO_PI, GridOperator,
                                 one_arm_lambda_exact,
                                 relative_potential_prime,
                                 stationary_gap_density, survival_decay_rate)
+
+
+def dense(op):
+    """The operator as a dense matrix, S^{-1} T S with S = I + c e_0 e_1^T,
+    rebuilt from its bands."""
+    t = np.diag(op.diag) + np.diag(op.lower, -1) + np.diag(op.upper, 1)
+    s = np.eye(op.grid.size)
+    s[0, 1] = op.c
+    s_inv = np.eye(op.grid.size)
+    s_inv[0, 1] = -op.c
+    return s_inv @ t @ s
 
 
 class TestExactRate:
@@ -56,7 +68,7 @@ def test_small_grid_rejected(fn, m):
 class TestAdjointOperator:
     def test_constant_annihilated_on_regular_branch(self):
         op = build_adjoint_n2(3.0, 64)
-        assert np.max(np.abs(op.matrix @ np.ones(64))) < 1e-10
+        assert np.max(np.abs(dense(op) @ np.ones(64))) < 1e-10
 
     def test_minimum_grid_size(self):
         with pytest.raises(ValueError):
@@ -67,6 +79,12 @@ class TestAdjointOperator:
     def test_decay_rate(self, kappa, exact):
         assert adjoint_decay_rate(kappa, 512) == pytest.approx(exact,
                                                                abs=1e-3)
+
+    @pytest.mark.parametrize("kappa", [4.5, 5.0, 6.0, 8.0, 20.0, 100.0,
+                                       1000.0])
+    def test_decay_rate_kappa_sweep(self, kappa):
+        exact = one_arm_lambda_exact(kappa)
+        assert abs(adjoint_decay_rate(kappa, 512) - exact) < 2e-6 * exact
 
     def test_eigenfunction_shape(self):
         op = build_adjoint_n2(6.0, 512)
@@ -100,7 +118,7 @@ class TestAdjointOperator:
                        - (o[0] + o[1]) * apply_pow(alpha + 1, th[i])
                        + o[0] * o[1] * apply_pow(alpha, th[i])) / den
                 ref[i, min(j, m - 1)] += val / th[j] ** alpha
-        got = build_adjoint_n2(kappa, m).matrix.toarray()
+        got = dense(build_adjoint_n2(kappa, m))
         assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
@@ -109,11 +127,11 @@ class TestLowestEigenpair:
         # pure second derivative with reflecting ends: rate 0, constant mode
         m = 64
         h = TWO_PI / m
-        lap = (np.diag(-2.0 * np.ones(m)) + np.diag(np.ones(m - 1), 1)
-               + np.diag(np.ones(m - 1), -1)) / h ** 2
-        lap[0, 0] += 1.0 / h ** 2
-        lap[-1, -1] += 1.0 / h ** 2
-        op = GridOperator(grid=(np.arange(m) + 0.5) * h, matrix=lap)
+        diag = -2.0 * np.ones(m) / h ** 2
+        diag[[0, -1]] += 1.0 / h ** 2
+        off = np.ones(m - 1) / h ** 2
+        op = GridOperator(grid=(np.arange(m) + 0.5) * h, lower=off,
+                          diag=diag, upper=off)
         lam, vec = lowest_eigenpair(op)
         assert lam == pytest.approx(0.0, abs=1e-10)
         assert np.max(np.abs(vec - 1.0)) < 1e-8
@@ -123,6 +141,13 @@ class TestLowestEigenpair:
         _, vec = lowest_eigenpair(op)
         assert np.max(np.abs(vec)) == pytest.approx(1.0)
         assert vec[np.argmax(np.abs(vec))] > 0.0
+
+    def test_no_real_symmetrization_rejected(self):
+        # regular branch at kappa = 1: central differencing makes an
+        # off-diagonal product negative next to an end
+        with pytest.raises(ValueError, match="off-diagonal product is not "
+                                             "positive"):
+            lowest_eigenpair(build_adjoint_n2(1.0, 64))
 
     def test_reruns_bit_identical(self):
         op = build_adjoint_n2(6.0, 1024)
@@ -135,7 +160,7 @@ class TestLowestEigenpair:
 class TestFpGenerator:
     def test_mass_conservation(self):
         op = build_fp_generator_n2(3.0, 128)
-        assert np.max(np.abs(op.matrix.sum(axis=0))) < 1e-10
+        assert np.max(np.abs(dense(op).sum(axis=0))) < 1e-10
 
     @pytest.mark.parametrize("kappa", [2.0, 4.0, 6.0])
     def test_equilibrium_residual_order(self, kappa):
@@ -157,7 +182,7 @@ class TestFpGenerator:
         g = np.exp(-(th - np.pi) ** 2)
         g1 = -2.0 * (th - np.pi) * g
         g2 = (-2.0 + 4.0 * (th - np.pi) ** 2) * g
-        lhs = op.matrix.T @ g
+        lhs = dense(op).T @ g
         rhs = kappa * g2 - relative_potential_prime(th) * g1
         inner = (th > 1.0) & (th < 5.0)
         assert np.max(np.abs(lhs - rhs)[inner]) < 1e-3
@@ -193,7 +218,9 @@ class TestCsHamiltonian:
         # the density generator on mean-zero densities
         vals, _, _ = cs_ground_state(2.0, 4096)
         gap = vals[1] - vals[0]
-        L = sp.csc_matrix(build_fp_generator_n2(2.0, 4096).matrix)
+        op = build_fp_generator_n2(2.0, 4096)
+        L = sp.diags([op.lower, op.diag, op.upper], offsets=[-1, 0, 1],
+                     format="csc")
         w = spla.eigs(L, k=4, sigma=-gap * 1.05, return_eigenvectors=False)
         decay = -np.max(w.real[w.real < -1e-6])
         assert abs(gap - decay) < 1e-3
@@ -201,14 +228,18 @@ class TestCsHamiltonian:
 
 def reference_survival_curve(kappa, t_max, m):
     """Implicit Euler on the backward generator from h = 1, every step kept:
-    (times, h table of shape (steps + 1, m), grid)."""
+    (times, h table of shape (steps + 1, m), grid).  The steps run on the
+    bands T from S 1, and each row is mapped back by S^{-1}."""
     op = build_adjoint_n2(kappa, m)
-    lu = spla.splu(sp.identity(m, format="csc") - SURVIVAL_DT * op.matrix)
+    lu = dgttrf(-SURVIVAL_DT * op.lower, 1.0 - SURVIVAL_DT * op.diag,
+                -SURVIVAL_DT * op.upper)[:5]
     n_steps = int(round(t_max / SURVIVAL_DT))
     out = np.empty((n_steps + 1, m))
     out[0] = 1.0
+    out[0, 0] += op.c
     for k in range(n_steps):
-        out[k + 1] = lu.solve(out[k])
+        out[k + 1] = dgttrs(*lu, out[k])[0]
+    out[:, 0] -= op.c * out[:, 1]
     return np.arange(n_steps + 1) * SURVIVAL_DT, out, op.grid
 
 
