@@ -124,12 +124,12 @@ def cmd_validate(cfg: dict, out_path: str) -> int:
         raise ValueError(f"quick must be 0 or 1, not {cfg['quick']}")
     only = None
     if cfg["criteria"]:
-        n = len(ALL_CRITERIA)
         ids = [s.strip() for s in cfg["criteria"].split(",")]
-        bad = [s for s in ids if not (s.isdecimal() and 1 <= int(s) <= n)]
+        bad = [s for s in ids
+               if not (s.isdecimal() and int(s) in ALL_CRITERIA)]
         if bad:
-            raise ValueError(f"unknown criterion id(s) {bad}; "
-                             f"valid ids are 1 to {n}")
+            raise ValueError(f"unknown criterion id(s) {bad}; valid ids are "
+                             f"{', '.join(map(str, ALL_CRITERIA))}")
         only = {int(s) for s in ids}
     results = run_criteria(quick=bool(cfg["quick"]), only=only)
     report = {

@@ -84,6 +84,8 @@ def h21(kappa) -> Fraction:
 
 def exponent_table(kappas, p_max: int = 4):
     """Rows (kappa, beta_dyson, h21, fusion_2..p_max) as exact fractions."""
+    if not isinstance(p_max, int) or p_max < 2:
+        raise ValueError("p_max must be an integer >= 2")
     rows = []
     for kap in kappas:
         kap = _as_fraction(kap)

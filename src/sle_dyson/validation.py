@@ -1,9 +1,10 @@
-"""End-to-end validation suite: ten numbered criteria with pinned thresholds.
+"""End-to-end validation suite: nine numbered criteria with pinned thresholds.
 
 Each runner returns a :class:`CriterionResult` whose ``value`` is the
 measured statistic and whose ``threshold`` is the pinned bound; ``passed``
 is derived, never asserted by fiat.  The CLI ``validate`` subcommand and
-the acceptance test module both dispatch through :func:`run_criteria`.
+the acceptance test module both take the runners, keyed by criterion id,
+from :data:`ALL_CRITERIA`.
 
 ``quick=True`` trades statistical resolution for speed on the two
 Monte-Carlo criteria only (fewer samples, correspondingly looser KS
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-import math
 from pathlib import Path
 import subprocess
 import time
@@ -149,25 +149,16 @@ def criterion_6_similarity_ground_state(quick: bool = False) -> CriterionResult:
                            {"kappa": kappa, "overlap": overlap})
 
 
-def criterion_7_derivative_at_origin(quick: bool = False) -> CriterionResult:
-    """|G_t'(0)| = e^{N t} along simulated drives, N in {1, 2, 3}."""
-    per = {}
-    for n in (1, 2, 3):
-        params = dyson.ProcessParams(n_particles=n, kappa=4.0, dt=1e-3,
-                                     seed=RNG_SEED + n)
-        rec = dyson.simulate(params, t_end=0.5)
-        drive = loewner.DriveHistory.from_trajectory(rec)
-        rel = max(abs(loewner.derivative_at_origin(drive, t)
-                      - math.exp(n * t)) / math.exp(n * t)
-                  for t in (0.25, 0.5))
-        per[f"n={n}"] = rel
-    worst = max(per.values())
-    return CriterionResult(7, "derivative_at_origin", worst, 1e-3,
-                           worst < 1e-3, per)
-
-
 def criterion_8_composition_defect(quick: bool = False) -> CriterionResult:
-    """Joint vs sequential one-step defect contracts at slope 2 in dt."""
+    """Joint vs sequential one-step defect contracts at slope 2 in dt.
+
+    This checks the order of the splitting, not the drift it splits: any
+    first-order splitting has an O(dt^2) one-step defect, and the noise
+    enters only as exact rotations, so the slope stays near 2 whatever
+    coefficient multiplies the other drivers' drift dt / tan((th_k -
+    th_j)/2) in composition_defect (0, 5 and -3 in place of 1 give 2.00,
+    2.02 and 2.01).
+    """
     rng = np.random.default_rng(RNG_SEED)
     config = dyson.equally_spaced(3, offset=0.4)
     probes = np.array([0.3 + 0.2j, -0.5j, 0.1 - 0.6j])
@@ -222,24 +213,24 @@ def criterion_10_gradient_consistency(quick: bool = False) -> CriterionResult:
                            worst < 1e-5)
 
 
-ALL_CRITERIA = (
-    criterion_1_stationary_law,
-    criterion_2_classical_beta,
-    criterion_3_one_arm_eigenvalue,
-    criterion_4_eigenfunction,
-    criterion_5_stationarity_residual,
-    criterion_6_similarity_ground_state,
-    criterion_7_derivative_at_origin,
-    criterion_8_composition_defect,
-    criterion_9_exponent_identities,
-    criterion_10_gradient_consistency,
-)
+ALL_CRITERIA = {
+    1: criterion_1_stationary_law,
+    2: criterion_2_classical_beta,
+    3: criterion_3_one_arm_eigenvalue,
+    4: criterion_4_eigenfunction,
+    5: criterion_5_stationarity_residual,
+    6: criterion_6_similarity_ground_state,
+    8: criterion_8_composition_defect,
+    9: criterion_9_exponent_identities,
+    10: criterion_10_gradient_consistency,
+}  # id -> runner; the ids are cited labels, never renumbered
 
 
 def run_criteria(quick: bool = False, only=None) -> list[CriterionResult]:
-    """Run the numbered criteria (all by default) and collect results."""
+    """Run the criteria whose ids are in ``only`` (all by default) and
+    collect results."""
     results = []
-    for cid, fn in enumerate(ALL_CRITERIA, start=1):
+    for cid, fn in ALL_CRITERIA.items():
         if only is not None and cid not in only:
             continue
         start = time.perf_counter()

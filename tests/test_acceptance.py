@@ -1,4 +1,4 @@
-"""Acceptance gate: the ten numbered end-to-end criteria, full strength.
+"""Acceptance gate: the nine numbered end-to-end criteria, full strength.
 
 Each test runs one criterion through the shared runners in
 ``sle_dyson.validation`` (the same code path as ``sle-dyson validate``)
@@ -12,10 +12,12 @@ from sle_dyson.validation import ALL_CRITERIA
 
 
 @pytest.mark.parametrize(
-    "runner", ALL_CRITERIA,
-    ids=[fn.__name__.replace("criterion_", "c") for fn in ALL_CRITERIA])
-def test_criterion(runner):
+    "cid, runner", ALL_CRITERIA.items(),
+    ids=[fn.__name__.replace("criterion_", "c")
+         for fn in ALL_CRITERIA.values()])
+def test_criterion(cid, runner):
     res = runner(quick=False)
+    assert res.criterion_id == cid
     verdict = "PASS" if res.passed else "FAIL"
     line = (f"criterion {res.criterion_id}: {res.name} "
             f"value={res.value:.6g} threshold={res.threshold:g} {verdict}")

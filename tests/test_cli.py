@@ -139,6 +139,8 @@ class TestSimulate:
      "simulate: --burn-in is read only when --n-samples is > 0"),
     (["simulate", "--n-samples", "8", "--t-end", "0.02"],
      "simulate: --t-end is read only when --n-samples is 0"),
+    (["exponents", "--p-max", "1"],
+     "exponents: p_max must be an integer >= 2"),
 ])
 def test_bad_input_exits_with_command_and_message(args, problem):
     with pytest.raises(SystemExit, match=problem):
@@ -288,7 +290,14 @@ class TestValidate:
         assert c2["value"] == max(e["d"] / e["threshold"]
                                   for e in c2["detail"].values())
 
-    @pytest.mark.parametrize("criteria", ["11", ",", "0", "3,x"])
+    @pytest.mark.parametrize("criteria", ["11", ",", "0", "3,x", "7"])
     def test_unknown_criteria_rejected(self, criteria):
-        with pytest.raises(SystemExit, match="valid ids are 1 to 10"):
+        with pytest.raises(SystemExit,
+                           match="valid ids are 1, 2, 3, 4, 5, 6, 8, 9, 10$"):
             main(["validate", "--criteria", criteria, "-o", "/dev/null"])
+
+    def test_criteria_selected_by_id(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["validate", "--criteria", "8", "-o", str(out)]) == 0
+        results = json.loads(out.read_text())["results"]
+        assert [r["criterion_id"] for r in results] == [8]

@@ -82,3 +82,9 @@ def test_exponent_table_contents():
     assert rows[0]["beta_dyson"] == F(3, 2)
     assert rows[1]["h21"] == 0
     assert rows[0]["fusion_3"] == fusion_exponent(3, F(8, 3))
+
+
+@pytest.mark.parametrize("p_max", [1, 0, -3])
+def test_exponent_table_rejects_p_max_below_two(p_max):
+    with pytest.raises(ValueError, match="p_max must be an integer >= 2"):
+        exponent_table([F(8, 3)], p_max=p_max)

@@ -8,7 +8,7 @@ from sle_dyson.dyson import (AngleConfig, ProcessParams, equally_spaced,
                              simulate, wrap_angle)
 from sle_dyson.loewner import (DriveHistory, PointStatus,
                                composition_defect, composition_defect_slope,
-                               derivative_at_origin, joint_rhs, trace_points)
+                               joint_rhs, trace_points)
 
 
 @pytest.fixture(scope="module")
@@ -152,24 +152,6 @@ class TestDriveHistory:
                             [0.0, 0.7]])
         np.testing.assert_array_equal(dh.drivers_at(t),
                                       interp_reference(dh, t))
-
-
-class TestDerivativeAtOrigin:
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_exponential_rate(self, n):
-        dh = DriveHistory.constant(equally_spaced(n), 0.5)
-        for t in (0.1, 0.5):
-            assert derivative_at_origin(dh, t) == pytest.approx(
-                math.exp(n * t), rel=1e-6)
-
-    def test_random_drive(self, drive):
-        # the rate depends only on the number of curves, not the drive
-        assert derivative_at_origin(drive, 0.3) == pytest.approx(
-            math.exp(3 * 0.3), rel=1e-6)
-
-    def test_rejects_negative_time(self, drive):
-        with pytest.raises(ValueError):
-            derivative_at_origin(drive, -1.0)
 
 
 class TestTraceLandsOnDriver:
