@@ -173,7 +173,11 @@ def cmd_spectrum(cfg: dict, out_path: str) -> int:
 
 def cmd_exponents(cfg: dict, out_path: str) -> int:
     from . import exponents
-    kappas = [Fraction(s.strip()) for s in cfg["kappas"].split(",")]
+    try:
+        kappas = [Fraction(s.strip()) for s in cfg["kappas"].split(",")]
+    except ZeroDivisionError:
+        raise ValueError(f"kappas {cfg['kappas']!r} has a zero "
+                         "denominator") from None
     table = exponents.exponent_table(kappas, p_max=cfg["p_max"])
     header = list(table[0].keys())
     rows = [[str(row[k]) for k in header] for row in table]

@@ -134,11 +134,10 @@ class ProcessParams:
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    """Time-stamped states of one trajectory, replayable from the seed."""
+    """Time-stamped states of one trajectory from ``simulate``."""
 
     times: np.ndarray
     states: np.ndarray  # shape (len(times), N)
-    params: ProcessParams
 
 
 def equally_spaced(n: int, offset: float = 0.0) -> AngleConfig:
@@ -350,7 +349,7 @@ def simulate(params: ProcessParams, t_end: float,
     states = np.empty((n_steps + 1, params.n_particles))
     states[:, order] = wrap_angle(trail[:, :, 0])
     return TrajectoryRecord(times=np.arange(n_steps + 1) * params.dt,
-                            states=states, params=params)
+                            states=states)
 
 
 @dataclass(frozen=True)

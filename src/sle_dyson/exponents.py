@@ -27,26 +27,26 @@ class BetaConvention(Enum):
     CORRECTED_8_OVER_KAPPA = 8
 
 
-def _as_fraction(x) -> Fraction:
+def _positive(x, name: str) -> Fraction:
+    """x as an exact Fraction; floats and x <= 0 are rejected."""
     if isinstance(x, float):
         raise TypeError("exact arithmetic only: pass int, Fraction or str")
-    return Fraction(x)
+    x = Fraction(x)
+    if x <= 0:
+        raise ValueError(f"{name} must be positive")
+    return x
 
 
 def beta_from_kappa(kappa, convention: BetaConvention
                     = BetaConvention.DYSON_4_OVER_KAPPA) -> Fraction:
     """beta as an exact rational: 4/kappa, 2/kappa or 8/kappa."""
-    kappa = _as_fraction(kappa)
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    kappa = _positive(kappa, "kappa")
     return Fraction(convention.value) / kappa
 
 
 def kac_h_1_s(kappa, p: int) -> Fraction:
     """Kac weight of the (p+1)-st first-row operator: p(2p+4-kappa)/(2 kappa)."""
-    kappa = _as_fraction(kappa)
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    kappa = _positive(kappa, "kappa")
     if not isinstance(p, int) or p < 1:
         raise ValueError("p must be a positive integer")
     return p * (2 * p + 4 - kappa) / (2 * kappa)
@@ -55,7 +55,7 @@ def kac_h_1_s(kappa, p: int) -> Fraction:
 def fusion_exponent(p: int, kappa) -> Fraction:
     """Exponent p(p-1)/kappa of the p-leg fusion; equals the Kac-table
     combination h_{1,p+1} - p*h_{1,2}, an exact identity."""
-    kappa = _as_fraction(kappa)
+    kappa = _positive(kappa, "kappa")
     if not isinstance(p, int) or p < 2:
         raise ValueError("p must be an integer >= 2")
     return Fraction(p * (p - 1)) / kappa
@@ -68,7 +68,7 @@ def ansatz_exponent(p: int, beta) -> Fraction:
     the two agree only under beta = 2/kappa -- the factor-of-two
     discrepancy between the conventions, reproduced here exactly.
     """
-    beta = _as_fraction(beta)
+    beta = _positive(beta, "beta")
     if not isinstance(p, int) or p < 2:
         raise ValueError("p must be an integer >= 2")
     return Fraction(p * (p - 1)) * beta / 2
@@ -76,9 +76,7 @@ def ansatz_exponent(p: int, beta) -> Fraction:
 
 def h21(kappa) -> Fraction:
     """Weight (6 - kappa)/(2 kappa) of the degenerate second-column operator."""
-    kappa = _as_fraction(kappa)
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    kappa = _positive(kappa, "kappa")
     return (6 - kappa) / (2 * kappa)
 
 
@@ -88,7 +86,7 @@ def exponent_table(kappas, p_max: int = 4):
         raise ValueError("p_max must be an integer >= 2")
     rows = []
     for kap in kappas:
-        kap = _as_fraction(kap)
+        kap = _positive(kap, "kappa")
         row = {
             "kappa": kap,
             "beta_dyson": beta_from_kappa(kap),

@@ -105,12 +105,6 @@ class DriveHistory:
     def from_trajectory(cls, rec: TrajectoryRecord) -> "DriveHistory":
         return cls(times=rec.times, angles=rec.states)
 
-    @classmethod
-    def constant(cls, config: AngleConfig, duration: float) -> "DriveHistory":
-        times = np.array([0.0, duration])
-        angles = np.vstack([config.angles, config.angles])
-        return cls(times=times, angles=angles)
-
 
 def joint_rhs(g, drivers):
     """Right-hand side -g * sum_j (g + e^{i theta_j})/(g - e^{i theta_j}),

@@ -1,7 +1,7 @@
 """Reduced two-particle operators on the relative angle theta in (0, 2*pi).
 
 Two tridiagonal discretizations of the same diffusion, in one place, each
-held as its three bands and solved by LAPACK's tridiagonal routines:
+held as its three bands and eigensolved by LAPACK's eigh_tridiagonal:
 
 * the backward (first-passage) generator acting on observables,
   (kappa/2) h'' + cot(theta/2) h'  in the half-speed clock, collocated on
@@ -30,14 +30,9 @@ import math
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.special import exprel
 
 TWO_PI = 2.0 * math.pi
-SURVIVAL_DT = 1e-2              # implicit-Euler step of the survival solve
-DECAY_THETA0 = math.pi          # initial gap of the decay-rate fit
-DECAY_FIT_RANGE = (1e-4, 1e-1)  # survival values the decay rate is fitted on
-MAX_SURVIVAL_STEPS = 10**6      # step budget of one survival solve
 ADJOINT_ORDER_GRIDS = (32, 64, 128, 256)  # m of measured_convergence_order
 FP_ORDER_GRIDS = (256, 512, 1024, 2048)   # m of fp_residual_order
 FP_RESIDUAL_WINDOW = (np.pi / 4.0, 7.0 * np.pi / 4.0)  # theta of FP residual
@@ -257,40 +252,13 @@ def normalized_overlap(u, v) -> float:
 
 
 def survival_decay_rate(kappa: float, m: int = 512) -> float:
-    """Fitted asymptotic decay rate of the non-meeting probability.
+    """Asymptotic decay rate of the non-meeting probability for kappa > 4.
 
-    Implicit Euler on the backward generator from h = 1, in steps of
-    SURVIVAL_DT, keeping h at the node nearest DECAY_THETA0; least squares
-    on log h over the steps where h lies in DECAY_FIT_RANGE.  The steps
-    run on the bands T from S 1, with I - SURVIVAL_DT T factored once by
-    LAPACK dgttrf; S changes node 0 only, so h[j] is A's own.  Raises
-    ValueError when the solve needs more than MAX_SURVIVAL_STEPS steps.
-    Each step damps the slowest mode by 1/(1 + lambda SURVIVAL_DT), not
-    e^{-lambda SURVIVAL_DT}, so the result reads low against
-    one_arm_lambda_exact by about lambda * SURVIVAL_DT / 2 relative, on
-    top of the grid error: -0.09% at kappa = 8, -2.0% at kappa = 130 and
-    -13% at kappa = 1000.
+    That rate is by definition the principal eigenvalue of the backward
+    generator, so this is adjoint_decay_rate(kappa, m), which rejects a
+    kappa that is not positive and finite.  For 0 < kappa <= 4 the
+    particles never meet and the survival probability stays 1.
     """
-    if kappa <= 4.0:
+    if 0.0 < kappa <= 4.0:
         raise ValueError("no decay for kappa <= 4: survival is constant 1")
-    lo, hi = DECAY_FIT_RANGE
-    t_max = -math.log(lo / 2.0) / one_arm_lambda_exact(kappa)  # generous
-    n_steps = int(round(t_max / SURVIVAL_DT))
-    if n_steps > MAX_SURVIVAL_STEPS:
-        raise ValueError(f"survival solve needs {n_steps} steps of "
-                         f"{SURVIVAL_DT}, more than the budget of "
-                         f"{MAX_SURVIVAL_STEPS}")
-    op = build_adjoint_n2(kappa, m)
-    j = int(np.argmin(np.abs(op.grid - DECAY_THETA0)))
-    lu = dgttrf(-SURVIVAL_DT * op.lower, 1.0 - SURVIVAL_DT * op.diag,
-                -SURVIVAL_DT * op.upper)[:5]
-    h = np.append(1.0 + op.c, np.ones(m - 1))  # S 1
-    hvals = np.empty(n_steps)
-    for i in range(n_steps):
-        h = dgttrs(*lu, h)[0]
-        hvals[i] = h[j]
-    k = np.flatnonzero((hvals > lo) & (hvals < hi))  # hvals[k]: step k + 1
-    if k.size < 10:
-        raise ArithmeticError("too few points in the decay-fit window")
-    slope, _ = np.polyfit((k + 1) * SURVIVAL_DT, np.log(hvals[k]), 1)
-    return float(-slope)
+    return adjoint_decay_rate(kappa, m)

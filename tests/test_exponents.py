@@ -88,3 +88,17 @@ def test_exponent_table_contents():
 def test_exponent_table_rejects_p_max_below_two(p_max):
     with pytest.raises(ValueError, match="p_max must be an integer >= 2"):
         exponent_table([F(8, 3)], p_max=p_max)
+
+
+@pytest.mark.parametrize("value", [0, -1, F(-1, 2)])
+@pytest.mark.parametrize("fn, name", [
+    (beta_from_kappa, "kappa"),
+    (lambda k: kac_h_1_s(k, 1), "kappa"),
+    (lambda k: fusion_exponent(2, k), "kappa"),
+    (lambda b: ansatz_exponent(2, b), "beta"),
+    (h21, "kappa"),
+], ids=["beta_from_kappa", "kac_h_1_s", "fusion_exponent", "ansatz_exponent",
+        "h21"])
+def test_nonpositive_kappa_or_beta_rejected(fn, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be positive$"):
+        fn(value)

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from sle_dyson.dyson import (AngleConfig, ProcessParams, equally_spaced,
-                             simulate, wrap_angle)
+from sle_dyson.dyson import (ProcessParams, equally_spaced, simulate,
+                             wrap_angle)
 from sle_dyson.loewner import (DriveHistory, PointStatus,
                                composition_defect, composition_defect_slope,
                                joint_rhs, trace_points)
@@ -112,7 +112,8 @@ class TestDriveHistory:
             drive.drivers_at(drive.duration + 1.0)
 
     def test_constant_drive(self):
-        dh = DriveHistory.constant(equally_spaced(2), 1.0)
+        dh = DriveHistory(times=np.array([0.0, 1.0]),
+                          angles=np.tile(equally_spaced(2).angles, (2, 1)))
         assert dh.drivers_at(0.7) == pytest.approx([0.0, math.pi])
 
     @pytest.mark.parametrize("kwargs", [
@@ -147,7 +148,8 @@ class TestDriveHistory:
                                           interp_reference(dh, x))
 
     def test_drivers_at_matches_interp_constant(self):
-        dh = DriveHistory.constant(equally_spaced(3, offset=0.4), 0.7)
+        dh = DriveHistory(times=np.array([0.0, 0.7]), angles=np.tile(
+            equally_spaced(3, offset=0.4).angles, (2, 1)))
         t = np.concatenate([np.random.default_rng(0).uniform(0, 0.7, 1000),
                             [0.0, 0.7]])
         np.testing.assert_array_equal(dh.drivers_at(t),
@@ -185,13 +187,14 @@ class TestTraceExact:
     s = sqrt(1 - e^{-N^2 t})."""
 
     def test_single_slit(self):
-        # the knots of DriveHistory.constant are 0 and 1; the second drive
+        # the first drive has the knots 0 and 1 alone; the second drive
         # holds the same angle on 300 uneven knots, whose maps compose
         # exactly
         knots = np.concatenate([[0.0], np.cumsum(
             np.random.default_rng(5).uniform(1e-4, 6e-3, 300))])
         knots /= knots[-1]
-        for dh in (DriveHistory.constant(AngleConfig(np.array([0.7])), 1.0),
+        for dh in (DriveHistory(times=np.array([0.0, 1.0]),
+                                angles=np.full((2, 1), 0.7)),
                    DriveHistory(times=knots, angles=np.full((301, 1), 0.7))):
             times = np.array([0.1, 0.37, knots[150], 1.0])
             s = np.sqrt(1.0 - np.exp(-times))

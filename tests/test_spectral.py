@@ -1,13 +1,11 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dgttrf, dgttrs
 
-from sle_dyson.spectral import (SURVIVAL_DT, TWO_PI, GridOperator,
+from sle_dyson.spectral import (TWO_PI, GridOperator,
                                 adjoint_decay_rate,
                                 build_adjoint_n2, build_fp_generator_n2,
                                 cs_ground_state,
@@ -50,7 +48,8 @@ class TestExactRate:
                                 lambda k: build_fp_generator_n2(k, 64),
                                 lambda k: cs_ground_state(k, 64),
                                 lambda k: adjoint_decay_rate(k, 64),
-                                lambda k: fp_equilibrium_residual(k, 64)])
+                                lambda k: fp_equilibrium_residual(k, 64),
+                                survival_decay_rate])
 def test_nonpositive_or_nan_kappa_rejected(fn, kappa):
     with pytest.raises(ValueError, match="kappa must be positive"):
         fn(kappa)
@@ -226,58 +225,18 @@ class TestCsHamiltonian:
         assert abs(gap - decay) < 1e-3
 
 
-def reference_survival_curve(kappa, t_max, m):
-    """Implicit Euler on the backward generator from h = 1, every step kept:
-    (times, h table of shape (steps + 1, m), grid).  The steps run on the
-    bands T from S 1, and each row is mapped back by S^{-1}."""
-    op = build_adjoint_n2(kappa, m)
-    lu = dgttrf(-SURVIVAL_DT * op.lower, 1.0 - SURVIVAL_DT * op.diag,
-                -SURVIVAL_DT * op.upper)[:5]
-    n_steps = int(round(t_max / SURVIVAL_DT))
-    out = np.empty((n_steps + 1, m))
-    out[0] = 1.0
-    out[0, 0] += op.c
-    for k in range(n_steps):
-        out[k + 1] = dgttrs(*lu, out[k])[0]
-    out[:, 0] -= op.c * out[:, 1]
-    return np.arange(n_steps + 1) * SURVIVAL_DT, out, op.grid
-
-
-def reference_decay_rate(kappa, m=512):
-    """The decay-rate fit on the full table at theta0 = pi, fitted where
-    1e-4 < h < 1e-1."""
-    t_max = -math.log(1e-4 / 2.0) / one_arm_lambda_exact(kappa)
-    times, table, grid = reference_survival_curve(kappa, t_max, m)
-    h = table[:, int(np.argmin(np.abs(grid - math.pi)))]
-    mask = (h > 1e-4) & (h < 1e-1)
-    slope, _ = np.polyfit(times[mask], np.log(h[mask]), 1)
-    return float(-slope)
-
-
 class TestSurvival:
-    @pytest.mark.parametrize("kappa", [4.5, 6.0, 8.0])
-    def test_decay_rate_matches_table(self, kappa):
-        # the streamed solve keeps one column of the table; same bits
-        assert survival_decay_rate(kappa) == reference_decay_rate(kappa)
+    @pytest.mark.parametrize("kappa", [4.001, 4.5, 6.0, 8.0, 100.0, 1000.0])
+    def test_decay_rate_is_the_eigensolve(self, kappa):
+        rate = survival_decay_rate(kappa)
+        exact = one_arm_lambda_exact(kappa)
+        assert rate == adjoint_decay_rate(kappa, 512)
+        assert abs(rate - exact) < 2e-6 * exact
 
-    def test_decay_rate_memory(self):
-        # the table at kappa 4.5 would hold 33,556 x 512 floats (131 MiB)
-        tracemalloc.start()
-        try:
-            survival_decay_rate(4.5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2 ** 20
-
-    @pytest.mark.parametrize("solve", [
-        lambda: survival_decay_rate(4.001),  # 15.8 million steps
-        lambda: survival_decay_rate(4.01),   # 1.59 million steps
-    ], ids=["decay-4.001", "decay-4.01"])
-    def test_rejects_solve_over_step_budget(self, solve):
-        with pytest.raises(ValueError, match="more than the budget of "
-                                             "1000000"):
-            solve()
+    @pytest.mark.parametrize("kappa", [0.5, 2.0, 3.999, 4.0])
+    def test_no_decay_at_or_below_four(self, kappa):
+        with pytest.raises(ValueError, match="no decay for kappa <= 4"):
+            survival_decay_rate(kappa)
 
     def test_decay_rate_kappa6(self):
         rate = survival_decay_rate(6.0, m=512)
