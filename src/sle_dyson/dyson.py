@@ -12,8 +12,12 @@ dt, so every per-chain check reduces over the short axis 0: chains clear
 of collision share one Euler-Maruyama proposal, chains whose nearest pair
 is close take an exact squared-Bessel pair move, and any chain left over
 takes gap-capped, step-halving sub-steps with a reflecting GAP_FLOOR.
-:func:`simulate` (one chain, every step recorded) and
-:func:`sample_stationary` (many chains) take and return one row per
+:func:`sample_stationary` runs the kernel on many chains.
+:func:`simulate` (one chain, every step recorded) steps its chain on
+Python floats with :func:`_integrate_chain`, which makes the kernel's draws
+and arithmetic, so its path is the kernel's bit for bit without the
+per-call numpy overhead; the kernel's rare path, :func:`_rare_step`, is
+that same per-chain code.  Both take and return one row per
 configuration.  The stationary law is the circular beta-ensemble with
 beta = 4/kappa (see :mod:`sle_dyson.ensembles` for the reference densities).
 """
@@ -23,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -38,10 +43,10 @@ MAX_HALVINGS = 20
 # GAP_FLOOR^(1+4/kappa), far below statistical resolution.
 GAP_FLOOR = 1e-4
 
-# Per-path counters of :func:`_integrate`: chain-steps taken by the shared
-# EM proposal, by the pair jump and by the rare path (these three sum to
-# chains x steps), then the rare path's sub-steps, step halvings and
-# GAP_FLOOR reflections.
+# Per-path counters of :func:`_integrate` and :func:`_integrate_chain`:
+# chain-steps taken by the shared EM proposal, by the pair jump and by the
+# rare path (these three sum to chains x steps), then the rare path's
+# sub-steps, step halvings and GAP_FLOOR reflections.
 PATH_COUNTERS = ("em_steps", "pair_jumps", "rare_steps", "rare_substeps",
                  "halvings", "reflections")
 
@@ -236,25 +241,160 @@ def _pair_jump(x, gaps, mu, kappa, tau, rng):
     return new, ok
 
 
-def _integrate(x, kappa, dt, n_steps, rng, counts, trail=None):
+# One chain held as a list of Python floats.  Each function below repeats
+# the arithmetic of its batched counterpart in the same order and makes the
+# same RNG calls (a size-n draw equals a (1, n) one, and a scalar draw a
+# size-1 one), so a chain's path is bit for bit the one :func:`_integrate`
+# takes for it.  Only tan stays in numpy: np.tan on the pair-difference
+# array is the kernel's tan, which need not round as math.tan does.
+
+@functools.lru_cache
+def _chain_terms(n):
+    """:func:`_pair_terms` as lists: the pairs' j and k, and for each
+    particle the slots of its drift terms in ascending partner order."""
+    j, k, terms = _pair_terms(n)
+    return j.tolist(), k.tolist(), terms.T.tolist()
+
+
+def _chain_drift(x):
+    """:func:`_drift` of one chain: each particle adds its terms left to
+    right, as the kernel's reduction over axis 0 does."""
+    j, k, terms = _chain_terms(len(x))
+    cot = (1.0 / np.tan([(x[a] - x[b]) / 2.0 for a, b in zip(j, k)])).tolist()
+    if not all(abs(t) < 2e12 for t in cot):
+        raise CollisionError("coincident angles: cot drift is singular")
+    stack = cot + [-t for t in cot]
+    mu = []
+    # a plain loop, not sum(): from Python 3.12 sum() compensates rounding
+    for slots in terms:
+        m = 0.0
+        for t in slots:
+            m += stack[t]
+        mu.append(m)
+    return mu
+
+
+def _chain_gaps(x):
+    """:func:`_gaps` of one chain."""
+    return [*map(operator.sub, x[1:], x), x[0] + TWO_PI - x[-1]]
+
+
+def _chain_accepted(old, new, new_gaps, floor):
+    """:func:`_accepted` for one chain, given the gaps of ``new``."""
+    return (min(new_gaps) >= floor
+            and max(map(abs, map(operator.sub, new, old))) < math.pi)
+
+
+def _chain_pair_jump(x, gaps, mu, kappa, tau, rng):
+    """:func:`_pair_jump` for one chain: returns (new, ok)."""
+    n = len(x)
+    s = min(gaps)
+    i = gaps.index(s)
+    k = (i + 1) % n
+    v = tau * rng.noncentral_chisquare(1.0 + 4.0 / kappa,
+                                       s * s / (2.0 * kappa * tau))
+    s_new = max(math.sqrt(2.0 * kappa * v)
+                + ((mu[k] - mu[i]) - 4.0 / s) * tau, GAP_FLOOR)
+    mid = (x[i] + 0.5 * s + 0.5 * (mu[i] + mu[k]) * tau
+           + math.sqrt(0.5 * kappa * tau) * rng.standard_normal())
+    sq = math.sqrt(kappa * tau)
+    new = [a + m * tau + sq * z
+           for a, m, z in zip(x, mu, rng.standard_normal(n).tolist())]
+    new[i] = mid - 0.5 * s_new
+    new[k] = mid + 0.5 * s_new - TWO_PI * (k == 0)
+    ok = _chain_accepted(x, new, _chain_gaps(new), 0.5 * GAP_FLOOR)
+    if ok and n > 2:
+        ok = sorted(gaps)[1] > max(3.0 * s, 0.15)
+    return new, ok
+
+
+def _rare_step(x, kappa, dt, rng, counts):
+    """Advance one chain, a list of floats, by ``dt`` on the rare path of
+    :func:`_integrate` and return it: sub-steps of at most
+    g^2 / (32 (kappa + N)) for nearest gap g, a cap under which the
+    close-pair guard always holds, until ``dt`` is used up.  A sub-step
+    that breaks the order is retried with the same draws and half the
+    length, and a gap that lands below GAP_FLOOR is reflected off it.
+    Raises :class:`CollisionError` after MAX_HALVINGS rejections, or when
+    the gap cap is too small for a sub-step to advance time at all.
+    """
+    n, left = len(x), dt
+    gaps = _chain_gaps(x)
+    while left > 1e-15:
+        mu = _chain_drift(x)
+        g = min(gaps)
+        trial = min(g * g / (32.0 * (kappa + n)), left)
+        if left - trial == left:
+            raise CollisionError(
+                f"gap {g:.3g} too small to resolve a step of {dt} "
+                f"(kappa={kappa})")
+        z = rng.standard_normal(n).tolist()
+        for _ in range(MAX_HALVINGS + 1):
+            sq = math.sqrt(kappa * trial)
+            prop = [a + m * trial + sq * w for a, m, w in zip(x, mu, z)]
+            gaps = _chain_gaps(prop)
+            if _chain_accepted(x, prop, gaps, 0.0):
+                break
+            trial *= 0.5
+            counts["halvings"] += 1
+        else:
+            raise CollisionError(
+                f"step rejected after {MAX_HALVINGS} halvings "
+                f"(dt={dt}, kappa={kappa})")
+        g = min(gaps)
+        if g < GAP_FLOOR:
+            # reflected gap = 2*floor - g; only the nearest pair moves
+            i = gaps.index(g)
+            prop[i] -= GAP_FLOOR - g
+            prop[(i + 1) % n] += GAP_FLOOR - g
+            gaps = _chain_gaps(prop)
+            counts["reflections"] += 1
+        counts["rare_substeps"] += 1
+        x, left = prop, left - trial
+    return x
+
+
+def _integrate_chain(x, kappa, dt, n_steps, rng, counts):
+    """:func:`_integrate` for one chain, a list of sorted floats: the same
+    draws and arithmetic, so the same path and PATH_COUNTERS, without the
+    batched kernel's per-call numpy overhead.  Returns the list of states
+    after each step."""
+    n = len(x)
+    sqrt_kdt = math.sqrt(kappa * dt)
+    trail = []
+    for _ in range(n_steps):
+        mu = _chain_drift(x)
+        gaps = _chain_gaps(x)
+        new = [a + m * dt + sqrt_kdt * z
+               for a, m, z in zip(x, mu, rng.standard_normal(n).tolist())]
+        if n > 1 and min(gaps) < (4.0 * sqrt_kdt
+                                  + 4.0 * dt * max(map(abs, mu))):
+            path = "pair_jumps"
+            new, ok = _chain_pair_jump(x, gaps, mu, kappa, dt, rng)
+        else:
+            path = "em_steps"
+            ok = _chain_accepted(x, new, _chain_gaps(new), GAP_FLOOR)
+        if not ok:
+            path = "rare_steps"
+            new = _rare_step(x, kappa, dt, rng, counts)
+        counts[path] += 1
+        x = new
+        trail.append(x)
+    return trail
+
+
+def _integrate(x, kappa, dt, n_steps, rng, counts):
     """Advance the sorted (N, chains) array ``x`` by ``n_steps`` steps of
     ``dt``; each step's noise is one (chains, N) draw read transposed.
 
     Chains clear of collision take one shared Euler-Maruyama proposal, and
     chains that trip the close-pair guard take :func:`_pair_jump`.  Chains
-    either path rejects take the rare path from where they stood, one chain
-    at a time: sub-steps of at most g^2 / (32 (kappa + N)) for nearest gap
-    g, a cap under which the guard always holds, until the step's time is
-    used up.  A sub-step that breaks the order is retried with the same
-    draws and half the length, and a gap that lands below GAP_FLOOR is
-    reflected off it.  Raises :class:`CollisionError` after MAX_HALVINGS
-    rejections, or when the gap cap is too small for a sub-step to advance
-    time at all.  ``counts`` accumulates the PATH_COUNTERS; ``trail``, if
-    given, receives the state after every step.
+    either path rejects take :func:`_rare_step` from where they stood, one
+    chain at a time.  ``counts`` accumulates the PATH_COUNTERS.
     """
     n, c = x.shape
     sqrt_kdt = math.sqrt(kappa * dt)
-    for step in range(n_steps):
+    for _ in range(n_steps):
         mu = _drift(x)
         gaps = _gaps(x)
         new = x + mu * dt + sqrt_kdt * rng.standard_normal((c, n)).T
@@ -278,40 +418,8 @@ def _integrate(x, kappa, dt, n_steps, rng, counts, trail=None):
             # chain by chain: a chain draws all its sub-steps' noise before
             # the next starts, so one chain's sub-step count never reorders
             # the draws of another
-            xr, left = x[:, r], dt
-            while left > 1e-15:
-                mu_r = _drift(xr)
-                g = _gaps(xr).min()
-                # the gap cap implies the close-pair guard, so no re-check
-                trial = min(g * g / (32.0 * (kappa + n)), left)
-                if left - trial == left:
-                    raise CollisionError(
-                        f"gap {g:.3g} too small to resolve a step of {dt} "
-                        f"(kappa={kappa})")
-                z = rng.standard_normal(n)
-                for _ in range(MAX_HALVINGS + 1):
-                    prop = xr + mu_r * trial + math.sqrt(kappa * trial) * z
-                    if _accepted(xr, prop, 0.0):
-                        break
-                    trial *= 0.5
-                    counts["halvings"] += 1
-                else:
-                    raise CollisionError(
-                        f"step rejected after {MAX_HALVINGS} halvings "
-                        f"(dt={dt}, kappa={kappa})")
-                gr = _gaps(prop)
-                i = np.argmin(gr)
-                if gr[i] < GAP_FLOOR:
-                    # reflected gap = 2*floor - g; only the nearest pair moves
-                    prop[i] -= GAP_FLOOR - gr[i]
-                    prop[(i + 1) % n] += GAP_FLOOR - gr[i]
-                    counts["reflections"] += 1
-                counts["rare_substeps"] += 1
-                xr, left = prop, left - trial
-            new[:, r] = xr
+            new[:, r] = _rare_step(x[:, r].tolist(), kappa, dt, rng, counts)
         x = new
-        if trail is not None:
-            trail[step] = x
     return x
 
 
@@ -342,12 +450,11 @@ def simulate(params: ProcessParams, t_end: float,
         raise ValueError("initial configuration has the wrong particle count")
     rng = np.random.default_rng(np.random.SeedSequence(params.seed))
     order = np.argsort(initial.angles)  # sorted slot s holds label order[s]
-    trail = np.empty((n_steps + 1, params.n_particles, 1))
-    trail[0, :, 0] = initial.angles[order]
-    _integrate(trail[0].copy(), params.kappa, params.dt, n_steps, rng,
-               dict.fromkeys(PATH_COUNTERS, 0), trail=trail[1:])
+    x = initial.angles[order].tolist()
+    trail = _integrate_chain(x, params.kappa, params.dt, n_steps, rng,
+                             dict.fromkeys(PATH_COUNTERS, 0))
     states = np.empty((n_steps + 1, params.n_particles))
-    states[:, order] = wrap_angle(trail[:, :, 0])
+    states[:, order] = wrap_angle(np.array([x] + trail))
     return TrajectoryRecord(times=np.arange(n_steps + 1) * params.dt,
                             states=states)
 

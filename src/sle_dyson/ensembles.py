@@ -26,8 +26,8 @@ def gap_cdf_n2(beta: float):
     the density's symmetry, since x rounds near 1 and I_x would lose the
     upper tail to that rounding.
     """
-    if not beta >= 0.0:
-        raise ValueError("beta must be nonnegative")
+    if not 0.0 <= beta < math.inf:
+        raise ValueError("beta must be nonnegative and finite")
     a = (beta + 1.0) / 2.0
 
     def cdf(x):
@@ -57,6 +57,8 @@ def sample_batch(ensemble: str, n: int, n_samples: int, seed) -> SampleBatch:
     if ensemble not in ENSEMBLES:
         raise ValueError(f"unknown ensemble {ensemble!r}; valid ensembles "
                          f"are {', '.join(ENSEMBLES)}")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError("n must be an integer >= 1")
     m = 2 * n if ensemble == "CSE" else n
     rng = np.random.default_rng(seed)
     rows = np.empty((n_samples, n))
@@ -81,12 +83,19 @@ def sample_batch(ensemble: str, n: int, n_samples: int, seed) -> SampleBatch:
                        meta={"seed": seed, "n_particles": n})
 
 
+def _sorted_sample(samples) -> np.ndarray:
+    x = np.sort(np.asarray(samples, dtype=float))
+    if x.size == 0:
+        raise ValueError("samples must be nonempty")
+    if np.isnan(x).any():
+        raise ValueError("samples must not hold NaN")
+    return x
+
+
 def ks_statistic(samples, cdf) -> float:
     """One-sample Kolmogorov-Smirnov sup-distance against ``cdf``."""
-    x = np.sort(np.asarray(samples, dtype=float))
+    x = _sorted_sample(samples)
     n = x.size
-    if n == 0:
-        raise ValueError("samples must be nonempty")
     f = np.asarray(cdf(x), dtype=float)
     up = np.arange(1, n + 1) / n - f
     lo = f - np.arange(0, n) / n
@@ -95,10 +104,7 @@ def ks_statistic(samples, cdf) -> float:
 
 def ks_two_sample(a, b) -> float:
     """Two-sample Kolmogorov-Smirnov sup-distance."""
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
-    if a.size == 0 or b.size == 0:
-        raise ValueError("samples must be nonempty")
+    a, b = _sorted_sample(a), _sorted_sample(b)
     allv = np.concatenate([a, b])
     cdf_a = np.searchsorted(a, allv, side="right") / a.size
     cdf_b = np.searchsorted(b, allv, side="right") / b.size
@@ -107,11 +113,15 @@ def ks_two_sample(a, b) -> float:
 
 def ks_threshold(n: int, alpha: float = 0.01) -> float:
     """One-sample KS rejection threshold at level alpha (asymptotic)."""
+    if n < 1:
+        raise ValueError("sample size must be >= 1")
     return math.sqrt(-0.5 * math.log(alpha / 2.0)) / math.sqrt(n)
 
 
 def ks_two_sample_threshold(n: int, m: int, alpha: float = 0.01) -> float:
     """Two-sample KS rejection threshold at level alpha (asymptotic)."""
+    if n < 1 or m < 1:
+        raise ValueError("sample sizes must be >= 1")
     return math.sqrt(-0.5 * math.log(alpha / 2.0)) * math.sqrt((n + m) / (n * m))
 
 

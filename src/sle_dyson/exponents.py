@@ -28,10 +28,16 @@ class BetaConvention(Enum):
 
 
 def _positive(x, name: str) -> Fraction:
-    """x as an exact Fraction; floats and x <= 0 are rejected."""
+    """x as an exact Fraction; floats, bools, zero denominators and x <= 0
+    are rejected."""
     if isinstance(x, float):
         raise TypeError("exact arithmetic only: pass int, Fraction or str")
-    x = Fraction(x)
+    if isinstance(x, bool):
+        raise ValueError(f"{name} must be an int, Fraction or str, not a bool")
+    try:
+        x = Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"{name} {x!r} has a zero denominator") from None
     if x <= 0:
         raise ValueError(f"{name} must be positive")
     return x
@@ -47,7 +53,7 @@ def beta_from_kappa(kappa, convention: BetaConvention
 def kac_h_1_s(kappa, p: int) -> Fraction:
     """Kac weight of the (p+1)-st first-row operator: p(2p+4-kappa)/(2 kappa)."""
     kappa = _positive(kappa, "kappa")
-    if not isinstance(p, int) or p < 1:
+    if isinstance(p, bool) or not isinstance(p, int) or p < 1:
         raise ValueError("p must be a positive integer")
     return p * (2 * p + 4 - kappa) / (2 * kappa)
 
@@ -56,7 +62,7 @@ def fusion_exponent(p: int, kappa) -> Fraction:
     """Exponent p(p-1)/kappa of the p-leg fusion; equals the Kac-table
     combination h_{1,p+1} - p*h_{1,2}, an exact identity."""
     kappa = _positive(kappa, "kappa")
-    if not isinstance(p, int) or p < 2:
+    if isinstance(p, bool) or not isinstance(p, int) or p < 2:
         raise ValueError("p must be an integer >= 2")
     return Fraction(p * (p - 1)) / kappa
 
@@ -69,7 +75,7 @@ def ansatz_exponent(p: int, beta) -> Fraction:
     discrepancy between the conventions, reproduced here exactly.
     """
     beta = _positive(beta, "beta")
-    if not isinstance(p, int) or p < 2:
+    if isinstance(p, bool) or not isinstance(p, int) or p < 2:
         raise ValueError("p must be an integer >= 2")
     return Fraction(p * (p - 1)) * beta / 2
 

@@ -56,6 +56,8 @@ class GridOperator:
 
 
 def _cell_grid(m: int) -> np.ndarray:
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+        raise ValueError("m must be an integer")
     if m < 16:
         raise ValueError("need at least 16 grid nodes")
     h = TWO_PI / m
@@ -76,7 +78,11 @@ def one_arm_lambda_exact(kappa: float) -> float:
 
 
 def one_arm_eigenfunction(kappa: float, theta) -> np.ndarray:
-    """The decaying mode sin(theta/4)^(1 - 4/kappa) on the singular branch."""
+    """The decaying mode sin(theta/4)^(1 - 4/kappa) on the singular branch,
+    which exists for 4 < kappa < inf."""
+    if not 4.0 < kappa < math.inf:
+        raise ValueError("no decaying one-arm mode: kappa must be finite "
+                         "and > 4")
     theta = np.asarray(theta, dtype=float)
     return np.sin(theta / 4.0) ** (1.0 - 4.0 / kappa)
 
@@ -203,6 +209,8 @@ def build_fp_generator_n2(kappa: float, m: int) -> GridOperator:
 
 def stationary_gap_density(kappa: float, theta) -> np.ndarray:
     """Unnormalized stationary density of the gap, sin^{4/kappa}(theta/2)."""
+    if not 0.0 < kappa < math.inf:
+        raise ValueError("kappa must be positive and finite")
     return np.sin(np.asarray(theta, dtype=float) / 2.0) ** (4.0 / kappa)
 
 
@@ -239,6 +247,9 @@ def cs_ground_state(kappa: float, m: int, n_states: int = 2):
     eigenvalue zero, and H and -L share their spectrum, which approximates
     Sutherland's E_n = n + kappa n^2 / 4.  Returns (values, vectors, grid).
     """
+    if (isinstance(n_states, bool)
+            or not isinstance(n_states, (int, np.integer)) or n_states < 1):
+        raise ValueError("n_states must be an integer >= 1")
     op = build_fp_generator_n2(kappa, m)
     vals, vecs = eigh_tridiagonal(-op.diag, -np.sqrt(op.lower * op.upper),
                                   select="i", select_range=(0, n_states - 1))

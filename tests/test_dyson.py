@@ -209,6 +209,34 @@ def reference_pair_jump(x, kappa, tau, rng):
     return new
 
 
+def reference_rare_step(xr, kappa, dt, rng, counts):
+    """One rare-path step of an (N,) numpy row, drawing from ``rng`` in the
+    kernel's order and adding its sub-steps, halvings and reflections to
+    ``counts``."""
+    n, left = xr.size, dt
+    while left > 1e-15:
+        mu_r = dyson._drift(xr)
+        g = dyson._gaps(xr).min()
+        trial = min(g * g / (32.0 * (kappa + n)), left)
+        assert left - trial != left
+        z = rng.standard_normal(n)
+        for _ in range(dyson.MAX_HALVINGS + 1):
+            prop = xr + mu_r * trial + math.sqrt(kappa * trial) * z
+            if dyson._accepted(xr, prop, 0.0):
+                break
+            trial *= 0.5
+            counts["halvings"] += 1
+        gr = dyson._gaps(prop)
+        i = np.argmin(gr)
+        if gr[i] < GAP_FLOOR:
+            prop[i] -= GAP_FLOOR - gr[i]
+            prop[(i + 1) % n] += GAP_FLOOR - gr[i]
+            counts["reflections"] += 1
+        counts["rare_substeps"] += 1
+        xr, left = prop, left - trial
+    return xr
+
+
 class TestStepping:
     def test_one_step_variance(self):
         # increment variance about the drift is kappa*dt, within 3 SE
@@ -316,6 +344,69 @@ class TestKernelMatchesRowMajorReference:
         ref_rng = np.random.default_rng(n)
         ref_rng.standard_normal((c, n))  # the shared proposal's draw
         assert np.array_equal(new, reference_pair_jump(x, kappa, dt, ref_rng))
+
+    @pytest.mark.parametrize("n, close, dt", [
+        (3, (0.004, 0.006), 1e-5),
+        (3, (5e-5, 0.01), 1e-9),
+        (5, (2e-3, 3e-3), 2e-6),
+    ], ids=["two-close-pairs", "below-floor", "n5"])
+    def test_rare_step(self, n, close, dt):
+        # every row has two close pairs, so the close-pair trigger fires and
+        # the pair jump is refused as not isolated: all rows take the rare
+        # path, one at a time after the jump's draws, and some sub-steps
+        # land below GAP_FLOOR and are reflected
+        kappa, c = 6.0, 8
+        rng = np.random.default_rng(60 + n)
+        gaps = np.empty((c, n))
+        gaps[:, 2:] = (TWO_PI - sum(close)) / (n - 2)
+        gaps[:, :2] = close * rng.uniform(1.0, 1.2, size=(c, 2))
+        gaps[:, -1] += TWO_PI - gaps.sum(axis=-1)
+        shift = rng.integers(0, n, size=c)  # the close pairs' slots vary
+        gaps = gaps[np.arange(c)[:, None], (np.arange(n) + shift[:, None]) % n]
+        x = np.cumsum(gaps, axis=-1) - gaps + rng.uniform(0.0, 1.0,
+                                                          size=(c, 1))
+        new, counts = run_kernel(x, kappa, dt, 1, seed=n)
+        assert counts["rare_steps"] == c
+        assert counts["reflections"] > 0
+        ref_rng = np.random.default_rng(n)
+        ref_rng.standard_normal((c, n))  # the shared proposal's draw
+        reference_pair_jump(x, kappa, dt, ref_rng)
+        ref_counts = dict.fromkeys(PATH_COUNTERS, 0)
+        ref = np.array([reference_rare_step(row, kappa, dt, ref_rng,
+                                            ref_counts) for row in x])
+        assert np.array_equal(new, ref)
+        for key in ("rare_substeps", "halvings", "reflections"):
+            assert counts[key] == ref_counts[key]
+
+
+class TestOneChainStepper:
+    """simulate's one-chain stepper takes the batched kernel's path for a
+    single chain bit for bit, pair jumps and rare sub-steps included."""
+
+    @pytest.mark.parametrize("kappa", [2.0, 3.0, 4.0, 6.0, 8.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_batched_kernel(self, n, kappa):
+        dt, n_steps = 1e-3, 1000
+        total = dict.fromkeys(PATH_COUNTERS, 0)
+        for seed in range(3):
+            x0 = equally_spaced(n).angles
+            chain_counts = dict.fromkeys(PATH_COUNTERS, 0)
+            trail = dyson._integrate_chain(x0.tolist(), kappa, dt, n_steps,
+                                           np.random.default_rng(seed),
+                                           chain_counts)
+            counts = dict.fromkeys(PATH_COUNTERS, 0)
+            rng, x = np.random.default_rng(seed), x0[:, None].copy()
+            kernel_trail = np.empty((n_steps, n))
+            for step in range(n_steps):
+                x = dyson._integrate(x, kappa, dt, 1, rng, counts)
+                kernel_trail[step] = x[:, 0]
+            assert np.array_equal(np.array(trail), kernel_trail)
+            assert chain_counts == counts
+            for key in PATH_COUNTERS:
+                total[key] += counts[key]
+        if kappa == 8.0 and n >= 4:
+            assert total["pair_jumps"] > 0 and total["rare_steps"] > 0
+            assert total["reflections"] > 0
 
 
 class TestSimulate:

@@ -22,7 +22,7 @@ def quad_gap_cdf(beta, x):
 
 
 class TestGapOracle:
-    @pytest.mark.parametrize("beta", [-1.0, math.nan])
+    @pytest.mark.parametrize("beta", [-1.0, math.nan, math.inf])
     def test_normalization_rejects_bad_beta(self, beta):
         with pytest.raises(ValueError, match="beta must be nonnegative"):
             gap_cdf_n2(beta)
@@ -65,6 +65,24 @@ class TestKsToolkit:
         b = rng.normal(size=300)
         assert ks_two_sample(a, b) == pytest.approx(
             stats.ks_2samp(a, b).statistic, abs=1e-12)
+
+    @pytest.mark.parametrize("fn", [ks_statistic,
+                                    lambda x, cdf: ks_two_sample(x, [0.5]),
+                                    lambda x, cdf: ks_two_sample([0.5], x)],
+                             ids=["one-sample", "two-sample-a",
+                                  "two-sample-b"])
+    def test_rejects_nan_sample(self, fn):
+        with pytest.raises(ValueError, match="must not hold NaN"):
+            fn([0.2, math.nan, 0.7], lambda v: np.asarray(v))
+
+    @pytest.mark.parametrize("fn, args", [
+        (ks_threshold, (0,)),
+        (ks_two_sample_threshold, (0, 5)),
+        (ks_two_sample_threshold, (5, 0)),
+    ], ids=["one-sample", "two-sample-n", "two-sample-m"])
+    def test_threshold_rejects_empty_sample(self, fn, args):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            fn(*args)
 
     def test_threshold_scaling(self):
         assert ks_threshold(10_000) == pytest.approx(
@@ -123,6 +141,12 @@ class TestMatrixSamplers:
         # 300 samples span several stacked blocks
         batch = sample_batch(ensemble, n, 300, seed=8)
         assert np.array_equal(batch.rows, reference_rows(ensemble, n, 300, 8))
+
+    @pytest.mark.parametrize("n", [0, -2, 2.0, 2.5, True],
+                             ids=["0", "-2", "2.0", "2.5", "True"])
+    def test_bad_matrix_size_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            sample_batch("CUE", n, 10, seed=0)
 
     def test_unknown_ensemble_rejected(self):
         with pytest.raises(ValueError, match="GUE.*CUE, COE, CSE"):

@@ -27,6 +27,19 @@ class TestBetaFromKappa:
         with pytest.raises(ValueError):
             beta_from_kappa(F(-1, 2))
 
+    @pytest.mark.parametrize("fn", [beta_from_kappa, h21,
+                                    lambda k: kac_h_1_s(k, 1),
+                                    lambda k: fusion_exponent(2, k),
+                                    lambda k: ansatz_exponent(2, k)])
+    def test_rejects_bool(self, fn):
+        with pytest.raises(ValueError, match="not a bool"):
+            fn(True)
+
+    @pytest.mark.parametrize("fn", [beta_from_kappa, h21])
+    def test_rejects_zero_denominator(self, fn):
+        with pytest.raises(ValueError, match="'1/0' has a zero denominator"):
+            fn("1/0")
+
 
 class TestKacWeights:
     def test_frozen_values(self):
@@ -37,6 +50,13 @@ class TestKacWeights:
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
             kac_h_1_s(6, 0)
+
+    @pytest.mark.parametrize("fn", [lambda p: kac_h_1_s(2, p),
+                                    lambda p: fusion_exponent(p, 2),
+                                    lambda p: ansatz_exponent(p, 2)])
+    def test_rejects_bool_p(self, fn):
+        with pytest.raises(ValueError, match="p must be"):
+            fn(True)
 
 
 class TestFusionAndAnsatz:

@@ -49,10 +49,33 @@ class TestExactRate:
                                 lambda k: cs_ground_state(k, 64),
                                 lambda k: adjoint_decay_rate(k, 64),
                                 lambda k: fp_equilibrium_residual(k, 64),
+                                lambda k: stationary_gap_density(k, 1.0),
                                 survival_decay_rate])
 def test_nonpositive_or_nan_kappa_rejected(fn, kappa):
     with pytest.raises(ValueError, match="kappa must be positive"):
         fn(kappa)
+
+
+@pytest.mark.parametrize("kappa", [0.0, -1.0, 2.0, 4.0, math.nan, math.inf])
+def test_one_arm_eigenfunction_needs_kappa_above_four(kappa):
+    with pytest.raises(ValueError, match="no decaying one-arm mode"):
+        one_arm_eigenfunction(kappa, np.linspace(0.1, 6.0, 5))
+
+
+@pytest.mark.parametrize("m", [16.5, 64.0, True, "64"],
+                         ids=["16.5", "64.0", "True", "str"])
+@pytest.mark.parametrize("fn", [lambda m: adjoint_decay_rate(6.0, m),
+                                lambda m: build_fp_generator_n2(6.0, m)])
+def test_non_integer_grid_rejected(fn, m):
+    with pytest.raises(ValueError, match="m must be an integer"):
+        fn(m)
+
+
+@pytest.mark.parametrize("n_states", [0, -1, 1.5, True],
+                         ids=["0", "-1", "1.5", "True"])
+def test_cs_ground_state_rejects_state_count(n_states):
+    with pytest.raises(ValueError, match="n_states must be an integer >= 1"):
+        cs_ground_state(2.0, 64, n_states=n_states)
 
 
 @pytest.mark.parametrize("m", [0, 8])
