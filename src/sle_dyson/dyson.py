@@ -145,9 +145,9 @@ class TrajectoryRecord:
     states: np.ndarray  # shape (len(times), N)
 
 
-def equally_spaced(n: int, offset: float = 0.0) -> AngleConfig:
-    """The zero-drift configuration: n equally spaced angles."""
-    return AngleConfig(wrap_angle(offset + TWO_PI * np.arange(n) / n))
+def equally_spaced(n: int) -> AngleConfig:
+    """The zero-drift configuration: n equally spaced angles from 0."""
+    return AngleConfig(wrap_angle(TWO_PI * np.arange(n) / n))
 
 
 def drift(config: AngleConfig) -> np.ndarray:

@@ -5,8 +5,7 @@ The joint conformal map G_t removing N growing boundary curves satisfies
     dG/dt = -G * sum_j (G + e^{i theta_j(t)}) / (G - e^{i theta_j(t)})
 
 with the driving angles supplied by a :class:`DriveHistory` (typically a
-Dyson trajectory).  The joint-versus-sequential composition defect and
-traces live here.  The origin is fixed, G_t(0) = 0, and the field's
+Dyson trajectory).  The origin is fixed, G_t(0) = 0, and the field's
 derivative there is N whatever the drive, so |G_t'(0)| = e^{N t} exactly.
 
 Traces are unzipped with explicit maps (the zipper method of Kennedy,
@@ -19,18 +18,24 @@ on its own driver and walks the drive's knot intervals backwards, each
 driver held at its value at the interval's right end, composing the N
 single-driver maps with its own curve's first.  This is exact for a
 constant drive and a first-order splitting of the joint flow otherwise.
+
+On the circle the single-slit map is the same map used forward: a
+boundary point e^{i phi} moves by phi' = cot((phi - theta)/2), so
+cos((phi - theta)/2) shrinks by e^{-tau/2} over a time tau.
+:func:`slit_drivers` grows the N curves one at a time with it, each
+curve's map carrying the other drivers along the circle; that is how the
+curves drive each other by Dyson's drift.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-import cmath
 import math
 
 import numpy as np
 
-from .dyson import AngleConfig, TrajectoryRecord, wrap_angle
+from .dyson import TrajectoryRecord, wrap_angle
 
 
 class PointStatus(Enum):
@@ -106,61 +111,21 @@ class DriveHistory:
         return cls(times=rec.times, angles=rec.states)
 
 
-def joint_rhs(g, drivers):
-    """Right-hand side -g * sum_j (g + e^{i theta_j})/(g - e^{i theta_j}),
-    for points of shape (...) and drivers of shape (..., N)."""
-    g = np.asarray(g, dtype=complex)[..., None]
-    e = np.exp(1j * np.asarray(drivers, dtype=float))
-    if (g == e).any():
-        raise ZeroDivisionError("g sits on a driving singularity")
-    return -g[..., 0] * ((g + e) / (g - e)).sum(axis=-1)
-
-
-def composition_defect(config: AngleConfig, kappa: float, dt: float,
-                       probes, noise) -> float:
-    """Max distance between the joint Euler step and the sequential one.
-
-    The sequential route evolves one single-curve map at a time over dt,
-    applying its Brownian part as an exact rotation to the point and to the
-    other driving angles, then undoes the accumulated rotation globally
-    with the same stored increments.  The defect contracts at O(dt^2).
-    """
-    probes = np.atleast_1d(np.asarray(probes, dtype=complex))
-    noise = np.asarray(noise, dtype=float)
-    th0 = config.angles.astype(float)
-    n = th0.size
-    if noise.shape != (n,):
-        raise ValueError("need one noise draw per curve")
-    if np.any(np.abs(probes) > 1.0) or np.any(
-            np.abs(probes[:, None] - np.exp(1j * th0)) < 1e-3):
-        raise ValueError("probe outside the disc or too near a driver")
-    d_b = math.sqrt(kappa * dt) * noise
-
-    # joint Euler step of the rotated-frame system
-    w_joint = probes + dt * joint_rhs(probes, th0)
-
-    # sequential composition with exact rotations
-    w = probes.astype(complex)
-    th = th0.copy()
-    for j in range(n):
-        ej = cmath.exp(1j * th[j])
-        w = (w - dt * w * (w + ej) / (w - ej)) * cmath.exp(-1j * d_b[j])
-        for k in range(n):
-            if k != j:
-                th[k] += dt / math.tan((th[k] - th[j]) / 2.0) - d_b[j]
-    w_seq = w * cmath.exp(1j * d_b.sum())
-
-    return float(np.max(np.abs(w_joint - w_seq)))
-
-
-def composition_defect_slope(config: AngleConfig, kappa: float, dts,
-                             probes, noise) -> float:
-    """Fitted log-log slope of the composition defect over the dt grid."""
-    dts = np.asarray(dts, dtype=float)
-    defects = np.array([composition_defect(config, kappa, d, probes, noise)
-                        for d in dts])
-    slope, _ = np.polyfit(np.log(dts), np.log(defects), 1)
-    return float(slope)
+def slit_drivers(theta, db, dt):
+    """One step of the N drivers, angles along axis 0, grown one curve at a
+    time: driver j takes its increment db[j], then curve j's slit map over
+    dt moves every other driver along the circle, exactly, by
+    cos((phi - theta_j)/2) -> e^{-dt/2} cos((phi - theta_j)/2).  Summed
+    over j this is a Lie splitting of the Dyson SDE with increments db."""
+    theta = np.array(theta, dtype=float)
+    q = math.exp(-0.5 * dt)
+    for j in range(theta.shape[0]):
+        theta[j] += db[j]
+        u = 0.5 * wrap_angle(theta - theta[j])
+        move = 2.0 * (np.arccos(q * np.cos(u)) - u)
+        move[j] = 0.0
+        theta += move
+    return theta
 
 
 def _unzip(z, e, q):

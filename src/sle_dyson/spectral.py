@@ -166,9 +166,13 @@ def measured_convergence_order(kappa: float) -> float:
     """Fitted order of the eigenvalue error against the exact rate.
 
     Runs on coarse grids; at very fine grids the eigensolver's residual
-    floor contaminates the error and the fit becomes meaningless.
+    floor contaminates the error and the fit becomes meaningless.  Needs
+    kappa > 4: at kappa = 4 the rate is 0 and the fit would run on
+    round-off.
     """
     exact = one_arm_lambda_exact(kappa)
+    if exact == 0.0:
+        raise ValueError("no order to fit at kappa = 4, where the rate is 0")
     ms = ADJOINT_ORDER_GRIDS
     errs = [abs(adjoint_decay_rate(kappa, m) - exact) for m in ms]
     slope, _ = np.polyfit(np.log([TWO_PI / m for m in ms]), np.log(errs), 1)

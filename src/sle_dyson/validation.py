@@ -149,27 +149,6 @@ def criterion_6_similarity_ground_state(quick: bool = False) -> CriterionResult:
                            {"kappa": kappa, "overlap": overlap})
 
 
-def criterion_8_composition_defect(quick: bool = False) -> CriterionResult:
-    """Joint vs sequential one-step defect contracts at slope 2 in dt.
-
-    This checks the order of the splitting, not the drift it splits: any
-    first-order splitting has an O(dt^2) one-step defect, and the noise
-    enters only as exact rotations, so the slope stays near 2 whatever
-    coefficient multiplies the other drivers' drift dt / tan((th_k -
-    th_j)/2) in composition_defect (0, 5 and -3 in place of 1 give 2.00,
-    2.02 and 2.01).
-    """
-    rng = np.random.default_rng(RNG_SEED)
-    config = dyson.equally_spaced(3, offset=0.4)
-    probes = np.array([0.3 + 0.2j, -0.5j, 0.1 - 0.6j])
-    noise = rng.standard_normal(3)
-    slope = loewner.composition_defect_slope(
-        config, 3.0, (1e-2, 1e-3, 1e-4), probes, noise)
-    return CriterionResult(8, "composition_defect_order", slope, 0.2,
-                           abs(slope - 2.0) <= 0.2,
-                           {"band": "2.0 +/- 0.2"})
-
-
 def criterion_9_exponent_identities(quick: bool = False) -> CriterionResult:
     """Exact-rational identities; zero tolerance, value = failure count."""
     kappas = [Fraction(n, 7) + Fraction(1, 3) for n in range(1, 21)]
@@ -213,6 +192,45 @@ def criterion_10_gradient_consistency(quick: bool = False) -> CriterionResult:
                            worst < 1e-5)
 
 
+def criterion_11_slit_drivers(quick: bool = False) -> CriterionResult:
+    """Drivers moved by each other's slit maps vs Euler-Maruyama on the
+    production drift, both fed one Brownian path summed onto each dt grid.
+
+    Per (N, kappa), the median over paths of the largest angular
+    difference at t = 0.25 must fall at order 1 +/- 0.2 in dt; the value is
+    the worst median at the finest dt.  A drift off by 5% leaves a
+    difference that does not fall with dt.  kappa >= 6 is left out: there
+    the drivers come close and the comparison is noise.
+    """
+    rng = np.random.default_rng(RNG_SEED)
+    dts, t_end, n_paths = (2e-3, 1e-3, 5e-4, 2.5e-4), 0.25, 32
+    per, worst, orders_ok = {}, 0.0, True
+    for n in (2, 3, 4):
+        for kappa in (2.0, 3.0):
+            start = (dyson.equally_spaced(n).angles[:, None]
+                     + rng.uniform(-0.3 * np.pi / n, 0.3 * np.pi / n,
+                                   (n, n_paths))
+                     + rng.uniform(0.0, 2.0 * np.pi, n_paths))
+            db = np.sqrt(kappa * dts[-1]) * rng.standard_normal(
+                (round(t_end / dts[-1]), n, n_paths))
+            diffs = []
+            for dt in dts:
+                inc = db.reshape(round(t_end / dt), -1, n, n_paths).sum(1)
+                slit, em = start, start
+                for d in inc:
+                    slit = loewner.slit_drivers(slit, d, dt)
+                    em = em + dyson._drift(em) * dt + d
+                diffs.append(float(np.median(np.abs(slit - em).max(axis=0))))
+            order, _ = np.polyfit(np.log(dts), np.log(diffs), 1)
+            orders_ok &= abs(order - 1.0) <= 0.2
+            worst = max(worst, diffs[-1])
+            per[f"n={n},kappa={kappa:g}"] = {"diff": diffs,
+                                             "order": float(order)}
+    return CriterionResult(11, "slit_drivers_dyson_drift", worst, 2e-3,
+                           worst < 2e-3 and orders_ok,
+                           {"dt": list(dts), **per})
+
+
 ALL_CRITERIA = {
     1: criterion_1_stationary_law,
     2: criterion_2_classical_beta,
@@ -220,9 +238,9 @@ ALL_CRITERIA = {
     4: criterion_4_eigenfunction,
     5: criterion_5_stationarity_residual,
     6: criterion_6_similarity_ground_state,
-    8: criterion_8_composition_defect,
     9: criterion_9_exponent_identities,
     10: criterion_10_gradient_consistency,
+    11: criterion_11_slit_drivers,
 }  # id -> runner; the ids are cited labels, never renumbered
 
 

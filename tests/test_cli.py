@@ -292,14 +292,14 @@ class TestValidate:
         assert c2["value"] == max(e["d"] / e["threshold"]
                                   for e in c2["detail"].values())
 
-    @pytest.mark.parametrize("criteria", ["11", ",", "0", "3,x", "7"])
+    @pytest.mark.parametrize("criteria", ["12", ",", "0", "3,x", "7", "8"])
     def test_unknown_criteria_rejected(self, criteria):
         with pytest.raises(SystemExit,
-                           match="valid ids are 1, 2, 3, 4, 5, 6, 8, 9, 10$"):
+                           match="valid ids are 1, 2, 3, 4, 5, 6, 9, 10, 11$"):
             main(["validate", "--criteria", criteria, "-o", "/dev/null"])
 
     def test_criteria_selected_by_id(self, tmp_path):
         out = tmp_path / "report.json"
-        assert main(["validate", "--criteria", "8", "-o", str(out)]) == 0
+        assert main(["validate", "--criteria", "11", "-o", str(out)]) == 0
         results = json.loads(out.read_text())["results"]
-        assert [r["criterion_id"] for r in results] == [8]
+        assert [r["criterion_id"] for r in results] == [11]

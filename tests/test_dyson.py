@@ -111,7 +111,8 @@ class TestPotentialAndDrift:
 
     def test_equally_spaced_drift_vanishes(self):
         for n in (2, 3, 5, 8):
-            assert np.max(np.abs(drift(equally_spaced(n, 0.3)))) < 1e-12
+            rotated = AngleConfig(wrap_angle(equally_spaced(n).angles + 0.3))
+            assert np.max(np.abs(drift(rotated))) < 1e-12
 
     def test_single_particle_free(self):
         assert drift(AngleConfig(np.array([1.0]))) == pytest.approx(0.0)

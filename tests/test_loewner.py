@@ -4,11 +4,21 @@ import math
 import numpy as np
 import pytest
 
-from sle_dyson.dyson import (ProcessParams, equally_spaced, simulate,
-                             wrap_angle)
-from sle_dyson.loewner import (DriveHistory, PointStatus,
-                               composition_defect, composition_defect_slope,
-                               joint_rhs, trace_points)
+from sle_dyson import dyson
+from sle_dyson.dyson import (TWO_PI, ProcessParams, equally_spaced,
+                             simulate, wrap_angle)
+from sle_dyson.loewner import (DriveHistory, PointStatus, _unzip,
+                               slit_drivers, trace_points)
+
+
+def joint_rhs(g, drivers):
+    """Right-hand side -g * sum_j (g + e^{i theta_j})/(g - e^{i theta_j}),
+    for points of shape (...) and drivers of shape (..., N)."""
+    g = np.asarray(g, dtype=complex)[..., None]
+    e = np.exp(1j * np.asarray(drivers, dtype=float))
+    if (g == e).any():
+        raise ZeroDivisionError("g sits on a driving singularity")
+    return -g[..., 0] * ((g + e) / (g - e)).sum(axis=-1)
 
 
 @pytest.fixture(scope="module")
@@ -149,7 +159,7 @@ class TestDriveHistory:
 
     def test_drivers_at_matches_interp_constant(self):
         dh = DriveHistory(times=np.array([0.0, 0.7]), angles=np.tile(
-            equally_spaced(3, offset=0.4).angles, (2, 1)))
+            wrap_angle(equally_spaced(3).angles + 0.4), (2, 1)))
         t = np.concatenate([np.random.default_rng(0).uniform(0, 0.7, 1000),
                             [0.0, 0.7]])
         np.testing.assert_array_equal(dh.drivers_at(t),
@@ -215,7 +225,7 @@ class TestTraceExact:
         # splitting whose error is first order in the knot spacing: at
         # spacing 1e-3 it measured 8e-5, 2.1e-4 and 3.9e-4 at N = 2, 3, 4
         knots = np.linspace(0.0, 1.0, 1001)
-        theta = equally_spaced(n, offset=0.3).angles
+        theta = wrap_angle(equally_spaced(n).angles + 0.3)
         dh = DriveHistory(times=knots, angles=np.tile(theta, (knots.size, 1)))
         times = np.array([0.05, 0.3705, 1.0])
         s = np.sqrt(1.0 - np.exp(-n * n * times))
@@ -226,25 +236,50 @@ class TestTraceExact:
                                        atol=1e-3)
 
 
-class TestCompositionDefect:
-    def test_second_order_slope(self):
-        rng = np.random.default_rng(7)
-        slope = composition_defect_slope(
-            equally_spaced(3, offset=0.4), 3.0, (1e-2, 1e-3, 1e-4),
-            np.array([0.3 + 0.2j, -0.5j, 0.1 - 0.6j]),
-            rng.standard_normal(3))
-        assert slope == pytest.approx(2.0, abs=0.2)
+class TestSlitDrivers:
+    """slit_drivers moves each driver by its increment and then every other
+    driver by that curve's exact slit map on the circle."""
 
-    def test_defect_positive_and_small(self):
-        rng = np.random.default_rng(8)
-        d = composition_defect(equally_spaced(2, offset=0.3), 2.0, 1e-3,
-                               np.array([0.2 + 0.4j]), rng.standard_normal(2))
-        assert 0.0 < d < 1e-4
+    def test_one_driver_takes_its_increment(self):
+        assert slit_drivers([0.5], [0.25], 1e-2) == pytest.approx([0.75])
 
-    def test_probe_validation(self):
-        with pytest.raises(ValueError):
-            composition_defect(equally_spaced(2), 2.0, 1e-3,
-                               np.array([1.2 + 0.0j]), np.zeros(2))
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_zipper_undoes_the_step(self, n):
+        # the zipper's inverse single-slit maps, applied curve by curve in
+        # reverse with each increment taken back, recover the start.  On
+        # the circle itself the principal root cannot tell the two sides
+        # of the slit apart, so the points start a hair inside it.
+        rng = np.random.default_rng(n)
+        theta = equally_spaced(n).angles + rng.uniform(-0.3, 0.3, n)
+        db = 0.05 * rng.standard_normal(n)
+        phi = slit_drivers(theta, db, 0.02)
+        for j in reversed(range(n)):
+            others = np.arange(n) != j
+            z = _unzip((1.0 - 1e-9) * np.exp(1j * phi[others]),
+                       np.full((n - 1, 1), np.exp(1j * phi[j])),
+                       math.exp(-0.02))
+            assert np.abs(np.abs(z) - 1.0).max() < 1e-7
+            phi[others] += np.angle(z * np.exp(-1j * phi[others]))
+            phi[j] -= db[j]
+        np.testing.assert_allclose(phi, theta, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_drift_is_dysons(self, n):
+        # with no increments, one step of dt moves the drivers by
+        # _drift * dt + O(dt^2), along axis 0 for a stack of paths
+        rng = np.random.default_rng(10 + n)
+        theta = (equally_spaced(n).angles[:, None]
+                 + rng.uniform(-0.3, 0.3, (n, 4)))
+        dt = 1e-5
+        step = slit_drivers(theta, np.zeros((n, 4)), dt) - theta
+        np.testing.assert_allclose(step / dt, dyson._drift(theta), rtol=0,
+                                   atol=1e-3)
+
+    def test_keeps_the_lift(self):
+        # a driver just below 2*pi stays there, not folded back to 0
+        theta = np.array([TWO_PI - 0.1, 2.0])
+        phi = slit_drivers(theta, np.zeros(2), 1e-3)
+        assert abs(phi[0] - theta[0]) < 1e-2
 
 
 class TestTrace:

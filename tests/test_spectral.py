@@ -117,6 +117,11 @@ class TestAdjointOperator:
     def test_convergence_order(self):
         assert measured_convergence_order(6.0) == pytest.approx(2.0, abs=0.3)
 
+    def test_convergence_order_needs_kappa_above_four(self):
+        # the exact rate is 0 at kappa = 4, so a fit would run on round-off
+        with pytest.raises(ValueError, match="kappa = 4"):
+            measured_convergence_order(4.0)
+
     @pytest.mark.parametrize("kappa,m", [(3.0, 64), (6.0, 512), (8.0, 33)])
     def test_matches_nodewise_reference(self, kappa, m):
         # reference: the same collocation built one node at a time, with
