@@ -491,8 +491,9 @@ def sample_stationary(params: ProcessParams, n_samples: int,
         raise ValueError("n_samples must be positive")
     if n_chains is None:
         n_chains = int(min(n_samples, 1024))
-    if n_chains < 1:
-        raise ValueError("n_chains must be >= 1")
+    if (isinstance(n_chains, bool)
+            or not isinstance(n_chains, (int, np.integer)) or n_chains < 1):
+        raise ValueError("n_chains must be an integer >= 1")
     burn_steps = _n_steps("burn_in", params.effective_burn_in, params.dt)
     thin_steps = _n_steps("thinning", params.thinning, params.dt)
     per_chain = -(-n_samples // n_chains)  # ceil

@@ -39,6 +39,7 @@ def gap_cdf_n2(beta: float):
 
 
 ENSEMBLES = ("CUE", "COE", "CSE")
+KS_LEVEL = 0.01  # significance level of the KS rejection thresholds
 _BLOCK = 128  # samples per stacked draw; bounds the temporaries' memory
 
 
@@ -57,8 +58,10 @@ def sample_batch(ensemble: str, n: int, n_samples: int, seed) -> SampleBatch:
     if ensemble not in ENSEMBLES:
         raise ValueError(f"unknown ensemble {ensemble!r}; valid ensembles "
                          f"are {', '.join(ENSEMBLES)}")
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError("n must be an integer >= 1")
+    for name, k in (("n", n), ("n_samples", n_samples)):
+        if (isinstance(k, bool) or not isinstance(k, (int, np.integer))
+                or k < 1):
+            raise ValueError(f"{name} must be an integer >= 1")
     m = 2 * n if ensemble == "CSE" else n
     rng = np.random.default_rng(seed)
     rows = np.empty((n_samples, n))
@@ -111,18 +114,19 @@ def ks_two_sample(a, b) -> float:
     return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
-def ks_threshold(n: int, alpha: float = 0.01) -> float:
-    """One-sample KS rejection threshold at level alpha (asymptotic)."""
+def ks_threshold(n: int) -> float:
+    """One-sample KS rejection threshold at level KS_LEVEL (asymptotic)."""
     if n < 1:
         raise ValueError("sample size must be >= 1")
-    return math.sqrt(-0.5 * math.log(alpha / 2.0)) / math.sqrt(n)
+    return math.sqrt(-0.5 * math.log(KS_LEVEL / 2.0)) / math.sqrt(n)
 
 
-def ks_two_sample_threshold(n: int, m: int, alpha: float = 0.01) -> float:
-    """Two-sample KS rejection threshold at level alpha (asymptotic)."""
+def ks_two_sample_threshold(n: int, m: int) -> float:
+    """Two-sample KS rejection threshold at level KS_LEVEL (asymptotic)."""
     if n < 1 or m < 1:
         raise ValueError("sample sizes must be >= 1")
-    return math.sqrt(-0.5 * math.log(alpha / 2.0)) * math.sqrt((n + m) / (n * m))
+    return (math.sqrt(-0.5 * math.log(KS_LEVEL / 2.0))
+            * math.sqrt((n + m) / (n * m)))
 
 
 def pairwise_gap_statistics(batch: SampleBatch) -> np.ndarray:

@@ -4,8 +4,9 @@ Two tridiagonal discretizations of the same diffusion, in one place, each
 held as its three bands and eigensolved by LAPACK's eigh_tridiagonal:
 
 * the backward (first-passage) generator acting on observables,
-  (kappa/2) h'' + cot(theta/2) h'  in the half-speed clock, collocated on
-  the regular-singular branch at theta = 0;
+  (kappa/2) h'' + cot(theta/2) h'  in the half-speed clock, as plain
+  central differences on h / theta^alpha, the regular-singular branch
+  factored out at theta = 0 and a mirrored ghost node below it;
 * the Fokker-Planck generator acting on densities, an exponentially fitted
   (Scharfetter-Gummel) flux whose discrete kernel approximates the
   stationary gap density sin^{4/kappa}(theta/2).
@@ -13,7 +14,8 @@ held as its three bands and eigensolved by LAPACK's eigh_tridiagonal:
 The Calogero-Sutherland Hamiltonian is not discretized separately: it is
 the symmetrized fitted generator, -D^{-1/2} L D^{1/2} with the diagonal D
 that makes it symmetric, so it shares the generator's spectrum exactly.
-The backward generator is symmetrized the same way for its eigensolve.
+The backward generator is symmetrized the same way for its eigensolve,
+and both go through the one symmetrized band solve.
 
 The lowest decaying mode of the backward generator on the singular branch
 theta^{1-4/kappa} has the closed-form rate (kappa^2-16)/(32 kappa), which
@@ -40,19 +42,16 @@ FP_RESIDUAL_WINDOW = (np.pi / 4.0, 7.0 * np.pi / 4.0)  # theta of FP residual
 
 @dataclass(frozen=True)
 class GridOperator:
-    """A finite-difference operator S^{-1} T S with its collocation grid.
+    """A tridiagonal finite-difference operator on its grid.
 
-    ``grid`` holds the cell-centred nodes (i+1/2)h on (0, 2*pi).  T is the
-    tridiagonal matrix with sub-, main and super-diagonal ``lower``,
-    ``diag`` and ``upper``, and S = I + c e_0 e_1^T, so the operator and T
-    share their spectrum and every eigenvector entry but the first.
+    ``grid`` holds the cell-centred nodes (i+1/2)h on (0, 2*pi), and
+    ``lower``, ``diag`` and ``upper`` the sub-, main and super-diagonal.
     """
 
     grid: np.ndarray
     lower: np.ndarray
     diag: np.ndarray
     upper: np.ndarray
-    c: float = 0.0
 
 
 def _cell_grid(m: int) -> np.ndarray:
@@ -88,72 +87,63 @@ def one_arm_eigenfunction(kappa: float, theta) -> np.ndarray:
 
 
 def build_adjoint_n2(kappa: float, m: int) -> GridOperator:
-    """Collocation matrix for (kappa/2) h'' + cot(theta/2) h' on (0, 2*pi].
+    """Central differences for (kappa/2) h'' + cot(theta/2) h' on (0, 2*pi].
 
     The origin is a regular singular point with indicial exponents 0 and
-    1 - 4/kappa.  For kappa > 4 the decaying branch theta^{1-4/kappa} is
-    selected by collocating in the basis theta^alpha * (local quadratic),
-    which keeps the scheme second order through the singular endpoint; for
-    kappa <= 4 that exponent is nonpositive and only the regular (alpha=0)
-    branch makes sense.  The far end 2*pi gets a Neumann ghost cell.
+    1 - 4/kappa.  With h = theta^alpha g, where alpha = 1 - 4/kappa selects
+    the decaying branch for kappa > 4 and alpha = 0 the regular one for
+    kappa <= 4, the operator becomes (kappa/2) g'' + b g' + c g with
 
-    Rows 0 and 1 share the one-sided stencil on nodes 0-2, so the matrix A
-    has one entry off its bands, A[0, 2]; c = -A[0, 2] / A[1, 2] clears it,
-    and the bands returned are those of T = S A S^{-1}.
+        b = kappa alpha / theta + cot(theta/2),
+        c = alpha ((kappa/2)(alpha - 1) / theta^2 + cot(theta/2) / theta),
+
+    b odd and c even in theta, so g is even about theta = 0.  Every row
+    takes plain central differences on g: row 0's ghost node -h/2 mirrors
+    node 0, g(-h/2) = g(h/2), and the far end 2*pi gets a Neumann ghost
+    cell on h.  Scaling row i by theta_i^alpha and column j by
+    theta_j^-alpha returns the bands on the nodal values of h.
     """
     if not 0.0 < kappa < math.inf:
         raise ValueError("kappa must be positive and finite")
     th = _cell_grid(m)
     alpha = 1.0 - 4.0 / kappa if kappa > 4.0 else 0.0
     h = TWO_PI / m
-    # three-point stencils: one-sided at the singular end, and at 2*pi a
-    # ghost node (m + 1/2) h that mirrors the last cell (Neumann)
-    idx = np.clip(np.arange(m) - 1, 0, m - 2)[:, None] + np.arange(3)
-    pts = (idx + 0.5) * h
+    cot = 1.0 / np.tan(th / 2.0)
+    b = kappa * alpha / th + cot
+    c = alpha * (0.5 * kappa * (alpha - 1.0) / th ** 2 + cot / th)
+    lower = 0.5 * kappa / h ** 2 - 0.5 * b / h  # coefficient of g_{i-1}
+    upper = 0.5 * kappa / h ** 2 + 0.5 * b / h  # coefficient of g_{i+1}
+    diag = c - kappa / h ** 2
+    # fold the ghosts into the diagonal: g_{-1} = g_0, h_m = h_{m-1}
+    diag[0] += lower[0]
+    diag[-1] += upper[-1] * (th[-1] / (th[-1] + h)) ** alpha
+    ratio = (th[1:] / th[:-1]) ** alpha
+    return GridOperator(th, lower[1:] * ratio, diag, upper[:-1] / ratio)
 
-    # column k: the operator applied to theta^alpha * ell_k at the row's
-    # node x, with ell_k the Lagrange basis polynomial of stencil point k,
-    # scaled by pts^-alpha so the unknowns are the nodal values
-    x = th[:, None]
-    o1, o2 = pts[:, [1, 0, 0]], pts[:, [2, 2, 1]]  # the other two points
-    den = (pts - o1) * (pts - o2)
-    ell = (x - o1) * (x - o2) / den
-    d1 = (2.0 * x - o1 - o2) / den
-    d2 = 2.0 / den
-    vals = ((0.5 * kappa * (alpha * (alpha - 1.0) * ell / x ** 2
-                            + 2.0 * alpha * d1 / x + d2)
-             + (alpha * ell / x + d1) / np.tan(x / 2.0))
-            * (x / pts) ** alpha)
-    # row i holds A[i, i-1], A[i, i], A[i, i+1], except row 0 (A[0, 0..2])
-    # and row m-1, whose ghost column folds into the diagonal
-    lower, diag, upper = vals[1:, 0], vals[:, 1].copy(), vals[:-1, 2].copy()
-    diag[-1] += vals[-1, 2]
-    # S A S^{-1}: row 0 += c row 1, then column 1 -= c column 0
-    c = -vals[0, 2] / vals[1, 2]
-    diag[0], upper[0] = vals[0, :2] + c * vals[1, :2]
-    upper[0] -= c * diag[0]
-    diag[1] -= c * lower[0]
-    return GridOperator(th, lower, diag, upper, c)
+
+def _symmetric_eigh(op: GridOperator, n: int):
+    """Lowest n eigenpairs of -D T D^{-1}, with the diagonal D that makes it
+    symmetric, solved by LAPACK bisection and inverse iteration, so reruns
+    are bit-identical.  Needs every off-diagonal product of T nonnegative.
+    """
+    return eigh_tridiagonal(-op.diag, -np.sqrt(op.lower * op.upper),
+                            select="i", select_range=(0, n - 1))
 
 
 def lowest_eigenpair(op: GridOperator) -> tuple[float, np.ndarray]:
     """Slowest decaying mode of the operator: (decay rate, eigenfunction).
 
-    The decay rate is minus the largest eigenvalue.  The bands are
-    symmetrized by a diagonal similarity, as in cs_ground_state, and solved
-    by LAPACK bisection and inverse iteration, so reruns are bit-identical.
-    The eigenvector is scaled to max-norm 1 with positive sign at its
-    interior maximum.  Raises ValueError where an off-diagonal product
-    T[i+1, i] T[i, i+1] is not positive, so that no such similarity exists:
-    on the regular branch, for kappa below about 1.35.
+    The decay rate is minus the largest eigenvalue, from the symmetrized
+    band solve that cs_ground_state also runs; the eigenvector is mapped
+    back by D^{-1} and scaled to max-norm 1 with positive sign at its
+    interior maximum.  Raises ValueError where an off-diagonal product is
+    not positive, so that D^{-1} does not exist: on the regular branch,
+    next to the far end, for kappa below about 1.34.
     """
-    prod = op.lower * op.upper
-    if not np.all(prod > 0.0):
+    if not np.all(op.lower * op.upper > 0.0):
         raise ValueError("an off-diagonal product is not positive")
-    off = np.sqrt(prod)
-    lam, y = eigh_tridiagonal(-op.diag, -off, select="i", select_range=(0, 0))
-    vec = np.cumprod(np.append(1.0, off / op.upper)) * y[:, 0]
-    vec[0] -= op.c * vec[1]
+    lam, y = _symmetric_eigh(op, 1)
+    vec = np.cumprod(np.append(1.0, np.sqrt(op.lower / op.upper))) * y[:, 0]
     return float(lam[0]), vec / vec[np.argmax(np.abs(vec))]
 
 
@@ -251,12 +241,11 @@ def cs_ground_state(kappa: float, m: int, n_states: int = 2):
     eigenvalue zero, and H and -L share their spectrum, which approximates
     Sutherland's E_n = n + kappa n^2 / 4.  Returns (values, vectors, grid).
     """
-    if (isinstance(n_states, bool)
-            or not isinstance(n_states, (int, np.integer)) or n_states < 1):
-        raise ValueError("n_states must be an integer >= 1")
     op = build_fp_generator_n2(kappa, m)
-    vals, vecs = eigh_tridiagonal(-op.diag, -np.sqrt(op.lower * op.upper),
-                                  select="i", select_range=(0, n_states - 1))
+    if isinstance(n_states, bool) or not (
+            isinstance(n_states, (int, np.integer)) and 1 <= n_states <= m):
+        raise ValueError(f"n_states must be an integer >= 1 and <= m = {m}")
+    vals, vecs = _symmetric_eigh(op, n_states)
     return vals, vecs, op.grid
 
 

@@ -142,7 +142,7 @@ class TestSimulate:
     (["exponents", "--p-max", "1"],
      "exponents: p_max must be an integer >= 2"),
     (["exponents", "--kappas", "1/0"],
-     "exponents: kappas '1/0' has a zero denominator"),
+     "exponents: kappa '1/0' has a zero denominator"),
 ])
 def test_bad_input_exits_with_command_and_message(args, problem):
     with pytest.raises(SystemExit, match=problem):

@@ -148,6 +148,13 @@ class TestMatrixSamplers:
         with pytest.raises(ValueError, match="n must be an integer >= 1"):
             sample_batch("CUE", n, 10, seed=0)
 
+    @pytest.mark.parametrize("n_samples", [0, -1, 2.5, True],
+                             ids=["0", "-1", "2.5", "True"])
+    def test_bad_sample_count_rejected(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples must be an integer "
+                                             ">= 1"):
+            sample_batch("CUE", 2, n_samples, seed=0)
+
     def test_unknown_ensemble_rejected(self):
         with pytest.raises(ValueError, match="GUE.*CUE, COE, CSE"):
             sample_batch("GUE", 2, 10, seed=0)

@@ -18,14 +18,16 @@ from sle_dyson.spectral import (TWO_PI, GridOperator,
 
 
 def dense(op):
-    """The operator as a dense matrix, S^{-1} T S with S = I + c e_0 e_1^T,
-    rebuilt from its bands."""
-    t = np.diag(op.diag) + np.diag(op.lower, -1) + np.diag(op.upper, 1)
-    s = np.eye(op.grid.size)
-    s[0, 1] = op.c
-    s_inv = np.eye(op.grid.size)
-    s_inv[0, 1] = -op.c
-    return s_inv @ t @ s
+    """The operator as a dense matrix, rebuilt from its bands."""
+    return np.diag(op.diag) + np.diag(op.lower, -1) + np.diag(op.upper, 1)
+
+
+def apply(op, v):
+    """The operator applied to v, from its bands."""
+    out = op.diag * v
+    out[1:] += op.lower * v[:-1]
+    out[:-1] += op.upper * v[1:]
+    return out
 
 
 class TestExactRate:
@@ -71,8 +73,8 @@ def test_non_integer_grid_rejected(fn, m):
         fn(m)
 
 
-@pytest.mark.parametrize("n_states", [0, -1, 1.5, True],
-                         ids=["0", "-1", "1.5", "True"])
+@pytest.mark.parametrize("n_states", [0, -1, 1.5, True, 65, 100],
+                         ids=["0", "-1", "1.5", "True", "65", "100"])
 def test_cs_ground_state_rejects_state_count(n_states):
     with pytest.raises(ValueError, match="n_states must be an integer >= 1"):
         cs_ground_state(2.0, 64, n_states=n_states)
@@ -124,11 +126,15 @@ class TestAdjointOperator:
 
     @pytest.mark.parametrize("kappa,m", [(3.0, 64), (6.0, 512), (8.0, 33)])
     def test_matches_nodewise_reference(self, kappa, m):
-        # reference: the same collocation built one node at a time, with
-        # the operator applied to theta^p in closed form
+        # reference: the operator applied to |theta|^alpha times the local
+        # quadratic through three nodes, one node at a time, with theta^p
+        # in closed form.  Each row's stencil is nodes i-1, i, i+1: row 0
+        # reaches the ghost -h/2, whose value mirrors node 0, and row m-1
+        # the Neumann ghost (m + 1/2) h; each ghost column folds into the
+        # column of the node it copies
         alpha = 1.0 - 4.0 / kappa if kappa > 4.0 else 0.0
         h = TWO_PI / m
-        th = (np.arange(m + 1) + 0.5) * h  # the last is the Neumann ghost
+        th = (np.arange(-1, m + 1) + 0.5) * h  # both ends are ghosts
 
         def apply_pow(p, x):
             return (0.5 * kappa * p * (p - 1) * x ** (p - 2)
@@ -136,15 +142,15 @@ class TestAdjointOperator:
 
         ref = np.zeros((m, m))
         for i in range(m):
-            idx = [0, 1, 2] if i == 0 else (
-                [m - 2, m - 1, m] if i == m - 1 else [i - 1, i, i + 1])
-            for k, j in enumerate(idx):
-                o = [th[q] for q in idx if q != j]
-                den = (th[j] - o[0]) * (th[j] - o[1])
-                val = (apply_pow(alpha + 2, th[i])
-                       - (o[0] + o[1]) * apply_pow(alpha + 1, th[i])
-                       + o[0] * o[1] * apply_pow(alpha, th[i])) / den
-                ref[i, min(j, m - 1)] += val / th[j] ** alpha
+            pts, x = th[i:i + 3], th[i + 1]
+            for k in range(3):
+                o = np.delete(pts, k)
+                den = (pts[k] - o[0]) * (pts[k] - o[1])
+                val = (apply_pow(alpha + 2, x)
+                       - (o[0] + o[1]) * apply_pow(alpha + 1, x)
+                       + o[0] * o[1] * apply_pow(alpha, x)) / den
+                ref[i, min(max(i + k - 1, 0), m - 1)] += (
+                    val / abs(pts[k]) ** alpha)
         got = dense(build_adjoint_n2(kappa, m))
         assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
 
@@ -175,6 +181,14 @@ class TestLowestEigenpair:
         with pytest.raises(ValueError, match="off-diagonal product is not "
                                              "positive"):
             lowest_eigenpair(build_adjoint_n2(1.0, 64))
+
+    @pytest.mark.parametrize("m", [512, 4096])
+    @pytest.mark.parametrize("kappa", [3.0, 4.5, 6.0, 8.0, 100.0])
+    def test_eigenpair_residual(self, kappa, m):
+        op = build_adjoint_n2(kappa, m)
+        lam, vec = lowest_eigenpair(op)
+        resid = np.max(np.abs(apply(op, vec) + lam * vec))
+        assert resid <= 1e-12 * np.max(np.abs(op.diag))
 
     def test_reruns_bit_identical(self):
         op = build_adjoint_n2(6.0, 1024)
