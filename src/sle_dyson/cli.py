@@ -105,13 +105,14 @@ def cmd_simulate(cfg: dict, out_path: str) -> int:
                     thinning=params.thinning, n_samples=cfg["n_samples"])
         meta.update((k, batch.meta[k]) for k in dyson.PATH_COUNTERS)
         header = ["sample", *names]
-        rows = ([i, *row] for i, row in enumerate(batch.rows))
+        rows = ([i, *row] for i, row in enumerate(batch.rows.tolist()))
     else:
         t_end = 1.0 if cfg["t_end"] is None else cfg["t_end"]
         rec = dyson.simulate(params, t_end)
         meta["t_end"] = t_end
         header = ["t", *names]
-        rows = ([t, *row] for t, row in zip(rec.times, rec.states))
+        rows = ([t, *row]
+                for t, row in zip(rec.times.tolist(), rec.states.tolist()))
     with _open_out(out_path) as fh:
         _write_csv(fh, meta, header, rows)
     return 0
@@ -197,7 +198,7 @@ def cmd_trace(cfg: dict, out_path: str) -> int:
     curves = np.repeat(np.arange(params.n_particles), times.size)
     times = np.tile(times, params.n_particles)
     rows = [[j, t, pt.z.real, pt.z.imag, pt.status.value]
-            for j, t, pt in zip(curves, times,
+            for j, t, pt in zip(curves.tolist(), times.tolist(),
                                 loewner.trace_points(drive, curves, times))]
     meta["unresolved"] = sum(row[4] == "unresolved" for row in rows)
     with _open_out(out_path) as fh:

@@ -12,20 +12,27 @@ dt, so every per-chain check reduces over the short axis 0: chains clear
 of collision share one Euler-Maruyama proposal, chains whose nearest pair
 is close take an exact squared-Bessel pair move, and any chain left over
 takes gap-capped, step-halving sub-steps with a reflecting GAP_FLOOR.
+The gaps that a step's order checks compute, those of the proposal and
+of the pair jump, are carried into the next step's close-pair guard, and
+only the chains that the rare path rewrote have theirs recomputed.
 :func:`sample_stationary` runs the kernel on many chains.
 :func:`simulate` (one chain, every step recorded) steps its chain on
 Python floats with :func:`_integrate_chain`, which makes the kernel's draws
 and arithmetic, so its path is the kernel's bit for bit without the
-per-call numpy overhead; the kernel's rare path, :func:`_rare_step`, is
-that same per-chain code.  Both take and return one row per
-configuration.  The stationary law is the circular beta-ensemble with
-beta = 4/kappa (see :mod:`sle_dyson.ensembles` for the reference densities).
+per-call numpy overhead.  The kernel runs that same per-chain code for its
+rare path, :func:`_rare_step`, and for a pair jump of at most
+FLOAT_JUMP_MAX chains, :func:`_chain_pair_jump` on the batched draws;
+more chains than that take the vectorized move.  Both entry points take
+and return one row per configuration.  The stationary law is the circular
+beta-ensemble with beta = 4/kappa (see :mod:`sle_dyson.ensembles` for the
+reference densities).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 import functools
+import itertools
 import math
 import operator
 
@@ -42,6 +49,13 @@ MAX_HALVINGS = 20
 # the integrator finite.  Stationary mass below the barrier is of order
 # GAP_FLOOR^(1+4/kappa), far below statistical resolution.
 GAP_FLOOR = 1e-4
+
+# A pair jump of at most this many chains runs on Python floats, chain by
+# chain; more chains take the vectorized move.  On a 2-core x86 machine
+# (numpy 2.4) the float path took about 8 us plus 6-8 us per chain and the
+# vectorized move 65-70 us at any count up to 16: they cross at 9-11
+# chains for N = 2, 3 and 5.
+FLOAT_JUMP_MAX = 8
 
 # Per-path counters of :func:`_integrate` and :func:`_integrate_chain`:
 # chain-steps taken by the shared EM proposal, by the pair jump and by the
@@ -184,13 +198,13 @@ def _drift(x):
     (N, chains) stack: one cot per pair, and each particle adds its terms
     in ascending partner order, as a sum over a full cot matrix does."""
     j, k, terms = _pair_terms(x.shape[0])
-    cot = 1.0 / np.tan((x[j] - x[k]) / 2.0)
+    cot = 1.0 / np.tan((np.take(x, j, 0) - np.take(x, k, 0)) / 2.0)
     # |cot(d/2)| ~ 2/|d| near d = 0 mod 2*pi: flags pairs closer than 1e-12
-    if not np.abs(cot).max(initial=0.0) < 2e12:
+    if not np.maximum.reduce(np.abs(cot), None, initial=0.0) < 2e12:
         raise CollisionError("coincident angles: cot drift is singular")
     # a sum over the leading axis adds its slices in order, so each
     # particle's terms in ascending partner order
-    return np.add.reduce(np.concatenate((cot, -cot))[terms], axis=0)
+    return np.add.reduce(np.take(np.concatenate((cot, -cot)), terms, 0))
 
 
 def _gaps(x):
@@ -198,11 +212,35 @@ def _gaps(x):
     return np.concatenate((x[1:], x[:1] + TWO_PI)) - x
 
 
+def _checked(old, new, floor):
+    """The gaps of ``new``, their minimum per chain, and the mask of chains
+    that keep every gap >= ``floor`` (so the cyclic order of ``old``) and
+    move no particle by pi or more."""
+    gaps = _gaps(new)
+    gmin = np.minimum.reduce(gaps)
+    return gaps, gmin, ((gmin >= floor)
+                        & (np.maximum.reduce(np.abs(new - old)) < np.pi))
+
+
 def _accepted(old, new, floor):
-    """Chains of ``new`` that keep every gap >= ``floor`` (so the cyclic
-    order of ``old``) and move no particle by pi or more."""
-    return ((_gaps(new).min(axis=0) >= floor)
-            & (np.abs(new - old).max(axis=0) < np.pi))
+    """The mask of :func:`_checked` alone, as the reference steppers of
+    the tests use it."""
+    return _checked(old, new, floor)[2]
+
+
+def _pair_jump_draws(s, n, kappa, tau, rng):
+    """The pair jump's draws for chains with nearest gaps ``s``, a list, in
+    its order: each chain's noncentral chi-square for the squared gap, then
+    a normal for each pair's midpoint and a (chains, N) block of normals
+    for the particles, all returned as lists.  One scalar chi-square call
+    per chain draws what one batched call over the chains draws, without
+    its per-call cost: on the machine of FLOAT_JUMP_MAX's note, 0.7 us per
+    scalar call against 13 us for a batched call of one chain."""
+    df = 1.0 + 4.0 / kappa
+    chi2 = [rng.noncentral_chisquare(df, t * t / (2.0 * kappa * tau))
+            for t in s]
+    return (chi2, rng.standard_normal(len(s)).tolist(),
+            rng.standard_normal((len(s), n)).tolist())
 
 
 def _pair_jump(x, gaps, mu, kappa, tau, rng):
@@ -213,11 +251,20 @@ def _pair_jump(x, gaps, mu, kappa, tau, rng):
     scaled noncentral chi-square; the cot-versus-1/s drift difference and
     the differential pull of the other particles enter as an O(tau) drift
     correction.  Midpoint and remaining particles take plain EM updates.
-    Returns (new, ok_mask); chains whose move would break the cyclic
-    order, or whose pair is not isolated, are left for the rare path of
-    :func:`_integrate`.
+    Returns (new, gaps of new, ok_mask); chains whose move would break the
+    cyclic order, or whose pair is not isolated, are left for the rare path
+    of :func:`_integrate`.  Up to FLOAT_JUMP_MAX chains move on Python
+    floats by :func:`_chain_pair_jump`, the same arithmetic on the same
+    draws.
     """
     n, c = x.shape
+    if c <= FLOAT_JUMP_MAX:
+        draws = _pair_jump_draws(np.minimum.reduce(gaps).tolist(), n, kappa,
+                                 tau, rng)
+        new, new_gaps, ok = zip(*map(
+            _chain_pair_jump, x.T.tolist(), gaps.T.tolist(), mu.T.tolist(),
+            itertools.repeat(kappa), itertools.repeat(tau), *draws))
+        return np.array(new).T, np.array(new_gaps).T, ok
     cols = np.arange(c)
     i = np.argmin(gaps, axis=0)
     k = (i + 1) % n
@@ -234,11 +281,11 @@ def _pair_jump(x, gaps, mu, kappa, tau, rng):
     new[i, cols] = mid - 0.5 * s_new
     # the pair (x_{N-1}, x_0 + 2*pi) closes the circle: x_0 lives 2*pi lower
     new[k, cols] = mid + 0.5 * s_new - TWO_PI * (k == 0)
-    ok = _accepted(x, new, 0.5 * GAP_FLOOR)
+    new_gaps, _, ok = _checked(x, new, 0.5 * GAP_FLOOR)
     if n > 2:
         # only trust the two-body move when the pair is isolated
         ok &= np.partition(gaps, 1, axis=0)[1] > np.maximum(3.0 * s, 0.15)
-    return new, ok
+    return new, new_gaps, ok
 
 
 # One chain held as a list of Python floats.  Each function below repeats
@@ -280,32 +327,33 @@ def _chain_gaps(x):
 
 
 def _chain_accepted(old, new, new_gaps, floor):
-    """:func:`_accepted` for one chain, given the gaps of ``new``."""
+    """The mask of :func:`_checked` for one chain, given the gaps of
+    ``new``."""
     return (min(new_gaps) >= floor
             and max(map(abs, map(operator.sub, new, old))) < math.pi)
 
 
-def _chain_pair_jump(x, gaps, mu, kappa, tau, rng):
-    """:func:`_pair_jump` for one chain: returns (new, ok)."""
+def _chain_pair_jump(x, gaps, mu, kappa, tau, chi2, z_mid, z):
+    """:func:`_pair_jump` for one chain, given its entries of
+    :func:`_pair_jump_draws` (a float, a float and a list of N floats):
+    returns (new, gaps of new, ok)."""
     n = len(x)
     s = min(gaps)
     i = gaps.index(s)
     k = (i + 1) % n
-    v = tau * rng.noncentral_chisquare(1.0 + 4.0 / kappa,
-                                       s * s / (2.0 * kappa * tau))
-    s_new = max(math.sqrt(2.0 * kappa * v)
+    s_new = max(math.sqrt(2.0 * kappa * (tau * chi2))
                 + ((mu[k] - mu[i]) - 4.0 / s) * tau, GAP_FLOOR)
     mid = (x[i] + 0.5 * s + 0.5 * (mu[i] + mu[k]) * tau
-           + math.sqrt(0.5 * kappa * tau) * rng.standard_normal())
+           + math.sqrt(0.5 * kappa * tau) * z_mid)
     sq = math.sqrt(kappa * tau)
-    new = [a + m * tau + sq * z
-           for a, m, z in zip(x, mu, rng.standard_normal(n).tolist())]
+    new = [a + m * tau + sq * w for a, m, w in zip(x, mu, z)]
     new[i] = mid - 0.5 * s_new
     new[k] = mid + 0.5 * s_new - TWO_PI * (k == 0)
-    ok = _chain_accepted(x, new, _chain_gaps(new), 0.5 * GAP_FLOOR)
+    new_gaps = _chain_gaps(new)
+    ok = _chain_accepted(x, new, new_gaps, 0.5 * GAP_FLOOR)
     if ok and n > 2:
         ok = sorted(gaps)[1] > max(3.0 * s, 0.15)
-    return new, ok
+    return new, new_gaps, ok
 
 
 def _rare_step(x, kappa, dt, rng, counts):
@@ -370,7 +418,10 @@ def _integrate_chain(x, kappa, dt, n_steps, rng, counts):
         if n > 1 and min(gaps) < (4.0 * sqrt_kdt
                                   + 4.0 * dt * max(map(abs, mu))):
             path = "pair_jumps"
-            new, ok = _chain_pair_jump(x, gaps, mu, kappa, dt, rng)
+            (chi2,), (z_mid,), (z,) = _pair_jump_draws([min(gaps)], n,
+                                                       kappa, dt, rng)
+            new, _, ok = _chain_pair_jump(x, gaps, mu, kappa, dt, chi2, z_mid,
+                                          z)
         else:
             path = "em_steps"
             ok = _chain_accepted(x, new, _chain_gaps(new), GAP_FLOOR)
@@ -390,36 +441,47 @@ def _integrate(x, kappa, dt, n_steps, rng, counts):
     Chains clear of collision take one shared Euler-Maruyama proposal, and
     chains that trip the close-pair guard take :func:`_pair_jump`.  Chains
     either path rejects take :func:`_rare_step` from where they stood, one
-    chain at a time.  ``counts`` accumulates the PATH_COUNTERS.
+    chain at a time.  The gaps of each step's result, which the order checks
+    compute, are carried into the next step's guard; only the chains that
+    the rare path rewrote have theirs recomputed.
+    ``counts`` accumulates the PATH_COUNTERS.
     """
     n, c = x.shape
     sqrt_kdt = math.sqrt(kappa * dt)
+    gaps = _gaps(x)
+    gmin = np.minimum.reduce(gaps)
     for _ in range(n_steps):
         mu = _drift(x)
-        gaps = _gaps(x)
         new = x + mu * dt + sqrt_kdt * rng.standard_normal((c, n)).T
-        ok = _accepted(x, new, GAP_FLOOR)
+        new_gaps, new_gmin, ok = _checked(x, new, GAP_FLOOR)
         n_jump = 0
         if n > 1:
             # close-pair trigger: a step may not come near the collision scale
-            near = gaps.min(axis=0) < (4.0 * sqrt_kdt
-                                       + 4.0 * dt * np.abs(mu).max(axis=0))
-            if near.any():
+            near, = (gmin < (4.0 * sqrt_kdt
+                             + 4.0 * dt * np.maximum.reduce(np.abs(mu)))
+                     ).nonzero()
+            if near.size:
                 # a rejected jump's chain is redone by the rare path below
-                idx = np.flatnonzero(near)
-                new[:, idx], ok[idx] = _pair_jump(
-                    x[:, idx], gaps[:, idx], mu[:, idx], kappa, dt, rng)
-                n_jump = int(np.count_nonzero(ok[idx]))
-        rare = np.flatnonzero(~ok)
+                new[:, near], g, ok[near] = _pair_jump(
+                    np.take(x, near, 1), np.take(gaps, near, 1),
+                    np.take(mu, near, 1), kappa, dt, rng)
+                new_gaps[:, near] = g
+                new_gmin[near] = np.minimum.reduce(g)
+                n_jump = int(np.count_nonzero(np.take(ok, near)))
+        rare, = np.logical_not(ok).nonzero()
         counts["em_steps"] += c - rare.size - n_jump
         counts["pair_jumps"] += n_jump
         counts["rare_steps"] += rare.size
-        for r in rare:
+        for r in rare.tolist():
             # chain by chain: a chain draws all its sub-steps' noise before
             # the next starts, so one chain's sub-step count never reorders
             # the draws of another
             new[:, r] = _rare_step(x[:, r].tolist(), kappa, dt, rng, counts)
-        x = new
+        if rare.size:
+            g = _gaps(np.take(new, rare, 1))
+            new_gaps[:, rare] = g
+            new_gmin[rare] = np.minimum.reduce(g)
+        x, gaps, gmin = new, new_gaps, new_gmin
     return x
 
 

@@ -121,12 +121,17 @@ def build_adjoint_n2(kappa: float, m: int) -> GridOperator:
     return GridOperator(th, lower[1:] * ratio, diag, upper[:-1] / ratio)
 
 
-def _symmetric_eigh(op: GridOperator, n: int):
+def _symmetric_eigh(op: GridOperator, n: int, eigvals_only: bool = False):
     """Lowest n eigenpairs of -D T D^{-1}, with the diagonal D that makes it
     symmetric, solved by LAPACK bisection and inverse iteration, so reruns
-    are bit-identical.  Needs every off-diagonal product of T nonnegative.
+    are bit-identical; with ``eigvals_only`` the bisection's eigenvalues
+    alone, the same bits.  Raises ValueError where an off-diagonal product
+    of T is not positive, so that D does not exist.
     """
+    if not np.all(op.lower * op.upper > 0.0):
+        raise ValueError("an off-diagonal product is not positive")
     return eigh_tridiagonal(-op.diag, -np.sqrt(op.lower * op.upper),
+                            eigvals_only=eigvals_only,
                             select="i", select_range=(0, n - 1))
 
 
@@ -140,16 +145,15 @@ def lowest_eigenpair(op: GridOperator) -> tuple[float, np.ndarray]:
     not positive, so that D^{-1} does not exist: on the regular branch,
     next to the far end, for kappa below about 1.34.
     """
-    if not np.all(op.lower * op.upper > 0.0):
-        raise ValueError("an off-diagonal product is not positive")
     lam, y = _symmetric_eigh(op, 1)
     vec = np.cumprod(np.append(1.0, np.sqrt(op.lower / op.upper))) * y[:, 0]
     return float(lam[0]), vec / vec[np.argmax(np.abs(vec))]
 
 
 def adjoint_decay_rate(kappa: float, m: int) -> float:
-    lam, _ = lowest_eigenpair(build_adjoint_n2(kappa, m))
-    return lam
+    """The decay rate of :func:`lowest_eigenpair` on build_adjoint_n2(kappa,
+    m), from the eigenvalue-only solve."""
+    return float(_symmetric_eigh(build_adjoint_n2(kappa, m), 1, True)[0])
 
 
 def measured_convergence_order(kappa: float) -> float:
@@ -240,12 +244,19 @@ def cs_ground_state(kappa: float, m: int, n_states: int = 2):
     state is its square root, approximately sin^{2/kappa}(theta/2), at
     eigenvalue zero, and H and -L share their spectrum, which approximates
     Sutherland's E_n = n + kappa n^2 / 4.  Returns (values, vectors, grid).
+    Raises ValueError, naming kappa and m, where an off-diagonal product of
+    the bands is not positive: at m = 4096, from kappa = 0.005 down.
     """
     op = build_fp_generator_n2(kappa, m)
     if isinstance(n_states, bool) or not (
             isinstance(n_states, (int, np.integer)) and 1 <= n_states <= m):
         raise ValueError(f"n_states must be an integer >= 1 and <= m = {m}")
-    vals, vecs = _symmetric_eigh(op, n_states)
+    try:
+        vals, vecs = _symmetric_eigh(op, n_states)
+    except ValueError as exc:
+        # exprel overflows in the end cells, which would split the grid
+        # into decoupled blocks
+        raise ValueError(f"{exc} at kappa = {kappa}, m = {m}") from None
     return vals, vecs, op.grid
 
 

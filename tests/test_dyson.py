@@ -240,6 +240,65 @@ def reference_rare_step(xr, kappa, dt, rng, counts):
     return xr
 
 
+def reference_kernel_pair_jump(x, gaps, mu, kappa, tau, rng):
+    """The pair jump of (N, chains) columns, all of them vectorized, as the
+    kernel made it before its few-chain float path."""
+    n, c = x.shape
+    cols = np.arange(c)
+    i = np.argmin(gaps, axis=0)
+    k = (i + 1) % n
+    s = gaps[i, cols]
+    delta = 1.0 + 4.0 / kappa
+    v = tau * rng.noncentral_chisquare(delta, s * s / (2.0 * kappa * tau),
+                                       size=c)
+    mu_i, mu_k = mu[i, cols], mu[k, cols]
+    s_new = np.maximum(np.sqrt(2.0 * kappa * v)
+                       + ((mu_k - mu_i) - 4.0 / s) * tau, GAP_FLOOR)
+    mid = (x[i, cols] + 0.5 * s + 0.5 * (mu_i + mu_k) * tau
+           + math.sqrt(0.5 * kappa * tau) * rng.standard_normal(c))
+    new = x + mu * tau + math.sqrt(kappa * tau) * rng.standard_normal((c, n)).T
+    new[i, cols] = mid - 0.5 * s_new
+    new[k, cols] = mid + 0.5 * s_new - TWO_PI * (k == 0)
+    ok = dyson._accepted(x, new, 0.5 * GAP_FLOOR)
+    if n > 2:
+        ok &= np.partition(gaps, 1, axis=0)[1] > np.maximum(3.0 * s, 0.15)
+    return new, ok
+
+
+def reference_kernel(x, kappa, dt, n_steps, rng, counts, near_counts):
+    """The batched kernel on (N, chains) columns as it was before it carried
+    its gaps from step to step: every step takes the gaps and the drift
+    (from reference_drift) afresh and moves near chains by
+    reference_kernel_pair_jump.  Appends each step's count of near chains
+    to ``near_counts``."""
+    n, c = x.shape
+    sqrt_kdt = math.sqrt(kappa * dt)
+    for _ in range(n_steps):
+        mu = reference_drift(x.T).T
+        gaps = dyson._gaps(x)
+        new = x + mu * dt + sqrt_kdt * rng.standard_normal((c, n)).T
+        ok = dyson._accepted(x, new, GAP_FLOOR)
+        n_jump = 0
+        if n > 1:
+            near = gaps.min(axis=0) < (4.0 * sqrt_kdt
+                                       + 4.0 * dt * np.abs(mu).max(axis=0))
+            near_counts.append(int(np.count_nonzero(near)))
+            if near.any():
+                idx = np.flatnonzero(near)
+                new[:, idx], ok[idx] = reference_kernel_pair_jump(
+                    x[:, idx], gaps[:, idx], mu[:, idx], kappa, dt, rng)
+                n_jump = int(np.count_nonzero(ok[idx]))
+        rare = np.flatnonzero(~ok)
+        counts["em_steps"] += c - rare.size - n_jump
+        counts["pair_jumps"] += n_jump
+        counts["rare_steps"] += rare.size
+        for r in rare:
+            new[:, r] = dyson._rare_step(x[:, r].tolist(), kappa, dt, rng,
+                                         counts)
+        x = new
+    return x
+
+
 class TestStepping:
     def test_one_step_variance(self):
         # increment variance about the drift is kappa*dt, within 3 SE
@@ -380,6 +439,78 @@ class TestKernelMatchesRowMajorReference:
         assert np.array_equal(new, ref)
         for key in ("rare_substeps", "halvings", "reflections"):
             assert counts[key] == ref_counts[key]
+
+
+def near_collision_starts(rng, n, chains, n_near, n_rare, s_max):
+    """Sorted (chains, N) rows of jittered equally spaced angles, except
+    that the first ``n_near`` rows have a pair closer than ``s_max`` and the
+    first ``n_rare`` of those a second, closer pair next to it, which is
+    not isolated, so its pair jump is refused for the rare path."""
+    gaps = TWO_PI / n * rng.uniform(0.8, 1.2, size=(chains, n))
+    fixed = np.zeros((chains, n), dtype=bool)
+    gaps[:n_near, 0] = s_max * rng.uniform(0.25, 0.9, size=n_near)
+    fixed[:n_near, 0] = True
+    if n_rare:
+        gaps[:n_rare, 1] = gaps[:n_rare, 0] * rng.uniform(0.5, 0.9,
+                                                          size=n_rare)
+        fixed[:n_rare, 1] = True
+    free = np.where(fixed, 0.0, gaps)
+    scale = (TWO_PI - np.where(fixed, gaps, 0.0).sum(axis=-1)) / free.sum(
+        axis=-1)
+    gaps = np.where(fixed, gaps, gaps * scale[:, None])
+    shift = rng.integers(0, n, size=chains)  # the close pairs' slots vary
+    gaps = gaps[np.arange(chains)[:, None], (np.arange(n) + shift[:, None]) % n]
+    return np.cumsum(gaps, axis=-1) - gaps + rng.uniform(0.0, TWO_PI,
+                                                         size=(chains, 1))
+
+
+class TestKernelMatchesPreviousKernel:
+    """The kernel, which carries each step's gaps into the next and moves a
+    few near chains on Python floats, gives the rows and PATH_COUNTERS of
+    reference_kernel bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_rows_and_counters(self, n):
+        dt, n_steps, cut = 1e-3, 4, dyson.FLOAT_JUMP_MAX
+        near_counts, rare_steps = [], 0
+        for i, kappa in enumerate([1.0, 2.0, 3.0, 4.0, 6.0, 8.0]):
+            for chains in (1, 8, 24, 64, 1024):
+                rng = np.random.default_rng(1000 * n + 10 * i + chains)
+                n_near = 0 if n == 1 else min(
+                    chains, (1, cut, cut + 1, 2, cut - 1, chains // 3)[i])
+                n_rare = 0 if n < 3 or chains == 1 else 1 + chains // 256
+                x = near_collision_starts(rng, n, chains, n_near, n_rare,
+                                          4.0 * math.sqrt(kappa * dt))
+                seed = int(rng.integers(2 ** 32))
+                new, counts = run_kernel(x, kappa, dt, n_steps, seed)
+                ref_counts = dict.fromkeys(PATH_COUNTERS, 0)
+                ref = reference_kernel(np.ascontiguousarray(x.T), kappa, dt,
+                                       n_steps, np.random.default_rng(seed),
+                                       ref_counts, near_counts).T
+                assert np.array_equal(new, ref), (kappa, chains)
+                assert counts == ref_counts, (kappa, chains)
+                rare_steps += counts["rare_steps"]
+        if n > 1:
+            # steps with one near chain, with the float path's largest
+            # count and with one more, which takes the vectorized move
+            assert {1, cut, cut + 1} <= set(near_counts)
+            assert max(near_counts) > 100
+        if n > 2:
+            assert rare_steps > 0
+
+    @pytest.mark.parametrize("n, kappa, chains", [
+        (2, 4.0, 1024), (3, 2.0, 24), (5, 2.0, 8), (4, 6.0, 8)])
+    def test_sample_stationary(self, monkeypatch, n, kappa, chains):
+        p = ProcessParams(n_particles=n, kappa=kappa, seed=n, burn_in=0.4)
+        batch = sample_stationary(p, 2 * chains, n_chains=chains)
+        monkeypatch.setattr(
+            dyson, "_integrate",
+            lambda x, kappa, dt, n_steps, rng, counts: reference_kernel(
+                x, kappa, dt, n_steps, rng, counts, []))
+        ref = sample_stationary(p, 2 * chains, n_chains=chains)
+        assert np.array_equal(batch.rows, ref.rows)
+        assert batch.meta == ref.meta
+        assert batch.meta["pair_jumps"] > 0
 
 
 class TestOneChainStepper:

@@ -110,6 +110,19 @@ class TestAdjointOperator:
         exact = one_arm_lambda_exact(kappa)
         assert abs(adjoint_decay_rate(kappa, 512) - exact) < 2e-6 * exact
 
+    @pytest.mark.parametrize("m", [64, 512, 4096])
+    @pytest.mark.parametrize("kappa", [1.34, 2.0, 4.0, 4.001, 6.0, 8.0,
+                                       100.0, 1000.0])
+    def test_decay_rate_is_the_eigenpairs_value(self, kappa, m):
+        # the eigenvalue-only solve returns the eigenpair solve's value
+        lam, _ = lowest_eigenpair(build_adjoint_n2(kappa, m))
+        assert adjoint_decay_rate(kappa, m) == lam
+
+    def test_decay_rate_keeps_the_positivity_check(self):
+        with pytest.raises(ValueError, match="off-diagonal product is not "
+                                             "positive"):
+            adjoint_decay_rate(1.0, 64)
+
     def test_eigenfunction_shape(self):
         op = build_adjoint_n2(6.0, 512)
         _, vec = lowest_eigenpair(op)
@@ -252,6 +265,17 @@ class TestCsHamiltonian:
         vals, _, _ = cs_ground_state(kappa, 4096, n_states=4)
         exact = [n + kappa * n * n / 4.0 for n in range(4)]
         assert np.allclose(vals, exact, rtol=0.0, atol=1e-3)
+
+    @pytest.mark.parametrize("kappa", [0.005, 0.001])
+    def test_decoupled_bands_rejected(self, kappa):
+        # exprel overflows in the end cells, leaving zero off-diagonals
+        with pytest.raises(ValueError, match=f"not positive at kappa = "
+                                             f"{kappa}, m = 4096"):
+            cs_ground_state(kappa, 4096)
+
+    def test_smallest_coupled_kappa_returns(self):
+        vals, _, _ = cs_ground_state(0.006, 4096)
+        assert vals[1] == pytest.approx(1.0 + 0.006 / 4.0, abs=1e-3)
 
     def test_spectral_gap_matches_fp_decay(self):
         # the similarity transform preserves spectra: the first excited
