@@ -12,9 +12,9 @@ dt, so every per-chain check reduces over the short axis 0: chains clear
 of collision share one Euler-Maruyama proposal, chains whose nearest pair
 is close take an exact squared-Bessel pair move, and any chain left over
 takes gap-capped, step-halving sub-steps with a reflecting GAP_FLOOR.
-The gaps that a step's order checks compute, those of the proposal and
-of the pair jump, are carried into the next step's close-pair guard, and
-only the chains that the rare path rewrote have theirs recomputed.
+The gaps that a step computes, those its order checks take of the
+proposal and of the pair jump and those of the rare path's last
+sub-step, are carried into the next step's close-pair guard.
 :func:`sample_stationary` runs the kernel on many chains.
 :func:`simulate` (one chain, every step recorded) steps its chain on
 Python floats with :func:`_integrate_chain`, which makes the kernel's draws
@@ -358,7 +358,7 @@ def _chain_pair_jump(x, gaps, mu, kappa, tau, chi2, z_mid, z):
 
 def _rare_step(x, kappa, dt, rng, counts):
     """Advance one chain, a list of floats, by ``dt`` on the rare path of
-    :func:`_integrate` and return it: sub-steps of at most
+    :func:`_integrate` and return it with its gaps: sub-steps of at most
     g^2 / (32 (kappa + N)) for nearest gap g, a cap under which the
     close-pair guard always holds, until ``dt`` is used up.  A sub-step
     that breaks the order is retried with the same draws and half the
@@ -399,20 +399,21 @@ def _rare_step(x, kappa, dt, rng, counts):
             counts["reflections"] += 1
         counts["rare_substeps"] += 1
         x, left = prop, left - trial
-    return x
+    return x, gaps
 
 
 def _integrate_chain(x, kappa, dt, n_steps, rng, counts):
     """:func:`_integrate` for one chain, a list of sorted floats: the same
     draws and arithmetic, so the same path and PATH_COUNTERS, without the
-    batched kernel's per-call numpy overhead.  Returns the list of states
-    after each step."""
+    batched kernel's per-call numpy overhead.  As there, each step's gaps
+    are those its order check or rare path computed.  Returns the list of
+    states after each step."""
     n = len(x)
     sqrt_kdt = math.sqrt(kappa * dt)
+    gaps = _chain_gaps(x)
     trail = []
     for _ in range(n_steps):
         mu = _chain_drift(x)
-        gaps = _chain_gaps(x)
         new = [a + m * dt + sqrt_kdt * z
                for a, m, z in zip(x, mu, rng.standard_normal(n).tolist())]
         if n > 1 and min(gaps) < (4.0 * sqrt_kdt
@@ -420,16 +421,17 @@ def _integrate_chain(x, kappa, dt, n_steps, rng, counts):
             path = "pair_jumps"
             (chi2,), (z_mid,), (z,) = _pair_jump_draws([min(gaps)], n,
                                                        kappa, dt, rng)
-            new, _, ok = _chain_pair_jump(x, gaps, mu, kappa, dt, chi2, z_mid,
-                                          z)
+            new, new_gaps, ok = _chain_pair_jump(x, gaps, mu, kappa, dt,
+                                                 chi2, z_mid, z)
         else:
             path = "em_steps"
-            ok = _chain_accepted(x, new, _chain_gaps(new), GAP_FLOOR)
+            new_gaps = _chain_gaps(new)
+            ok = _chain_accepted(x, new, new_gaps, GAP_FLOOR)
         if not ok:
             path = "rare_steps"
-            new = _rare_step(x, kappa, dt, rng, counts)
+            new, new_gaps = _rare_step(x, kappa, dt, rng, counts)
         counts[path] += 1
-        x = new
+        x, gaps = new, new_gaps
         trail.append(x)
     return trail
 
@@ -442,8 +444,7 @@ def _integrate(x, kappa, dt, n_steps, rng, counts):
     chains that trip the close-pair guard take :func:`_pair_jump`.  Chains
     either path rejects take :func:`_rare_step` from where they stood, one
     chain at a time.  The gaps of each step's result, which the order checks
-    compute, are carried into the next step's guard; only the chains that
-    the rare path rewrote have theirs recomputed.
+    and the rare path compute, are carried into the next step's guard.
     ``counts`` accumulates the PATH_COUNTERS.
     """
     n, c = x.shape
@@ -476,11 +477,9 @@ def _integrate(x, kappa, dt, n_steps, rng, counts):
             # chain by chain: a chain draws all its sub-steps' noise before
             # the next starts, so one chain's sub-step count never reorders
             # the draws of another
-            new[:, r] = _rare_step(x[:, r].tolist(), kappa, dt, rng, counts)
-        if rare.size:
-            g = _gaps(np.take(new, rare, 1))
-            new_gaps[:, rare] = g
-            new_gmin[rare] = np.minimum.reduce(g)
+            new[:, r], g = _rare_step(x[:, r].tolist(), kappa, dt, rng,
+                                      counts)
+            new_gaps[:, r], new_gmin[r] = g, min(g)
         x, gaps, gmin = new, new_gaps, new_gmin
     return x
 

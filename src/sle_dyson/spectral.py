@@ -1,7 +1,7 @@
 """Reduced two-particle operators on the relative angle theta in (0, 2*pi).
 
 Two tridiagonal discretizations of the same diffusion, in one place, each
-held as its three bands and eigensolved by LAPACK's eigh_tridiagonal:
+held as its three bands and eigensolved through LAPACK:
 
 * the backward (first-passage) generator acting on observables,
   (kappa/2) h'' + cot(theta/2) h'  in the half-speed clock, as plain
@@ -14,8 +14,12 @@ held as its three bands and eigensolved by LAPACK's eigh_tridiagonal:
 The Calogero-Sutherland Hamiltonian is not discretized separately: it is
 the symmetrized fitted generator, -D^{-1/2} L D^{1/2} with the diagonal D
 that makes it symmetric, so it shares the generator's spectrum exactly.
-The backward generator is symmetrized the same way for its eigensolve,
-and both go through the one symmetrized band solve.
+The backward generator is symmetrized the same way, by one function that
+checks the bands admit D.  Its one lowest eigenpair comes from shifted
+inverse iteration on LAPACK's LDL^T factorization of the symmetric bands,
+each shift certified to lie below the spectrum by a factorization with
+positive pivots; the Hamiltonian's lowest few states, which need Sturm
+counts to locate, come from eigh_tridiagonal's bisection.
 
 The lowest decaying mode of the backward generator on the singular branch
 theta^{1-4/kappa} has the closed-form rate (kappa^2-16)/(32 kappa), which
@@ -32,12 +36,14 @@ import math
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.special import exprel
 
 TWO_PI = 2.0 * math.pi
 ADJOINT_ORDER_GRIDS = (32, 64, 128, 256)  # m of measured_convergence_order
 FP_ORDER_GRIDS = (256, 512, 1024, 2048)   # m of fp_residual_order
 FP_RESIDUAL_WINDOW = (np.pi / 4.0, 7.0 * np.pi / 4.0)  # theta of FP residual
+INVERSE_ITERATION_STEPS = 32  # cap of _lowest_symmetric's solves
 
 
 @dataclass(frozen=True)
@@ -121,46 +127,103 @@ def build_adjoint_n2(kappa: float, m: int) -> GridOperator:
     return GridOperator(th, lower[1:] * ratio, diag, upper[:-1] / ratio)
 
 
-def _symmetric_eigh(op: GridOperator, n: int, eigvals_only: bool = False):
-    """Lowest n eigenpairs of -D T D^{-1}, with the diagonal D that makes it
-    symmetric, solved by LAPACK bisection and inverse iteration, so reruns
-    are bit-identical; with ``eigvals_only`` the bisection's eigenvalues
-    alone, the same bits.  Raises ValueError where an off-diagonal product
-    of T is not positive, so that D does not exist.
+def _symmetric_bands(op: GridOperator):
+    """Diagonal and off-diagonal of S = -D T D^{-1}, with the diagonal D
+    that makes it symmetric: S's off-diagonal is -sqrt(lower * upper) < 0.
+    Raises ValueError where an off-diagonal product of T is not positive,
+    so that D does not exist.
     """
     if not np.all(op.lower * op.upper > 0.0):
         raise ValueError("an off-diagonal product is not positive")
-    return eigh_tridiagonal(-op.diag, -np.sqrt(op.lower * op.upper),
-                            eigvals_only=eigvals_only,
-                            select="i", select_range=(0, n - 1))
+    return -op.diag, -np.sqrt(op.lower * op.upper)
+
+
+def _lowest_symmetric(d, e):
+    """Lowest eigenpair (value, unit vector) of the symmetric tridiagonal
+    S with diagonal ``d`` and off-diagonal ``e`` < 0, by shifted inverse
+    iteration from the all-ones vector.
+
+    S is an irreducible Z-matrix, so its lowest eigenvector is positive
+    and not orthogonal to the start.  Each shift sigma is certified below
+    the whole spectrum by LAPACK's LDL^T factorization of S - sigma I
+    succeeding: first sigma = 0, else the Gershgorin lower bound less a
+    margin, which is positive definite by construction.  After each solve
+    the shift moves up to rho - r, the Rayleigh quotient less the residual
+    norm, wherever that factorization also succeeds, so the iteration
+    converges to the lowest pair and to no other.  It stops when r stops
+    falling, at the round-off floor, and returns that step's pair; a fixed
+    tolerance on r would stop before the smallest entries of the vector
+    converge.  Raises ValueError for bands that are not finite or when
+    INVERSE_ITERATION_STEPS solves pass without a stall.
+    """
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+        raise ValueError("the bands are not finite")
+    # row sums of S, which are d less the Gershgorin radii as e < 0
+    rows = d + np.append(e, 0.0) + np.insert(e, 0, 0.0)
+    df, ef, info = dpttrf(d, e)
+    if info:
+        shift = np.min(rows) - 1e-12 * np.max(np.abs(d) + d - rows)
+        df, ef, info = dpttrf(d - shift, e)
+        if info:
+            raise ValueError("no shift below the spectrum factors")
+    w, r_best = np.ones(d.size), math.inf
+    # numpy's own sums, not BLAS dot: on a 2-core x86 host OpenBLAS's
+    # threaded ddot took about 5 ms at n = 16384, against 2 us at 4096
+    for _ in range(INVERSE_ITERATION_STEPS):
+        w = dpttrs(df, ef, w, overwrite_b=1)[0]
+        w /= math.sqrt(np.add.reduce(w * w))
+        # from the row sums and the differences of w: (S w)_i = rows_i w_i
+        # + e_i (w_{i+1} - w_i) + e_{i-1} (w_{i-1} - w_i), and w.S.w =
+        # sum rows w^2 - sum e (w_{i+1} - w_i)^2.  Where d nearly cancels
+        # the e, as here, the rows are exact (Sterbenz) and no term of
+        # w.S.w cancels, so its round-off does not grow with max|d|
+        dw = np.diff(w)
+        edw = e * dw
+        sw = rows * w
+        rho = float(np.add.reduce(sw * w) - np.add.reduce(edw * dw))
+        sw[:-1] += edw
+        sw[1:] -= edw
+        sw -= rho * w
+        r = math.sqrt(np.add.reduce(sw * sw))
+        if not r < r_best:
+            if math.isfinite(r):
+                return rho, w
+            break
+        r_best = r
+        shifted = dpttrf(d - (rho - r), e, overwrite_d=1)
+        if shifted[2] == 0:
+            df, ef = shifted[:2]
+    raise ValueError("inverse iteration found no lowest eigenpair")
 
 
 def lowest_eigenpair(op: GridOperator) -> tuple[float, np.ndarray]:
     """Slowest decaying mode of the operator: (decay rate, eigenfunction).
 
-    The decay rate is minus the largest eigenvalue, from the symmetrized
-    band solve that cs_ground_state also runs; the eigenvector is mapped
-    back by D^{-1} and scaled to max-norm 1 with positive sign at its
-    interior maximum.  Raises ValueError where an off-diagonal product is
-    not positive, so that D^{-1} does not exist: on the regular branch,
-    next to the far end, for kappa below about 1.34.
+    The decay rate is minus the largest eigenvalue of T, the lowest of the
+    symmetrized S = -D T D^{-1}, found by :func:`_lowest_symmetric`'s
+    certified inverse iteration; the eigenvector is mapped back by D^{-1}
+    and scaled to max-norm 1 with positive sign at its interior maximum.
+    Raises ValueError where an off-diagonal product is not positive, so
+    that D^{-1} does not exist: on the regular branch, next to the far
+    end, for kappa below about 1.34; and where the bands are not finite.
     """
-    lam, y = _symmetric_eigh(op, 1)
-    vec = np.cumprod(np.append(1.0, np.sqrt(op.lower / op.upper))) * y[:, 0]
-    return float(lam[0]), vec / vec[np.argmax(np.abs(vec))]
+    lam, y = _lowest_symmetric(*_symmetric_bands(op))
+    vec = np.cumprod(np.append(1.0, np.sqrt(op.lower / op.upper))) * y
+    return lam, vec / vec[np.argmax(np.abs(vec))]
 
 
 def adjoint_decay_rate(kappa: float, m: int) -> float:
     """The decay rate of :func:`lowest_eigenpair` on build_adjoint_n2(kappa,
-    m), from the eigenvalue-only solve."""
-    return float(_symmetric_eigh(build_adjoint_n2(kappa, m), 1, True)[0])
+    m)."""
+    return lowest_eigenpair(build_adjoint_n2(kappa, m))[0]
 
 
 def measured_convergence_order(kappa: float) -> float:
     """Fitted order of the eigenvalue error against the exact rate.
 
-    Runs on coarse grids; at very fine grids the eigensolver's residual
-    floor contaminates the error and the fit becomes meaningless.  Needs
+    Runs on coarse grids; at very fine grids the round-off of the bands
+    themselves, which grows as m^2, contaminates the error and the fit
+    becomes meaningless.  Needs
     kappa > 4: at kappa = 4 the rate is 0 and the fit would run on
     round-off.
     """
@@ -237,7 +300,8 @@ def fp_residual_order(kappa: float) -> float:
 
 
 def cs_ground_state(kappa: float, m: int, n_states: int = 2):
-    """Lowest eigenpairs of the Hamiltonian via the tridiagonal solver.
+    """Lowest eigenpairs of the Hamiltonian by LAPACK bisection and inverse
+    iteration (eigh_tridiagonal), so reruns are bit-identical.
 
     H = -D^{-1/2} L D^{1/2}, symmetric tridiagonal, from the density-
     generator bands: D is the discrete stationary density, so the ground
@@ -252,7 +316,8 @@ def cs_ground_state(kappa: float, m: int, n_states: int = 2):
             isinstance(n_states, (int, np.integer)) and 1 <= n_states <= m):
         raise ValueError(f"n_states must be an integer >= 1 and <= m = {m}")
     try:
-        vals, vecs = _symmetric_eigh(op, n_states)
+        vals, vecs = eigh_tridiagonal(*_symmetric_bands(op), select="i",
+                                      select_range=(0, n_states - 1))
     except ValueError as exc:
         # exprel overflows in the end cells, which would split the grid
         # into decoupled blocks
@@ -261,9 +326,12 @@ def cs_ground_state(kappa: float, m: int, n_states: int = 2):
 
 
 def normalized_overlap(u, v) -> float:
+    """|cos| of the angle between u and v, which rounding can lift above
+    its Cauchy-Schwarz bound 1; that is clamped."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    return float(abs(u @ v) / (np.linalg.norm(u) * np.linalg.norm(v)))
+    return min(1.0, float(abs(u @ v) / (np.linalg.norm(u)
+                                         * np.linalg.norm(v))))
 
 
 def survival_decay_rate(kappa: float, m: int = 512) -> float:

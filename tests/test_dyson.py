@@ -294,7 +294,7 @@ def reference_kernel(x, kappa, dt, n_steps, rng, counts, near_counts):
         counts["rare_steps"] += rare.size
         for r in rare:
             new[:, r] = dyson._rare_step(x[:, r].tolist(), kappa, dt, rng,
-                                         counts)
+                                         counts)[0]
         x = new
     return x
 

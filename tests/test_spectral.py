@@ -1,10 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigh_tridiagonal
 
+from sle_dyson import spectral
 from sle_dyson.spectral import (TWO_PI, GridOperator,
                                 adjoint_decay_rate,
                                 build_adjoint_n2, build_fp_generator_n2,
@@ -28,6 +31,19 @@ def apply(op, v):
     out[1:] += op.lower * v[:-1]
     out[:-1] += op.upper * v[1:]
     return out
+
+
+def bisection_rate(op):
+    """Reference: the decay rate by LAPACK bisection on the symmetrized
+    bands, the solve lowest_eigenpair made before inverse iteration."""
+    return eigh_tridiagonal(-op.diag, -np.sqrt(op.lower * op.upper),
+                            eigvals_only=True, select="i",
+                            select_range=(0, 0))[0]
+
+
+# 50 kappa from 1.34 to 1000, log-spaced, and three next to kappa = 4
+SOLVER_KAPPAS = sorted({*np.geomspace(1.34, 1000.0, 50).tolist(),
+                        4.0, 4.0001, 4.001})
 
 
 class TestExactRate:
@@ -114,7 +130,6 @@ class TestAdjointOperator:
     @pytest.mark.parametrize("kappa", [1.34, 2.0, 4.0, 4.001, 6.0, 8.0,
                                        100.0, 1000.0])
     def test_decay_rate_is_the_eigenpairs_value(self, kappa, m):
-        # the eigenvalue-only solve returns the eigenpair solve's value
         lam, _ = lowest_eigenpair(build_adjoint_n2(kappa, m))
         assert adjoint_decay_rate(kappa, m) == lam
 
@@ -128,6 +143,25 @@ class TestAdjointOperator:
         _, vec = lowest_eigenpair(op)
         ref = one_arm_eigenfunction(6.0, op.grid)
         assert normalized_overlap(vec, ref) > 0.999
+
+    @pytest.mark.parametrize("kappa", [6.0, 100.0, 1000.0])
+    def test_grid_refinement_reduces_the_error(self, kappa):
+        # the solve's round-off does not grow with the operator's norm, so
+        # a finer grid cuts the truncation error it reads
+        exact = one_arm_lambda_exact(kappa)
+        assert (abs(adjoint_decay_rate(kappa, 16384) - exact)
+                < abs(adjoint_decay_rate(kappa, 4096) - exact))
+
+    def test_overlap_stays_at_most_one(self):
+        # unclamped, rounding reads this pair's overlap as 1 + 2.2e-16;
+        # in extended precision it is 1 - 1.3e-18
+        op = build_adjoint_n2(6.0, 4096)
+        _, vec = lowest_eigenpair(op)
+        ref = one_arm_eigenfunction(6.0, op.grid)
+        assert normalized_overlap(vec, ref) <= 1.0
+        rng = np.random.default_rng(3)
+        assert all(normalized_overlap(v, 3.0 * v) <= 1.0
+                   for v in rng.standard_normal((200, 64)))
 
     def test_convergence_order(self):
         assert measured_convergence_order(6.0) == pytest.approx(2.0, abs=0.3)
@@ -196,12 +230,61 @@ class TestLowestEigenpair:
             lowest_eigenpair(build_adjoint_n2(1.0, 64))
 
     @pytest.mark.parametrize("m", [512, 4096])
-    @pytest.mark.parametrize("kappa", [3.0, 4.5, 6.0, 8.0, 100.0])
+    @pytest.mark.parametrize("kappa", [1.34, 3.0, 4.5, 6.0, 8.0, 100.0])
     def test_eigenpair_residual(self, kappa, m):
         op = build_adjoint_n2(kappa, m)
         lam, vec = lowest_eigenpair(op)
         resid = np.max(np.abs(apply(op, vec) + lam * vec))
-        assert resid <= 1e-12 * np.max(np.abs(op.diag))
+        assert resid <= 1e-13 * np.max(np.abs(op.diag))
+
+    @pytest.mark.parametrize("m", [16, 17, 64, 512, 4096])
+    def test_matches_bisection(self, m, monkeypatch):
+        # every kappa's rate within bisection's own tolerance of its value,
+        # in a bounded number of inverse-iteration solves
+        solves, solve = [], spectral.dpttrs
+
+        def counted(*args, **kwargs):
+            solves.append(None)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "dpttrs", counted)
+        for kappa in SOLVER_KAPPAS:
+            op = build_adjoint_n2(kappa, m)
+            solves.clear()
+            lam, _ = lowest_eigenpair(op)
+            scale = np.max(np.abs(op.diag))
+            assert abs(lam - bisection_rate(op)) <= 1e-15 * scale, kappa
+            assert 2 <= len(solves) <= 16, kappa
+
+    def test_growing_mode_takes_the_fallback_shift(self):
+        # T = Neumann Laplacian + 5: rate -5, so S = -T is not positive
+        # definite at the first shift 0 and the Gershgorin shift starts
+        m = 64
+        h = TWO_PI / m
+        diag = -2.0 * np.ones(m) / h ** 2 + 5.0
+        diag[[0, -1]] += 1.0 / h ** 2
+        off = np.ones(m - 1) / h ** 2
+        op = GridOperator(grid=(np.arange(m) + 0.5) * h, lower=off,
+                          diag=diag, upper=off)
+        lam, vec = lowest_eigenpair(op)
+        assert lam == pytest.approx(-5.0, abs=1e-10)
+        assert np.max(np.abs(vec - 1.0)) < 1e-8
+
+    @pytest.mark.parametrize("band", ["diag", "lower", "upper"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_bands_rejected(self, band, bad):
+        op = build_adjoint_n2(6.0, 64)
+        arr = getattr(op, band).copy()
+        arr[10] = bad
+        with pytest.raises(ValueError):
+            lowest_eigenpair(dataclasses.replace(op, **{band: arr}))
+
+    def test_step_cap_raises(self, monkeypatch):
+        # one solve cannot show a stall, so a cap of one always ends in the
+        # cap's error
+        monkeypatch.setattr(spectral, "INVERSE_ITERATION_STEPS", 1)
+        with pytest.raises(ValueError, match="no lowest eigenpair"):
+            lowest_eigenpair(build_adjoint_n2(6.0, 64))
 
     def test_reruns_bit_identical(self):
         op = build_adjoint_n2(6.0, 1024)
