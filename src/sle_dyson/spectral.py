@@ -15,11 +15,13 @@ The Calogero-Sutherland Hamiltonian is not discretized separately: it is
 the symmetrized fitted generator, -D^{-1/2} L D^{1/2} with the diagonal D
 that makes it symmetric, so it shares the generator's spectrum exactly.
 The backward generator is symmetrized the same way, by one function that
-checks the bands admit D.  Its one lowest eigenpair comes from shifted
-inverse iteration on LAPACK's LDL^T factorization of the symmetric bands,
-each shift certified to lie below the spectrum by a factorization with
-positive pivots; the Hamiltonian's lowest few states, which need Sturm
-counts to locate, come from eigh_tridiagonal's bisection.
+checks the bands admit D.  The lowest eigenpair of either comes from
+shifted inverse iteration on LAPACK's LDL^T factorization of the
+symmetric bands, each shift certified to lie below the spectrum by a
+factorization with positive pivots.  The Hamiltonian's next few states
+come from Rayleigh quotient iteration on LAPACK's pivoted LU, deflated
+against the states below, each certified by its count of sign changes
+(the oscillation theorem for Jacobi matrices).
 
 The lowest decaying mode of the backward generator on the singular branch
 theta^{1-4/kappa} has the closed-form rate (kappa^2-16)/(32 kappa), which
@@ -32,18 +34,19 @@ is twice it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 import math
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dpttrf, dpttrs
+from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
 from scipy.special import exprel
 
 TWO_PI = 2.0 * math.pi
 ADJOINT_ORDER_GRIDS = (32, 64, 128, 256)  # m of measured_convergence_order
 FP_ORDER_GRIDS = (256, 512, 1024, 2048)   # m of fp_residual_order
 FP_RESIDUAL_WINDOW = (np.pi / 4.0, 7.0 * np.pi / 4.0)  # theta of FP residual
-INVERSE_ITERATION_STEPS = 32  # cap of _lowest_symmetric's solves
+INVERSE_ITERATION_STEPS = 32  # cap of _lowest_symmetric's solves per state
+SIGN_FLOOR = 1e-8  # entries below this share of max|w| carry no sign
 
 
 @dataclass(frozen=True)
@@ -138,28 +141,49 @@ def _symmetric_bands(op: GridOperator):
     return -op.diag, -np.sqrt(op.lower * op.upper)
 
 
-def _lowest_symmetric(d, e):
-    """Lowest eigenpair (value, unit vector) of the symmetric tridiagonal
-    S with diagonal ``d`` and off-diagonal ``e`` < 0, by shifted inverse
-    iteration from the all-ones vector.
+def _rayleigh(rows, e, w):
+    """Rayleigh quotient rho of the unit vector w on the symmetric
+    tridiagonal S with row sums ``rows`` and off-diagonal ``e``, and the
+    residual norm |S w - rho w|.
 
-    S is an irreducible Z-matrix, so its lowest eigenvector is positive
-    and not orthogonal to the start.  Each shift sigma is certified below
-    the whole spectrum by LAPACK's LDL^T factorization of S - sigma I
-    succeeding: first sigma = 0, else the Gershgorin lower bound less a
-    margin, which is positive definite by construction.  After each solve
-    the shift moves up to rho - r, the Rayleigh quotient less the residual
-    norm, wherever that factorization also succeeds, so the iteration
-    converges to the lowest pair and to no other.  It stops when r stops
-    falling, at the round-off floor, and returns that step's pair; a fixed
-    tolerance on r would stop before the smallest entries of the vector
-    converge.  Raises ValueError for bands that are not finite or when
-    INVERSE_ITERATION_STEPS solves pass without a stall.
+    From the row sums and the differences of w: (S w)_i = rows_i w_i
+    + e_i (w_{i+1} - w_i) + e_{i-1} (w_{i-1} - w_i), and w.S.w = sum rows
+    w^2 - sum e (w_{i+1} - w_i)^2.  Where d nearly cancels the e, as here,
+    the rows are exact (Sterbenz) and no term of w.S.w cancels, so its
+    round-off does not grow with max|d|.
     """
-    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
-        raise ValueError("the bands are not finite")
-    # row sums of S, which are d less the Gershgorin radii as e < 0
-    rows = d + np.append(e, 0.0) + np.insert(e, 0, 0.0)
+    # numpy's own sums, not BLAS dot: on a 2-core x86 host OpenBLAS's
+    # threaded ddot took about 5 ms at n = 16384, against 2 us at 4096
+    dw = w[1:] - w[:-1]
+    edw = e * dw
+    sw = rows * w
+    dw *= edw
+    rho = float(np.add.reduce(sw * w) - np.add.reduce(dw))
+    sw[:-1] += edw
+    sw[1:] -= edw
+    sw -= rho * w
+    sw *= sw
+    return rho, math.sqrt(np.add.reduce(sw))
+
+
+def _deflated(w, found):
+    """w less its components along the orthonormal vectors ``found``,
+    scaled to unit norm; w is overwritten."""
+    for y in found:
+        w -= np.add.reduce(y * w) * y
+    return w / math.sqrt(np.add.reduce(w * w))
+
+
+def _sign_changes(w) -> int:
+    """Sign changes of w over its entries above SIGN_FLOOR * max|w|; the
+    signs of the smaller ones, as of tails that underflow, are round-off."""
+    big = w[np.abs(w) > SIGN_FLOOR * np.max(np.abs(w))]
+    return int(np.count_nonzero(np.signbit(big[1:]) != np.signbit(big[:-1])))
+
+
+def _ground_symmetric(d, e, rows):
+    """Lowest eigenpair of S by certified shifted inverse iteration; see
+    :func:`_lowest_symmetric`."""
     df, ef, info = dpttrf(d, e)
     if info:
         shift = np.min(rows) - 1e-12 * np.max(np.abs(d) + d - rows)
@@ -167,24 +191,10 @@ def _lowest_symmetric(d, e):
         if info:
             raise ValueError("no shift below the spectrum factors")
     w, r_best = np.ones(d.size), math.inf
-    # numpy's own sums, not BLAS dot: on a 2-core x86 host OpenBLAS's
-    # threaded ddot took about 5 ms at n = 16384, against 2 us at 4096
     for _ in range(INVERSE_ITERATION_STEPS):
         w = dpttrs(df, ef, w, overwrite_b=1)[0]
         w /= math.sqrt(np.add.reduce(w * w))
-        # from the row sums and the differences of w: (S w)_i = rows_i w_i
-        # + e_i (w_{i+1} - w_i) + e_{i-1} (w_{i-1} - w_i), and w.S.w =
-        # sum rows w^2 - sum e (w_{i+1} - w_i)^2.  Where d nearly cancels
-        # the e, as here, the rows are exact (Sterbenz) and no term of
-        # w.S.w cancels, so its round-off does not grow with max|d|
-        dw = np.diff(w)
-        edw = e * dw
-        sw = rows * w
-        rho = float(np.add.reduce(sw * w) - np.add.reduce(edw * dw))
-        sw[:-1] += edw
-        sw[1:] -= edw
-        sw -= rho * w
-        r = math.sqrt(np.add.reduce(sw * sw))
+        rho, r = _rayleigh(rows, e, w)
         if not r < r_best:
             if math.isfinite(r):
                 return rho, w
@@ -194,6 +204,98 @@ def _lowest_symmetric(d, e):
         if shifted[2] == 0:
             df, ef = shifted[:2]
     raise ValueError("inverse iteration found no lowest eigenpair")
+
+
+@functools.lru_cache(maxsize=4)
+def _odd_profile(n: int) -> np.ndarray:
+    """sin(pi (i - c) / n) for i < n, c the middle index: -cos(theta/2) on
+    the cell grid.  Times a Calogero-Sutherland state sin^g(theta/2)
+    C_{j-1}(cos(theta/2)), C a Gegenbauer polynomial, it spans only the
+    states j - 2 and j, by the polynomials' three-term recurrence.
+    Read-only, as it is cached."""
+    odd = np.sin(np.pi / n * (np.arange(n) - 0.5 * (n - 1)))
+    odd.flags.writeable = False
+    return odd
+
+
+def _excited_symmetric(d, e, rows, found):
+    """Eigenpair j = len(found) of S, found above the lower states
+    ``found``, by Rayleigh quotient iteration deflated against them and
+    certified by its sign changes; see :func:`_lowest_symmetric`."""
+    j = len(found)
+    w = _deflated(_odd_profile(d.size) * found[-1], found)
+    rho, r_best = _rayleigh(rows, e, w)[0], math.inf
+    shift = rho
+    for _ in range(INVERSE_ITERATION_STEPS):
+        # one LU of S - rho I per solve, as each shift is used once; where
+        # rho is an eigenvalue to round-off, so that the LU meets an exact
+        # zero pivot (as at m = 16), the last shift that factored
+        *_, x, info = dgtsv(e, d - rho, e, w, overwrite_d=1)
+        if info:
+            *_, x, info = dgtsv(e, d - shift, e, w, overwrite_d=1)
+            if info:
+                break
+        else:
+            shift = rho
+        w = _deflated(x, found)
+        rho, r = _rayleigh(rows, e, w)
+        if not r < r_best:
+            if not math.isfinite(r):
+                break
+            changes = _sign_changes(w)
+            if changes != j:
+                raise ValueError(f"state {j} converged to a vector with "
+                                 f"{changes} sign changes, not {j}")
+            return rho, w
+        r_best = r
+    raise ValueError(f"inverse iteration found no state {j}")
+
+
+def _lowest_symmetric(d, e, n_states: int = 1):
+    """The ``n_states`` lowest eigenpairs of the symmetric tridiagonal S
+    with diagonal ``d`` and off-diagonal ``e`` < 0, as a list of values
+    and a list of unit vectors.
+
+    State 0 comes from shifted inverse iteration from the all-ones
+    vector.  S is an irreducible Z-matrix, so its lowest eigenvector is
+    positive and not orthogonal to the start.  Each shift sigma is
+    certified below the whole spectrum by LAPACK's LDL^T factorization of
+    S - sigma I succeeding: first sigma = 0, else the Gershgorin lower
+    bound less a margin, which is positive definite by construction.
+    After each solve the shift moves up to rho - r, the Rayleigh quotient
+    less the residual norm, wherever that factorization also succeeds, so
+    the iteration converges to the lowest pair and to no other.
+
+    State j >= 1 starts from the odd profile sin(pi (i - c) / n), c the
+    middle index, times state j - 1, and runs Rayleigh quotient iteration
+    through LAPACK's pivoted LU of the indefinite S - rho I, deflated
+    against the states below.  Its certificate is the oscillation
+    theorem: in an irreducible Jacobi matrix with e < 0 the eigenvector
+    of the j-th lowest value has exactly j sign changes, so a converged
+    vector with j of them is state j, and one with any other count
+    raises ValueError, as do values that are not strictly increasing.
+
+    Every state stops when the residual r stops falling, at the round-off
+    floor, and takes that step's pair; a fixed tolerance on r would stop
+    before the smallest entries of the vector converge.  Rayleigh quotient
+    iteration's residual norms do not rise in exact arithmetic (Parlett),
+    so there too a stall is the floor.  Raises
+    ValueError for bands that are not finite or when
+    INVERSE_ITERATION_STEPS solves pass without a stall.
+    """
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+        raise ValueError("the bands are not finite")
+    # row sums of S, which are d less the Gershgorin radii as e < 0
+    rows = d + np.append(e, 0.0) + np.insert(e, 0, 0.0)
+    rho, w = _ground_symmetric(d, e, rows)
+    vals, vecs = [rho], [w]
+    for _ in range(1, n_states):
+        rho, w = _excited_symmetric(d, e, rows, vecs)
+        if not rho > vals[-1]:
+            raise ValueError("the eigenvalues are not strictly increasing")
+        vals.append(rho)
+        vecs.append(w)
+    return vals, vecs
 
 
 def lowest_eigenpair(op: GridOperator) -> tuple[float, np.ndarray]:
@@ -207,7 +309,7 @@ def lowest_eigenpair(op: GridOperator) -> tuple[float, np.ndarray]:
     that D^{-1} does not exist: on the regular branch, next to the far
     end, for kappa below about 1.34; and where the bands are not finite.
     """
-    lam, y = _lowest_symmetric(*_symmetric_bands(op))
+    (lam,), (y,) = _lowest_symmetric(*_symmetric_bands(op))
     vec = np.cumprod(np.append(1.0, np.sqrt(op.lower / op.upper))) * y
     return lam, vec / vec[np.argmax(np.abs(vec))]
 
@@ -300,38 +402,44 @@ def fp_residual_order(kappa: float) -> float:
 
 
 def cs_ground_state(kappa: float, m: int, n_states: int = 2):
-    """Lowest eigenpairs of the Hamiltonian by LAPACK bisection and inverse
-    iteration (eigh_tridiagonal), so reruns are bit-identical.
+    """The ``n_states`` lowest eigenpairs of the Hamiltonian, by
+    :func:`_lowest_symmetric`'s certified inverse iteration, so reruns are
+    bit-identical.
 
     H = -D^{-1/2} L D^{1/2}, symmetric tridiagonal, from the density-
     generator bands: D is the discrete stationary density, so the ground
     state is its square root, approximately sin^{2/kappa}(theta/2), at
     eigenvalue zero, and H and -L share their spectrum, which approximates
-    Sutherland's E_n = n + kappa n^2 / 4.  Returns (values, vectors, grid).
-    Raises ValueError, naming kappa and m, where an off-diagonal product of
-    the bands is not positive: at m = 4096, from kappa = 0.005 down.
+    Sutherland's E_n = n + kappa n^2 / 4.  Returns (values, vectors m x
+    n_states, grid).  Raises ValueError, naming kappa and m, where an
+    off-diagonal product of the bands is not positive: at m = 4096, from
+    kappa = 0.005 down; and where a state fails its certificate, as where
+    round-off splits the grid into blocks with equal levels (at kappa =
+    0.006, from state 4 at m = 16 and from state 14 at m = 64).
     """
     op = build_fp_generator_n2(kappa, m)
     if isinstance(n_states, bool) or not (
             isinstance(n_states, (int, np.integer)) and 1 <= n_states <= m):
         raise ValueError(f"n_states must be an integer >= 1 and <= m = {m}")
     try:
-        vals, vecs = eigh_tridiagonal(*_symmetric_bands(op), select="i",
-                                      select_range=(0, n_states - 1))
+        vals, vecs = _lowest_symmetric(*_symmetric_bands(op), n_states)
     except ValueError as exc:
-        # exprel overflows in the end cells, which would split the grid
-        # into decoupled blocks
+        # where exprel overflows in the end cells, which would split the
+        # grid into decoupled blocks, or a state fails its certificate
         raise ValueError(f"{exc} at kappa = {kappa}, m = {m}") from None
-    return vals, vecs, op.grid
+    return np.array(vals), np.array(vecs).T, op.grid
 
 
 def normalized_overlap(u, v) -> float:
     """|cos| of the angle between u and v, which rounding can lift above
-    its Cauchy-Schwarz bound 1; that is clamped."""
+    its Cauchy-Schwarz bound 1; that is clamped.  Raises ValueError where
+    either norm is zero or not finite, as for a vector with a NaN."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    return min(1.0, float(abs(u @ v) / (np.linalg.norm(u)
-                                         * np.linalg.norm(v))))
+    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    if not (0.0 < nu < math.inf and 0.0 < nv < math.inf):
+        raise ValueError("overlap needs vectors of finite, nonzero norm")
+    return min(1.0, float(abs(u @ v) / (nu * nv)))
 
 
 def survival_decay_rate(kappa: float, m: int = 512) -> float:

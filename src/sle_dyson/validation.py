@@ -138,15 +138,21 @@ def criterion_5_stationarity_residual(quick: bool = False) -> CriterionResult:
 
 
 def criterion_6_similarity_ground_state(quick: bool = False) -> CriterionResult:
-    """Ground state of the symmetrized operator: zero eigenvalue, P_eq^{1/2}."""
+    """Ground state of the symmetrized operator: zero eigenvalue, P_eq^{1/2}.
+
+    The detail also reports the first excited level E_1 and its distance
+    from Sutherland's 1 + kappa/4; neither enters the pass.
+    """
     kappa = 2.0
     vals, vecs, th = spectral.cs_ground_state(kappa, 4096)
     ref = spectral.stationary_gap_density(kappa, th) ** 0.5
     overlap = spectral.normalized_overlap(vecs[:, 0], ref)
     lam0 = abs(float(vals[0]))
+    e1 = float(vals[1])
     return CriterionResult(6, "similarity_ground_state", lam0, 1e-3,
                            lam0 < 1e-3 and overlap >= 0.999,
-                           {"kappa": kappa, "overlap": overlap})
+                           {"kappa": kappa, "overlap": overlap, "e1": e1,
+                            "e1_error": abs(e1 - (1.0 + kappa / 4.0))})
 
 
 def criterion_9_exponent_identities(quick: bool = False) -> CriterionResult:

@@ -130,8 +130,14 @@ class TestAdjointOperator:
     @pytest.mark.parametrize("kappa", [1.34, 2.0, 4.0, 4.001, 6.0, 8.0,
                                        100.0, 1000.0])
     def test_decay_rate_is_the_eigenpairs_value(self, kappa, m):
-        lam, _ = lowest_eigenpair(build_adjoint_n2(kappa, m))
-        assert adjoint_decay_rate(kappa, m) == lam
+        # checked against the bands, not against lowest_eigenpair's value:
+        # the rate is bisection's, and the lowest vector belongs to it
+        lam = adjoint_decay_rate(kappa, m)
+        op = build_adjoint_n2(kappa, m)
+        _, vec = lowest_eigenpair(op)
+        scale = np.max(np.abs(op.diag))
+        assert abs(lam - bisection_rate(op)) <= 1e-15 * scale
+        assert np.max(np.abs(apply(op, vec) + lam * vec)) <= 1e-13 * scale
 
     def test_decay_rate_keeps_the_positivity_check(self):
         with pytest.raises(ValueError, match="off-diagonal product is not "
@@ -162,6 +168,15 @@ class TestAdjointOperator:
         rng = np.random.default_rng(3)
         assert all(normalized_overlap(v, 3.0 * v) <= 1.0
                    for v in rng.standard_normal((200, 64)))
+
+    @pytest.mark.parametrize("bad", [np.zeros(4), [math.nan, 1.0, 1.0, 1.0],
+                                     [math.inf, 1.0, 1.0, 1.0]],
+                             ids=["zero", "nan", "inf"])
+    def test_overlap_rejects_zero_or_non_finite_vectors(self, bad):
+        # min(1.0, nan) is 1.0, so an unchecked NaN read as a perfect match
+        for u, v in [(bad, np.ones(4)), (np.ones(4), bad)]:
+            with pytest.raises(ValueError, match="finite, nonzero norm"):
+                normalized_overlap(u, v)
 
     def test_convergence_order(self):
         assert measured_convergence_order(6.0) == pytest.approx(2.0, abs=0.3)
@@ -328,6 +343,28 @@ class TestFpGenerator:
 CS_KAPPAS = [0.5, 1.0, 2.0, 2.5, 3.0, 4.0, 6.0, 8.0]
 
 
+def cs_bands(kappa, m):
+    """Diagonal and off-diagonal of the symmetrized Hamiltonian."""
+    return spectral._symmetric_bands(build_fp_generator_n2(kappa, m))
+
+
+def bisection_states(kappa, m, n_states):
+    """Reference: the lowest states by LAPACK bisection and inverse
+    iteration, as cs_ground_state found them before its own iteration."""
+    return eigh_tridiagonal(*cs_bands(kappa, m), select="i",
+                            select_range=(0, n_states - 1))
+
+
+def assert_matches_bisection(kappa, m, n_states, tol):
+    vals, vecs, _ = cs_ground_state(kappa, m, n_states)
+    ref_vals, ref_vecs = bisection_states(kappa, m, n_states)
+    scale = np.max(np.abs(cs_bands(kappa, m)[0]))
+    assert vecs.shape == (m, n_states)
+    assert np.max(np.abs(vals - ref_vals)) <= tol * scale
+    for j in range(n_states):
+        assert normalized_overlap(vecs[:, j], ref_vecs[:, j]) >= 1 - 1e-9, j
+
+
 class TestCsHamiltonian:
     @pytest.mark.parametrize("kappa", CS_KAPPAS)
     def test_ground_state(self, kappa):
@@ -359,6 +396,88 @@ class TestCsHamiltonian:
     def test_smallest_coupled_kappa_returns(self):
         vals, _, _ = cs_ground_state(0.006, 4096)
         assert vals[1] == pytest.approx(1.0 + 0.006 / 4.0, abs=1e-3)
+
+    @pytest.mark.parametrize("n_states", [1, 2, 4])
+    @pytest.mark.parametrize("m", [16, 64, 512, 4096])
+    @pytest.mark.parametrize("kappa", [0.006, *CS_KAPPAS])
+    def test_matches_bisection(self, kappa, m, n_states):
+        assert_matches_bisection(kappa, m, n_states, 1e-15)
+
+    @pytest.mark.parametrize("kappa", [2.0, 3.0, 8.0])
+    def test_every_state_of_a_small_grid(self, kappa):
+        # the top states are grid-scale oscillations, where both solvers
+        # err by a few eps * max|d|
+        assert_matches_bisection(kappa, 64, 64, 4e-15)
+        _, vecs, _ = cs_ground_state(kappa, 64, 64)
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(64))) < 1e-12
+        assert [spectral._sign_changes(v) for v in vecs.T] == list(range(64))
+
+    def test_degenerate_blocks_fail_the_certificate(self):
+        # at kappa = 0.006 and m = 16 round-off splits S into blocks whose
+        # levels pair up to within 1e-16; no solver can order such states
+        with pytest.raises(ValueError, match="sign changes, not 4 at kappa "
+                                             "= 0.006, m = 16"):
+            cs_ground_state(0.006, 16, 16)
+
+    def test_wrong_shift_fails_the_certificate(self, monkeypatch):
+        # a mutant whose first solve is next to E_3, not at the start's
+        # Rayleigh quotient, converges state 1 to state 3
+        d, e = cs_bands(2.0, 64)
+        e3 = bisection_states(2.0, 64, 4)[0][3]
+        solves, solve = [], spectral.dgtsv
+
+        def mutant(dl, dd, du, b, **kwargs):
+            solves.append(None)
+            if len(solves) == 1:
+                dd = d - (e3 + 1e-9)
+            return solve(dl, dd, du, b, **kwargs)
+
+        monkeypatch.setattr(spectral, "dgtsv", mutant)
+        with pytest.raises(ValueError, match="state 1 converged to a vector "
+                                             "with 3 sign changes"):
+            cs_ground_state(2.0, 64)
+
+    def test_wrong_start_fails_the_certificate(self, monkeypatch):
+        # an even start profile, cos(theta - pi) in place of -cos(theta/2),
+        # leads state 1 to state 2
+        monkeypatch.setattr(spectral, "_odd_profile", lambda n: np.cos(
+            TWO_PI / n * (np.arange(n) - 0.5 * (n - 1))))
+        with pytest.raises(ValueError, match="state 1 converged to a vector "
+                                             "with 2 sign changes"):
+            cs_ground_state(2.0, 64)
+
+    def test_values_must_increase(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_excited_symmetric",
+                            lambda d, e, rows, found: (-1.0, found[-1]))
+        with pytest.raises(ValueError, match="not strictly increasing"):
+            cs_ground_state(2.0, 64)
+
+    def test_sign_changes_skip_round_off_tails(self):
+        w = np.array([1e-300, -1e-20, 1.0, 2.0, -1.0, -2.0, 1e-9, -1e-12])
+        assert spectral._sign_changes(w) == 1
+
+    def test_step_cap_raises(self, monkeypatch):
+        # a perturbation that halves at every solve keeps the excited
+        # state's residual falling, so it never stalls within the cap
+        solves, solve = [], spectral.dgtsv
+        bump = np.cos(np.arange(64))
+
+        def creeping(*args, **kwargs):
+            solves.append(None)
+            *lu, x, info = solve(*args, **kwargs)
+            x = x + 0.5 ** len(solves) * np.max(np.abs(x)) * bump
+            return (*lu, x, info)
+
+        monkeypatch.setattr(spectral, "dgtsv", creeping)
+        with pytest.raises(ValueError, match="found no state 1"):
+            cs_ground_state(2.0, 64)
+        assert len(solves) == spectral.INVERSE_ITERATION_STEPS
+
+    def test_reruns_bit_identical(self):
+        vals1, vecs1, _ = cs_ground_state(3.0, 4096, 4)
+        vals2, vecs2, _ = cs_ground_state(3.0, 4096, 4)
+        assert np.array_equal(vals1, vals2)
+        assert np.array_equal(vecs1, vecs2)
 
     def test_spectral_gap_matches_fp_decay(self):
         # the similarity transform preserves spectra: the first excited
