@@ -190,7 +190,7 @@ def cmd_trace(cfg: dict, out_path: str) -> int:
                                  kappa=cfg["kappa"], dt=cfg["dt"],
                                  seed=cfg["seed"])
     rec = dyson.simulate(params, cfg["t_end"])
-    drive = loewner.DriveHistory.from_trajectory(rec)
+    drive = loewner.DriveHistory(rec.times, rec.states)
     times = np.linspace(0.0, cfg["t_end"], cfg["n_points"])
     meta = {"version": __version__, "seed": params.seed,
             "kappa": params.kappa, "n_particles": params.n_particles,

@@ -128,6 +128,9 @@ class ProcessParams:
             raise ValueError("n_particles must be >= 1")
         if not 0.0 < self.kappa < math.inf:
             raise ValueError("kappa must be positive and finite")
+        if isinstance(self.seed, bool) or not (
+                isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValueError("seed must be an integer >= 0")
         if not 0.0 < self.dt < math.inf:
             raise ValueError("dt must be positive and finite")
         if self.burn_in is not None and not 0.0 <= self.burn_in < math.inf:
@@ -220,12 +223,6 @@ def _checked(old, new, floor):
     gmin = np.minimum.reduce(gaps)
     return gaps, gmin, ((gmin >= floor)
                         & (np.maximum.reduce(np.abs(new - old)) < np.pi))
-
-
-def _accepted(old, new, floor):
-    """The mask of :func:`_checked` alone, as the reference steppers of
-    the tests use it."""
-    return _checked(old, new, floor)[2]
 
 
 def _pair_jump_draws(s, n, kappa, tau, rng):

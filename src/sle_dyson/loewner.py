@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from .dyson import TrajectoryRecord, wrap_angle
+from .dyson import wrap_angle
 
 
 class PointStatus(Enum):
@@ -105,10 +105,6 @@ class DriveHistory:
             raise ValueError("time outside the recorded drive")
         i = np.searchsorted(self.times, t, side="right") - 1
         return self._slope[i] * (t - self.times[i])[..., None] + self._lift[i]
-
-    @classmethod
-    def from_trajectory(cls, rec: TrajectoryRecord) -> "DriveHistory":
-        return cls(times=rec.times, angles=rec.states)
 
 
 def slit_drivers(theta, db, dt):

@@ -15,13 +15,14 @@ The Calogero-Sutherland Hamiltonian is not discretized separately: it is
 the symmetrized fitted generator, -D^{-1/2} L D^{1/2} with the diagonal D
 that makes it symmetric, so it shares the generator's spectrum exactly.
 The backward generator is symmetrized the same way, by one function that
-checks the bands admit D.  The lowest eigenpair of either comes from
-shifted inverse iteration on LAPACK's LDL^T factorization of the
-symmetric bands, each shift certified to lie below the spectrum by a
-factorization with positive pivots.  The Hamiltonian's next few states
-come from Rayleigh quotient iteration on LAPACK's pivoted LU, deflated
-against the states below, each certified by its count of sign changes
-(the oscillation theorem for Jacobi matrices).
+checks the bands admit D and are finite.  Each problem then has its own
+solver: the one-arm operator's lowest eigenpair comes from shifted inverse
+iteration on LAPACK's LDL^T factorization of the symmetric bands, each
+shift certified to lie below the spectrum by a factorization with positive
+pivots; the Hamiltonian takes its ground state the same way and its next
+few states from Rayleigh quotient iteration on LAPACK's pivoted LU,
+deflated against the states below, each certified by its count of sign
+changes (the oscillation theorem for Jacobi matrices).
 
 The lowest decaying mode of the backward generator on the singular branch
 theta^{1-4/kappa} has the closed-form rate (kappa^2-16)/(32 kappa), which
@@ -34,7 +35,6 @@ is twice it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import functools
 import math
 
 import numpy as np
@@ -45,7 +45,7 @@ TWO_PI = 2.0 * math.pi
 ADJOINT_ORDER_GRIDS = (32, 64, 128, 256)  # m of measured_convergence_order
 FP_ORDER_GRIDS = (256, 512, 1024, 2048)   # m of fp_residual_order
 FP_RESIDUAL_WINDOW = (np.pi / 4.0, 7.0 * np.pi / 4.0)  # theta of FP residual
-INVERSE_ITERATION_STEPS = 32  # cap of _lowest_symmetric's solves per state
+INVERSE_ITERATION_STEPS = 32  # cap of the solves per eigenpair
 SIGN_FLOOR = 1e-8  # entries below this share of max|w| carry no sign
 
 
@@ -131,14 +131,18 @@ def build_adjoint_n2(kappa: float, m: int) -> GridOperator:
 
 
 def _symmetric_bands(op: GridOperator):
-    """Diagonal and off-diagonal of S = -D T D^{-1}, with the diagonal D
-    that makes it symmetric: S's off-diagonal is -sqrt(lower * upper) < 0.
-    Raises ValueError where an off-diagonal product of T is not positive,
-    so that D does not exist.
+    """Diagonal d, off-diagonal e and row sums of S = -D T D^{-1}, with the
+    diagonal D that makes it symmetric: e = -sqrt(lower * upper) < 0, so
+    the row sums are d less the Gershgorin radii.  Raises ValueError where
+    an off-diagonal product of T is not positive, so that D does not
+    exist, and then where the bands are not finite.
     """
     if not np.all(op.lower * op.upper > 0.0):
         raise ValueError("an off-diagonal product is not positive")
-    return -op.diag, -np.sqrt(op.lower * op.upper)
+    d, e = -op.diag, -np.sqrt(op.lower * op.upper)
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+        raise ValueError("the bands are not finite")
+    return d, e, d + np.append(e, 0.0) + np.insert(e, 0, 0.0)
 
 
 def _rayleigh(rows, e, w):
@@ -182,8 +186,23 @@ def _sign_changes(w) -> int:
 
 
 def _ground_symmetric(d, e, rows):
-    """Lowest eigenpair of S by certified shifted inverse iteration; see
-    :func:`_lowest_symmetric`."""
+    """Lowest eigenpair (value, unit vector) of the symmetric tridiagonal S
+    with diagonal ``d``, off-diagonal ``e`` < 0 and row sums ``rows``, by
+    certified shifted inverse iteration from the all-ones vector.
+
+    S is an irreducible Z-matrix, so its lowest eigenvector is positive
+    and not orthogonal to the start.  Each shift sigma is certified below
+    the whole spectrum by LAPACK's LDL^T factorization of S - sigma I
+    succeeding: first sigma = 0, else the Gershgorin lower bound less a
+    margin, which is positive definite by construction.  After each solve
+    the shift moves up to rho - r, the Rayleigh quotient less the residual
+    norm, wherever that factorization also succeeds, so the iteration
+    converges to the lowest pair and to no other.  It stops when r stops
+    falling, at the round-off floor, and takes that step's pair; a fixed
+    tolerance on r would stop before the smallest entries of the vector
+    converge.  Raises ValueError when no shift factors or
+    INVERSE_ITERATION_STEPS solves pass without a stall.
+    """
     df, ef, info = dpttrf(d, e)
     if info:
         shift = np.min(rows) - 1e-12 * np.max(np.abs(d) + d - rows)
@@ -206,22 +225,29 @@ def _ground_symmetric(d, e, rows):
     raise ValueError("inverse iteration found no lowest eigenpair")
 
 
-@functools.lru_cache(maxsize=4)
 def _odd_profile(n: int) -> np.ndarray:
     """sin(pi (i - c) / n) for i < n, c the middle index: -cos(theta/2) on
     the cell grid.  Times a Calogero-Sutherland state sin^g(theta/2)
     C_{j-1}(cos(theta/2)), C a Gegenbauer polynomial, it spans only the
-    states j - 2 and j, by the polynomials' three-term recurrence.
-    Read-only, as it is cached."""
-    odd = np.sin(np.pi / n * (np.arange(n) - 0.5 * (n - 1)))
-    odd.flags.writeable = False
-    return odd
+    states j - 2 and j, by the polynomials' three-term recurrence."""
+    return np.sin(np.pi / n * (np.arange(n) - 0.5 * (n - 1)))
 
 
 def _excited_symmetric(d, e, rows, found):
-    """Eigenpair j = len(found) of S, found above the lower states
-    ``found``, by Rayleigh quotient iteration deflated against them and
-    certified by its sign changes; see :func:`_lowest_symmetric`."""
+    """Eigenpair j = len(found) >= 1 of S (see :func:`_ground_symmetric`),
+    found above the orthonormal lower states ``found``.
+
+    It starts from :func:`_odd_profile` times state j - 1 and runs
+    Rayleigh quotient iteration through LAPACK's pivoted LU of the
+    indefinite S - rho I, deflated against the states below, until the
+    residual norm r stops falling; in exact arithmetic it does not rise
+    (Parlett), so a stall is the round-off floor.  Its certificate is the
+    oscillation theorem: in an irreducible Jacobi matrix with e < 0 the
+    eigenvector of the j-th lowest value has exactly j sign changes, so a
+    converged vector with j of them is state j, and one with any other
+    count raises ValueError, as does a run of INVERSE_ITERATION_STEPS
+    solves without a stall.
+    """
     j = len(found)
     w = _deflated(_odd_profile(d.size) * found[-1], found)
     rho, r_best = _rayleigh(rows, e, w)[0], math.inf
@@ -251,65 +277,18 @@ def _excited_symmetric(d, e, rows, found):
     raise ValueError(f"inverse iteration found no state {j}")
 
 
-def _lowest_symmetric(d, e, n_states: int = 1):
-    """The ``n_states`` lowest eigenpairs of the symmetric tridiagonal S
-    with diagonal ``d`` and off-diagonal ``e`` < 0, as a list of values
-    and a list of unit vectors.
-
-    State 0 comes from shifted inverse iteration from the all-ones
-    vector.  S is an irreducible Z-matrix, so its lowest eigenvector is
-    positive and not orthogonal to the start.  Each shift sigma is
-    certified below the whole spectrum by LAPACK's LDL^T factorization of
-    S - sigma I succeeding: first sigma = 0, else the Gershgorin lower
-    bound less a margin, which is positive definite by construction.
-    After each solve the shift moves up to rho - r, the Rayleigh quotient
-    less the residual norm, wherever that factorization also succeeds, so
-    the iteration converges to the lowest pair and to no other.
-
-    State j >= 1 starts from the odd profile sin(pi (i - c) / n), c the
-    middle index, times state j - 1, and runs Rayleigh quotient iteration
-    through LAPACK's pivoted LU of the indefinite S - rho I, deflated
-    against the states below.  Its certificate is the oscillation
-    theorem: in an irreducible Jacobi matrix with e < 0 the eigenvector
-    of the j-th lowest value has exactly j sign changes, so a converged
-    vector with j of them is state j, and one with any other count
-    raises ValueError, as do values that are not strictly increasing.
-
-    Every state stops when the residual r stops falling, at the round-off
-    floor, and takes that step's pair; a fixed tolerance on r would stop
-    before the smallest entries of the vector converge.  Rayleigh quotient
-    iteration's residual norms do not rise in exact arithmetic (Parlett),
-    so there too a stall is the floor.  Raises
-    ValueError for bands that are not finite or when
-    INVERSE_ITERATION_STEPS solves pass without a stall.
-    """
-    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
-        raise ValueError("the bands are not finite")
-    # row sums of S, which are d less the Gershgorin radii as e < 0
-    rows = d + np.append(e, 0.0) + np.insert(e, 0, 0.0)
-    rho, w = _ground_symmetric(d, e, rows)
-    vals, vecs = [rho], [w]
-    for _ in range(1, n_states):
-        rho, w = _excited_symmetric(d, e, rows, vecs)
-        if not rho > vals[-1]:
-            raise ValueError("the eigenvalues are not strictly increasing")
-        vals.append(rho)
-        vecs.append(w)
-    return vals, vecs
-
-
 def lowest_eigenpair(op: GridOperator) -> tuple[float, np.ndarray]:
     """Slowest decaying mode of the operator: (decay rate, eigenfunction).
 
     The decay rate is minus the largest eigenvalue of T, the lowest of the
-    symmetrized S = -D T D^{-1}, found by :func:`_lowest_symmetric`'s
+    symmetrized S = -D T D^{-1}, found by :func:`_ground_symmetric`'s
     certified inverse iteration; the eigenvector is mapped back by D^{-1}
     and scaled to max-norm 1 with positive sign at its interior maximum.
     Raises ValueError where an off-diagonal product is not positive, so
     that D^{-1} does not exist: on the regular branch, next to the far
     end, for kappa below about 1.34; and where the bands are not finite.
     """
-    (lam,), (y,) = _lowest_symmetric(*_symmetric_bands(op))
+    lam, y = _ground_symmetric(*_symmetric_bands(op))
     vec = np.cumprod(np.append(1.0, np.sqrt(op.lower / op.upper))) * y
     return lam, vec / vec[np.argmax(np.abs(vec))]
 
@@ -332,15 +311,15 @@ def measured_convergence_order(kappa: float) -> float:
     exact = one_arm_lambda_exact(kappa)
     if exact == 0.0:
         raise ValueError("no order to fit at kappa = 4, where the rate is 0")
-    ms = ADJOINT_ORDER_GRIDS
-    errs = [abs(adjoint_decay_rate(kappa, m) - exact) for m in ms]
+    return _grid_order(ADJOINT_ORDER_GRIDS,
+                       lambda m: abs(adjoint_decay_rate(kappa, m) - exact))
+
+
+def _grid_order(ms, error) -> float:
+    """Fitted slope of log error(m) against log h, h = 2 pi / m."""
+    errs = [error(m) for m in ms]
     slope, _ = np.polyfit(np.log([TWO_PI / m for m in ms]), np.log(errs), 1)
     return float(slope)
-
-
-def relative_potential_prime(theta):
-    """d/dtheta of -4 ln|sin(theta/2)|, the drift potential of the gap."""
-    return -2.0 / np.tan(np.asarray(theta, dtype=float) / 2.0)
 
 
 def build_fp_generator_n2(kappa: float, m: int) -> GridOperator:
@@ -363,7 +342,8 @@ def build_fp_generator_n2(kappa: float, m: int) -> GridOperator:
     if not 0.0 < kappa < math.inf:
         raise ValueError("kappa must be positive and finite")
     h = TWO_PI / m
-    delta = h * relative_potential_prime(np.arange(1, m) * h) / kappa
+    # V' = -2 cot(theta/2), of the gap's drift potential -4 ln|sin(theta/2)|
+    delta = h * (-2.0 / np.tan(np.arange(1, m) * h / 2.0)) / kappa
     upper = kappa / h ** 2 / exprel(-delta)  # L[f-1, f]
     lower = kappa / h ** 2 / exprel(delta)   # L[f, f-1]
     diag = -(np.append(lower, 0.0) + np.insert(upper, 0, 0.0))
@@ -395,16 +375,15 @@ def fp_equilibrium_residual(kappa: float, m: int) -> float:
 
 
 def fp_residual_order(kappa: float) -> float:
-    ms = FP_ORDER_GRIDS
-    errs = [fp_equilibrium_residual(kappa, m) for m in ms]
-    slope, _ = np.polyfit(np.log([TWO_PI / m for m in ms]), np.log(errs), 1)
-    return float(slope)
+    """Fitted grid order of :func:`fp_equilibrium_residual`."""
+    return _grid_order(FP_ORDER_GRIDS,
+                       lambda m: fp_equilibrium_residual(kappa, m))
 
 
 def cs_ground_state(kappa: float, m: int, n_states: int = 2):
-    """The ``n_states`` lowest eigenpairs of the Hamiltonian, by
-    :func:`_lowest_symmetric`'s certified inverse iteration, so reruns are
-    bit-identical.
+    """The ``n_states`` lowest eigenpairs of the Hamiltonian, state 0 by
+    :func:`_ground_symmetric` and each next one by
+    :func:`_excited_symmetric`, all certified, so reruns are bit-identical.
 
     H = -D^{-1/2} L D^{1/2}, symmetric tridiagonal, from the density-
     generator bands: D is the discrete stationary density, so the ground
@@ -415,14 +394,23 @@ def cs_ground_state(kappa: float, m: int, n_states: int = 2):
     off-diagonal product of the bands is not positive: at m = 4096, from
     kappa = 0.005 down; and where a state fails its certificate, as where
     round-off splits the grid into blocks with equal levels (at kappa =
-    0.006, from state 4 at m = 16 and from state 14 at m = 64).
+    0.006, from state 4 at m = 16 and from state 14 at m = 64), or where
+    the values are not strictly increasing.
     """
     op = build_fp_generator_n2(kappa, m)
     if isinstance(n_states, bool) or not (
             isinstance(n_states, (int, np.integer)) and 1 <= n_states <= m):
         raise ValueError(f"n_states must be an integer >= 1 and <= m = {m}")
     try:
-        vals, vecs = _lowest_symmetric(*_symmetric_bands(op), n_states)
+        d, e, rows = _symmetric_bands(op)
+        rho, w = _ground_symmetric(d, e, rows)
+        vals, vecs = [rho], [w]
+        while len(vals) < n_states:
+            rho, w = _excited_symmetric(d, e, rows, vecs)
+            if not rho > vals[-1]:
+                raise ValueError("the eigenvalues are not strictly increasing")
+            vals.append(rho)
+            vecs.append(w)
     except ValueError as exc:
         # where exprel overflows in the end cells, which would split the
         # grid into decoupled blocks, or a state fails its certificate

@@ -263,15 +263,21 @@ def run_criteria(quick: bool = False, only=None) -> list[CriterionResult]:
     return results
 
 
+def _git(*args):
+    """git's output in this package's directory, or None where it fails."""
+    try:
+        run = subprocess.run(["git", *args], cwd=Path(__file__).parent,
+                             capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return run.stdout.strip() if run.returncode == 0 else None
+
+
 def provenance() -> dict:
     """What produced a report: package, numpy and scipy versions, the git
-    commit of the source tree (None outside a checkout) and the seed."""
-    try:
-        git = subprocess.run(["git", "rev-parse", "HEAD"],
-                             cwd=Path(__file__).parent, capture_output=True,
-                             text=True, timeout=10)
-        sha = git.stdout.strip() if git.returncode == 0 else None
-    except (OSError, subprocess.SubprocessError):
-        sha = None
+    commit of the checkout that tracks this package (None where none does,
+    as for a copy inside another project's repository) and the seed."""
+    tracked = _git("ls-files", "--error-unmatch", Path(__file__).name)
+    sha = None if tracked is None else _git("rev-parse", "HEAD")
     return {"version": __version__, "numpy": np.__version__,
             "scipy": scipy.__version__, "git_sha": sha, "rng_seed": RNG_SEED}

@@ -1,10 +1,15 @@
-import json
 from dataclasses import replace
+import json
+import os
+from pathlib import Path
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from sle_dyson import dyson
+from sle_dyson import dyson, validation
 from sle_dyson.cli import main
 from sle_dyson.dyson import PATH_COUNTERS
 from sle_dyson.validation import RNG_SEED
@@ -143,6 +148,8 @@ class TestSimulate:
      "exponents: p_max must be an integer >= 2"),
     (["exponents", "--kappas", "1/0"],
      "exponents: kappa '1/0' has a zero denominator"),
+    (["simulate", "--seed", "-1"], "simulate: seed must be an integer >= 0$"),
+    (["trace", "--seed", "-3"], "trace: seed must be an integer >= 0$"),
 ])
 def test_bad_input_exits_with_command_and_message(args, problem):
     with pytest.raises(SystemExit, match=problem):
@@ -265,6 +272,40 @@ class TestValidate:
         sha = prov["git_sha"]
         assert sha is None or (len(sha) == 40
                                and set(sha) <= set("0123456789abcdef"))
+
+    @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+    def test_git_sha_only_where_the_package_is_tracked(self, tmp_path):
+        # a copy of the package inside another project's repository, as a
+        # wheel in its .venv, must not report that repository's commit
+        shutil.copytree(Path(validation.__file__).parent,
+                        tmp_path / "sle_dyson",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        git = ["git", "-C", str(tmp_path), "-c", "user.name=t",
+               "-c", "user.email=t@localhost", "-c", "commit.gpgsign=false"]
+
+        def commit(path):
+            subprocess.run([*git, "add", path], check=True)
+            subprocess.run([*git, "commit", "-qm", path], check=True)
+            return subprocess.run([*git, "rev-parse", "HEAD"], check=True,
+                                  capture_output=True, text=True).stdout
+
+        def reported_sha():
+            code = ("import json, sle_dyson.validation as v; "
+                    "print(json.dumps([v.__file__, v.provenance()]))")
+            out = subprocess.run(
+                [sys.executable, "-c", code], cwd=tmp_path, check=True,
+                capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": str(tmp_path)}).stdout
+            where, prov = json.loads(out)
+            assert Path(where).parent == tmp_path / "sle_dyson"
+            return prov["git_sha"]
+
+        subprocess.run([*git, "init", "-q"], check=True)
+        (tmp_path / "other.txt").write_text("another project\n")
+        commit("other.txt")
+        assert reported_sha() is None
+        head = commit("sle_dyson")
+        assert reported_sha() == head.strip()
 
     def test_sampled_criteria_report_their_paths(self, tmp_path,
                                                  monkeypatch):

@@ -56,6 +56,20 @@ class TestConfigValidation:
     def test_accepts_numpy_integer_particle_count(self):
         assert ProcessParams(n_particles=np.int64(3), kappa=2.0).beta == 2.0
 
+    @pytest.mark.parametrize("seed", [-1, np.int64(-3), 1.5, 2.0, True,
+                                      np.bool_(False), "0", None],
+                             ids=["-1", "np.int64(-3)", "1.5", "2.0", "True",
+                                  "np.bool_", "str", "None"])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0$"):
+            ProcessParams(n_particles=2, kappa=2.0, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, np.int64(7), np.uint64(2 ** 63),
+                                      2 ** 70])
+    def test_accepts_nonnegative_integer_seed(self, seed):
+        p = ProcessParams(n_particles=2, kappa=2.0, seed=seed, dt=0.01)
+        assert simulate(p, 0.02).states.shape == (3, 2)
+
     @pytest.mark.parametrize("n_chains", [0, -3, True, 2.5],
                              ids=["0", "-3", "True", "2.5"])
     def test_sample_stationary_rejects_chain_count(self, n_chains):
@@ -225,7 +239,7 @@ def reference_rare_step(xr, kappa, dt, rng, counts):
         z = rng.standard_normal(n)
         for _ in range(dyson.MAX_HALVINGS + 1):
             prop = xr + mu_r * trial + math.sqrt(kappa * trial) * z
-            if dyson._accepted(xr, prop, 0.0):
+            if dyson._checked(xr, prop, 0.0)[2]:
                 break
             trial *= 0.5
             counts["halvings"] += 1
@@ -259,7 +273,7 @@ def reference_kernel_pair_jump(x, gaps, mu, kappa, tau, rng):
     new = x + mu * tau + math.sqrt(kappa * tau) * rng.standard_normal((c, n)).T
     new[i, cols] = mid - 0.5 * s_new
     new[k, cols] = mid + 0.5 * s_new - TWO_PI * (k == 0)
-    ok = dyson._accepted(x, new, 0.5 * GAP_FLOOR)
+    ok = dyson._checked(x, new, 0.5 * GAP_FLOOR)[2]
     if n > 2:
         ok &= np.partition(gaps, 1, axis=0)[1] > np.maximum(3.0 * s, 0.15)
     return new, ok
@@ -277,7 +291,7 @@ def reference_kernel(x, kappa, dt, n_steps, rng, counts, near_counts):
         mu = reference_drift(x.T).T
         gaps = dyson._gaps(x)
         new = x + mu * dt + sqrt_kdt * rng.standard_normal((c, n)).T
-        ok = dyson._accepted(x, new, GAP_FLOOR)
+        ok = dyson._checked(x, new, GAP_FLOOR)[2]
         n_jump = 0
         if n > 1:
             near = gaps.min(axis=0) < (4.0 * sqrt_kdt

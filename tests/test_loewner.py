@@ -25,7 +25,7 @@ def joint_rhs(g, drivers):
 def drive():
     rec = simulate(ProcessParams(n_particles=3, kappa=4.0, dt=1e-3, seed=1),
                    t_end=0.3)
-    return DriveHistory.from_trajectory(rec)
+    return DriveHistory(rec.times, rec.states)
 
 
 def interp_reference(dh, t):
@@ -176,7 +176,7 @@ class TestTraceLandsOnDriver:
     def test_lands_near_own_driver(self, n, kappa):
         rec = simulate(ProcessParams(n_particles=n, kappa=kappa, dt=1e-3,
                                      seed=1), t_end=0.6)
-        drive = DriveHistory.from_trajectory(rec)
+        drive = DriveHistory(rec.times, rec.states)
         # every (curve, time, eps) at once: the flow treats its points
         # independently
         j, t, eps = (a.ravel() for a in np.meshgrid(
@@ -344,7 +344,7 @@ class TestFlowMatchesReference:
         n, kappa = request.param
         rec = simulate(ProcessParams(n_particles=n, kappa=kappa, dt=1e-3,
                                      seed=3), t_end=0.3)
-        return DriveHistory.from_trajectory(rec)
+        return DriveHistory(rec.times, rec.states)
 
     def test_trace_points(self, case):
         # The zipper holds each driver at its right-end value on each knot

@@ -16,7 +16,6 @@ from sle_dyson.spectral import (TWO_PI, GridOperator,
                                 lowest_eigenpair, measured_convergence_order,
                                 normalized_overlap, one_arm_eigenfunction,
                                 one_arm_lambda_exact,
-                                relative_potential_prime,
                                 stationary_gap_density, survival_decay_rate)
 
 
@@ -285,14 +284,32 @@ class TestLowestEigenpair:
         assert lam == pytest.approx(-5.0, abs=1e-10)
         assert np.max(np.abs(vec - 1.0)) < 1e-8
 
-    @pytest.mark.parametrize("band", ["diag", "lower", "upper"])
+    @pytest.mark.parametrize("solver, band", [
+        (solver, band) for solver in ("lowest_eigenpair", "cs_ground_state")
+        for band in ("diag", "lower", "upper")],
+        ids=["diag", "lower", "upper", "cs-diag", "cs-lower", "cs-upper"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_bands_rejected(self, band, bad):
-        op = build_adjoint_n2(6.0, 64)
-        arr = getattr(op, band).copy()
-        arr[10] = bad
-        with pytest.raises(ValueError):
-            lowest_eigenpair(dataclasses.replace(op, **{band: arr}))
+    def test_non_finite_bands_rejected(self, monkeypatch, solver, band, bad):
+        def spoiled(op):
+            arr = getattr(op, band).copy()
+            arr[10] = bad
+            return dataclasses.replace(op, **{band: arr})
+
+        # the product check runs first, and a NaN or -inf off-diagonal
+        # fails it; inf there, or in the diagonal, fails the finite check
+        problem = ("an off-diagonal product is not positive"
+                   if band != "diag" and not bad > 0.0
+                   else "the bands are not finite")
+        if solver == "lowest_eigenpair":
+            with pytest.raises(ValueError, match=f"^{problem}$"):
+                lowest_eigenpair(spoiled(build_adjoint_n2(6.0, 64)))
+        else:
+            build = spectral.build_fp_generator_n2
+            monkeypatch.setattr(spectral, "build_fp_generator_n2",
+                                lambda kappa, m: spoiled(build(kappa, m)))
+            with pytest.raises(ValueError,
+                               match=f"^{problem} at kappa = 2.0, m = 64$"):
+                cs_ground_state(2.0, 64)
 
     def test_step_cap_raises(self, monkeypatch):
         # one solve cannot show a stall, so a cap of one always ends in the
@@ -335,7 +352,9 @@ class TestFpGenerator:
         g1 = -2.0 * (th - np.pi) * g
         g2 = (-2.0 + 4.0 * (th - np.pi) ** 2) * g
         lhs = dense(op).T @ g
-        rhs = kappa * g2 - relative_potential_prime(th) * g1
+        # V' of the gap's drift potential -4 ln|sin(theta/2)|
+        v_prime = -2.0 / np.tan(th / 2.0)
+        rhs = kappa * g2 - v_prime * g1
         inner = (th > 1.0) & (th < 5.0)
         assert np.max(np.abs(lhs - rhs)[inner]) < 1e-3
 
@@ -345,7 +364,7 @@ CS_KAPPAS = [0.5, 1.0, 2.0, 2.5, 3.0, 4.0, 6.0, 8.0]
 
 def cs_bands(kappa, m):
     """Diagonal and off-diagonal of the symmetrized Hamiltonian."""
-    return spectral._symmetric_bands(build_fp_generator_n2(kappa, m))
+    return spectral._symmetric_bands(build_fp_generator_n2(kappa, m))[:2]
 
 
 def bisection_states(kappa, m, n_states):
