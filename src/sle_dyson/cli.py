@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, dyson, loewner
+from . import __version__, _count, dyson, loewner
 
 FLOAT_FMT = ".17g"
 CLOCKS = {"LSW_HALF": 1.0, "DYSON": 2.0}  # rate factor of each clock
@@ -84,9 +84,7 @@ def _write_csv(fh, meta: dict, header: list, rows):
 
 
 def cmd_simulate(cfg: dict, out_path: str) -> int:
-    if cfg["n_samples"] < 0:
-        raise ValueError("n_samples must be >= 0")
-    sampling = cfg["n_samples"] > 0
+    sampling = _count("n_samples", cfg["n_samples"], 0) > 0
     for key in ("t_end",) if sampling else ("burn_in", "thinning"):
         if cfg[key] is not None:
             raise ValueError(f"--{key.replace('_', '-')} is read only when "
@@ -184,8 +182,7 @@ def cmd_exponents(cfg: dict, out_path: str) -> int:
 
 
 def cmd_trace(cfg: dict, out_path: str) -> int:
-    if cfg["n_points"] < 1:
-        raise ValueError("n_points must be >= 1")
+    _count("n_points", cfg["n_points"], 1)
     params = dyson.ProcessParams(n_particles=cfg["n_particles"],
                                  kappa=cfg["kappa"], dt=cfg["dt"],
                                  seed=cfg["seed"])

@@ -38,6 +38,8 @@ import operator
 
 import numpy as np
 
+from . import _count, _real
+
 TWO_PI = 2.0 * math.pi
 
 # Step rejected and retried with dt halved at most this many times.
@@ -121,23 +123,13 @@ class ProcessParams:
     thinning: float = 0.4
 
     def __post_init__(self):
-        n = self.n_particles
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-            raise ValueError("n_particles must be an integer")
-        if n < 1:
-            raise ValueError("n_particles must be >= 1")
-        if not 0.0 < self.kappa < math.inf:
-            raise ValueError("kappa must be positive and finite")
-        if isinstance(self.seed, bool) or not (
-                isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
-            raise ValueError("seed must be an integer >= 0")
-        if not 0.0 < self.dt < math.inf:
-            raise ValueError("dt must be positive and finite")
-        if self.burn_in is not None and not 0.0 <= self.burn_in < math.inf:
-            raise ValueError("burn_in must be nonnegative and finite")
-        if not math.isfinite(self.thinning):
-            raise ValueError("thinning must be finite")
-        if self.thinning < self.dt:
+        _count("n_particles", self.n_particles, 1)
+        _real("kappa", self.kappa)
+        _count("seed", self.seed, 0)
+        _real("dt", self.dt)
+        if self.burn_in is not None:
+            _real("burn_in", self.burn_in, zero_ok=True)
+        if _real("thinning", self.thinning) < self.dt:
             raise ValueError("thinning must be >= dt")
 
     @property
@@ -499,9 +491,7 @@ def simulate(params: ProcessParams, t_end: float,
     ``t_end`` must be a positive integer multiple of ``params.dt`` (to a
     relative 1e-9).  Bit-for-bit reproducible from (seed, params, initial).
     """
-    if not 0.0 < t_end < math.inf:
-        raise ValueError("t_end must be positive and finite")
-    n_steps = _n_steps("t_end", t_end, params.dt)
+    n_steps = _n_steps("t_end", _real("t_end", t_end), params.dt)
     if initial is None:
         initial = equally_spaced(params.n_particles)
     if initial.n != params.n_particles:
@@ -542,16 +532,10 @@ def sample_stationary(params: ProcessParams, n_samples: int,
     explicit ``params.burn_in`` must be integer multiples of ``params.dt``
     (to a relative 1e-9); the default burn-in is on the dt grid already.
     """
-    if (isinstance(n_samples, bool)
-            or not isinstance(n_samples, (int, np.integer))):
-        raise ValueError("n_samples must be an integer")
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
+    _count("n_samples", n_samples, 1)
     if n_chains is None:
         n_chains = int(min(n_samples, 1024))
-    if (isinstance(n_chains, bool)
-            or not isinstance(n_chains, (int, np.integer)) or n_chains < 1):
-        raise ValueError("n_chains must be an integer >= 1")
+    _count("n_chains", n_chains, 1)
     burn_steps = _n_steps("burn_in", params.effective_burn_in, params.dt)
     thin_steps = _n_steps("thinning", params.thinning, params.dt)
     per_chain = -(-n_samples // n_chains)  # ceil

@@ -13,6 +13,7 @@ import math
 import numpy as np
 from scipy.special import betainc
 
+from . import _count, _real
 from .dyson import SampleBatch, TWO_PI, wrap_angle
 
 
@@ -26,9 +27,7 @@ def gap_cdf_n2(beta: float):
     the density's symmetry, since x rounds near 1 and I_x would lose the
     upper tail to that rounding.
     """
-    if not 0.0 <= beta < math.inf:
-        raise ValueError("beta must be nonnegative and finite")
-    a = (beta + 1.0) / 2.0
+    a = (_real("beta", beta, zero_ok=True) + 1.0) / 2.0
 
     def cdf(x):
         x = np.clip(np.asarray(x, dtype=float), 0.0, TWO_PI)
@@ -58,10 +57,8 @@ def sample_batch(ensemble: str, n: int, n_samples: int, seed) -> SampleBatch:
     if ensemble not in ENSEMBLES:
         raise ValueError(f"unknown ensemble {ensemble!r}; valid ensembles "
                          f"are {', '.join(ENSEMBLES)}")
-    for name, k in (("n", n), ("n_samples", n_samples)):
-        if (isinstance(k, bool) or not isinstance(k, (int, np.integer))
-                or k < 1):
-            raise ValueError(f"{name} must be an integer >= 1")
+    _count("n", n, 1)
+    _count("n_samples", n_samples, 1)
     m = 2 * n if ensemble == "CSE" else n
     rng = np.random.default_rng(seed)
     rows = np.empty((n_samples, n))
@@ -116,15 +113,14 @@ def ks_two_sample(a, b) -> float:
 
 def ks_threshold(n: int) -> float:
     """One-sample KS rejection threshold at level KS_LEVEL (asymptotic)."""
-    if n < 1:
-        raise ValueError("sample size must be >= 1")
+    _count("n", n, 1)
     return math.sqrt(-0.5 * math.log(KS_LEVEL / 2.0)) / math.sqrt(n)
 
 
 def ks_two_sample_threshold(n: int, m: int) -> float:
     """Two-sample KS rejection threshold at level KS_LEVEL (asymptotic)."""
-    if n < 1 or m < 1:
-        raise ValueError("sample sizes must be >= 1")
+    _count("n", n, 1)
+    _count("m", m, 1)
     return (math.sqrt(-0.5 * math.log(KS_LEVEL / 2.0))
             * math.sqrt((n + m) / (n * m)))
 

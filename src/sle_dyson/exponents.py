@@ -17,6 +17,8 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 
+from . import _count
+
 
 class BetaConvention(Enum):
     """Mapping from the SLE parameter kappa to the ensemble beta, as the
@@ -53,8 +55,7 @@ def beta_from_kappa(kappa, convention: BetaConvention
 def kac_h_1_s(kappa, p: int) -> Fraction:
     """Kac weight of the (p+1)-st first-row operator: p(2p+4-kappa)/(2 kappa)."""
     kappa = _positive(kappa, "kappa")
-    if isinstance(p, bool) or not isinstance(p, int) or p < 1:
-        raise ValueError("p must be a positive integer")
+    p = int(_count("p", p, 1))  # exact: numpy's int64 would wrap
     return p * (2 * p + 4 - kappa) / (2 * kappa)
 
 
@@ -62,8 +63,7 @@ def fusion_exponent(p: int, kappa) -> Fraction:
     """Exponent p(p-1)/kappa of the p-leg fusion; equals the Kac-table
     combination h_{1,p+1} - p*h_{1,2}, an exact identity."""
     kappa = _positive(kappa, "kappa")
-    if isinstance(p, bool) or not isinstance(p, int) or p < 2:
-        raise ValueError("p must be an integer >= 2")
+    p = int(_count("p", p, 2))
     return Fraction(p * (p - 1)) / kappa
 
 
@@ -75,8 +75,7 @@ def ansatz_exponent(p: int, beta) -> Fraction:
     discrepancy between the conventions, reproduced here exactly.
     """
     beta = _positive(beta, "beta")
-    if isinstance(p, bool) or not isinstance(p, int) or p < 2:
-        raise ValueError("p must be an integer >= 2")
+    p = int(_count("p", p, 2))
     return Fraction(p * (p - 1)) * beta / 2
 
 
@@ -88,8 +87,7 @@ def h21(kappa) -> Fraction:
 
 def exponent_table(kappas, p_max: int = 4):
     """Rows (kappa, beta_dyson, h21, fusion_2..p_max) as exact fractions."""
-    if not isinstance(p_max, int) or p_max < 2:
-        raise ValueError("p_max must be an integer >= 2")
+    _count("p_max", p_max, 2)
     rows = []
     for kap in kappas:
         kap = _positive(kap, "kappa")

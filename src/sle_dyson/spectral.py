@@ -41,6 +41,8 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
 from scipy.special import exprel
 
+from . import _count, _real
+
 TWO_PI = 2.0 * math.pi
 ADJOINT_ORDER_GRIDS = (32, 64, 128, 256)  # m of measured_convergence_order
 FP_ORDER_GRIDS = (256, 512, 1024, 2048)   # m of fp_residual_order
@@ -64,11 +66,7 @@ class GridOperator:
 
 
 def _cell_grid(m: int) -> np.ndarray:
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
-        raise ValueError("m must be an integer")
-    if m < 16:
-        raise ValueError("need at least 16 grid nodes")
-    h = TWO_PI / m
+    h = TWO_PI / _count("m", m, 16)
     return (np.arange(m) + 0.5) * h
 
 
@@ -78,9 +76,7 @@ def one_arm_lambda_exact(kappa: float) -> float:
     Zero at kappa = 4; below 4 the particles never meet and no decaying
     one-arm mode exists.
     """
-    if not 0.0 < kappa < math.inf:
-        raise ValueError("kappa must be positive and finite")
-    if kappa < 4.0:
+    if _real("kappa", kappa) < 4.0:
         raise ValueError("no decaying one-arm mode for kappa < 4")
     return (kappa * kappa - 16.0) / (32.0 * kappa)
 
@@ -112,8 +108,7 @@ def build_adjoint_n2(kappa: float, m: int) -> GridOperator:
     cell on h.  Scaling row i by theta_i^alpha and column j by
     theta_j^-alpha returns the bands on the nodal values of h.
     """
-    if not 0.0 < kappa < math.inf:
-        raise ValueError("kappa must be positive and finite")
+    _real("kappa", kappa)
     th = _cell_grid(m)
     alpha = 1.0 - 4.0 / kappa if kappa > 4.0 else 0.0
     h = TWO_PI / m
@@ -193,20 +188,21 @@ def _ground_symmetric(d, e, rows):
     S is an irreducible Z-matrix, so its lowest eigenvector is positive
     and not orthogonal to the start.  Each shift sigma is certified below
     the whole spectrum by LAPACK's LDL^T factorization of S - sigma I
-    succeeding: first sigma = 0, else the Gershgorin lower bound less a
-    margin, which is positive definite by construction.  After each solve
-    the shift moves up to rho - r, the Rayleigh quotient less the residual
-    norm, wherever that factorization also succeeds, so the iteration
-    converges to the lowest pair and to no other.  It stops when r stops
-    falling, at the round-off floor, and takes that step's pair; a fixed
-    tolerance on r would stop before the smallest entries of the vector
-    converge.  Raises ValueError when no shift factors or
-    INVERSE_ITERATION_STEPS solves pass without a stall.
+    succeeding: first sigma = 0, else sigma = -1e-12 max|d|, just below
+    0.  Every operator built here is a generator, killed or reflecting, so
+    S is positive semidefinite and only round-off puts its lowest value
+    below 0; an operator with a growing mode factors at neither shift and
+    raises.  After each solve the shift moves up to rho - r, the Rayleigh
+    quotient less the residual norm, wherever that factorization also
+    succeeds, so the iteration converges to the lowest pair and to no
+    other.  It stops when r stops falling, at the round-off floor, and
+    takes that step's pair; a fixed tolerance on r would stop before the
+    smallest entries of the vector converge.  Raises ValueError when no
+    shift factors or INVERSE_ITERATION_STEPS solves pass without a stall.
     """
     df, ef, info = dpttrf(d, e)
     if info:
-        shift = np.min(rows) - 1e-12 * np.max(np.abs(d) + d - rows)
-        df, ef, info = dpttrf(d - shift, e)
+        df, ef, info = dpttrf(d + 1e-12 * np.max(np.abs(d)), e)
         if info:
             raise ValueError("no shift below the spectrum factors")
     w, r_best = np.ones(d.size), math.inf
@@ -339,8 +335,7 @@ def build_fp_generator_n2(kappa: float, m: int) -> GridOperator:
     positive for all kappa > 0.
     """
     th = _cell_grid(m)
-    if not 0.0 < kappa < math.inf:
-        raise ValueError("kappa must be positive and finite")
+    _real("kappa", kappa)
     h = TWO_PI / m
     # V' = -2 cot(theta/2), of the gap's drift potential -4 ln|sin(theta/2)|
     delta = h * (-2.0 / np.tan(np.arange(1, m) * h / 2.0)) / kappa
@@ -352,8 +347,7 @@ def build_fp_generator_n2(kappa: float, m: int) -> GridOperator:
 
 def stationary_gap_density(kappa: float, theta) -> np.ndarray:
     """Unnormalized stationary density of the gap, sin^{4/kappa}(theta/2)."""
-    if not 0.0 < kappa < math.inf:
-        raise ValueError("kappa must be positive and finite")
+    _real("kappa", kappa)
     return np.sin(np.asarray(theta, dtype=float) / 2.0) ** (4.0 / kappa)
 
 
@@ -398,8 +392,7 @@ def cs_ground_state(kappa: float, m: int, n_states: int = 2):
     the values are not strictly increasing.
     """
     op = build_fp_generator_n2(kappa, m)
-    if isinstance(n_states, bool) or not (
-            isinstance(n_states, (int, np.integer)) and 1 <= n_states <= m):
+    if _count("n_states", n_states, 1) > m:
         raise ValueError(f"n_states must be an integer >= 1 and <= m = {m}")
     try:
         d, e, rows = _symmetric_bands(op)

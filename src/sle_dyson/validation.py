@@ -276,8 +276,14 @@ def _git(*args):
 def provenance() -> dict:
     """What produced a report: package, numpy and scipy versions, the git
     commit of the checkout that tracks this package (None where none does,
-    as for a copy inside another project's repository) and the seed."""
+    as for a copy inside another project's repository), whether the
+    package's tracked files differ from that commit (None with the sha)
+    and the seed."""
     tracked = _git("ls-files", "--error-unmatch", Path(__file__).name)
     sha = None if tracked is None else _git("rev-parse", "HEAD")
+    status = None if sha is None else _git(
+        "status", "--porcelain", "--untracked-files=no", "--", ".")
     return {"version": __version__, "numpy": np.__version__,
-            "scipy": scipy.__version__, "git_sha": sha, "rng_seed": RNG_SEED}
+            "scipy": scipy.__version__, "git_sha": sha,
+            "git_dirty": None if status is None else status != "",
+            "rng_seed": RNG_SEED}

@@ -93,7 +93,8 @@ class TestSimulate:
     @pytest.mark.parametrize("args, problem", [
         (["simulate", "--kappa", "0"], "kappa must be positive"),
         (["simulate", "--dt", "-1"], "dt must be positive"),
-        (["simulate", "--n-particles", "0"], "n_particles must be >= 1"),
+        (["simulate", "--n-particles", "0"],
+         "n_particles must be an integer >= 1"),
         (["simulate", "--thinning", "0.001", "--n-samples", "10"],
          "thinning must be >= dt"),
         (["trace", "--kappa", "0"], "kappa must be positive"),
@@ -101,7 +102,7 @@ class TestSimulate:
         (["simulate", "--t-end", "inf"], "t_end must be positive and finite"),
         (["trace", "--t-end", "inf"], "t_end must be positive and finite"),
         (["simulate", "--thinning", "inf", "--n-samples", "5"],
-         "thinning must be finite"),
+         "thinning must be positive and finite"),
         (["simulate", "--burn-in", "inf", "--n-samples", "5"],
          "burn_in must be nonnegative and finite"),
         (["simulate", "--burn-in", "nan", "--n-samples", "5"],
@@ -115,11 +116,12 @@ class TestSimulate:
 
 
 @pytest.mark.parametrize("args, problem", [
-    (["simulate", "--n-samples", "-5"], "simulate: n_samples must be >= 0"),
-    (["trace", "--n-points", "-1"], "trace: n_points must be >= 1"),
-    (["trace", "--n-points", "0"], "trace: n_points must be >= 1"),
-    (["spectrum", "--m", "8"], "spectrum: need at least 16 grid nodes"),
-    (["spectrum", "--m", "0"], "spectrum: need at least 16 grid nodes"),
+    (["simulate", "--n-samples", "-5"],
+     "simulate: n_samples must be an integer >= 0"),
+    (["trace", "--n-points", "-1"], "trace: n_points must be an integer >= 1"),
+    (["trace", "--n-points", "0"], "trace: n_points must be an integer >= 1"),
+    (["spectrum", "--m", "8"], "spectrum: m must be an integer >= 16"),
+    (["spectrum", "--m", "0"], "spectrum: m must be an integer >= 16"),
     (["spectrum", "--kappas", "abc"], "spectrum: could not convert"),
     (["spectrum", "--kappas", "0"], "spectrum: kappa must be positive"),
     (["spectrum", "--kappas", "nan"], "spectrum: kappa must be positive"),
@@ -265,13 +267,14 @@ class TestValidate:
             assert entry["seconds"] >= 0.0
         prov = report["provenance"]
         assert set(prov) == {"version", "numpy", "scipy", "git_sha",
-                             "rng_seed"}
+                             "git_dirty", "rng_seed"}
         assert prov["version"] == report["version"]
         assert prov["numpy"] == np.__version__
         assert prov["rng_seed"] == RNG_SEED
         sha = prov["git_sha"]
         assert sha is None or (len(sha) == 40
                                and set(sha) <= set("0123456789abcdef"))
+        assert prov["git_dirty"] in ((None,) if sha is None else (False, True))
 
     @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
     def test_git_sha_only_where_the_package_is_tracked(self, tmp_path):
@@ -289,7 +292,7 @@ class TestValidate:
             return subprocess.run([*git, "rev-parse", "HEAD"], check=True,
                                   capture_output=True, text=True).stdout
 
-        def reported_sha():
+        def reported():
             code = ("import json, sle_dyson.validation as v; "
                     "print(json.dumps([v.__file__, v.provenance()]))")
             out = subprocess.run(
@@ -298,14 +301,18 @@ class TestValidate:
                 env={**os.environ, "PYTHONPATH": str(tmp_path)}).stdout
             where, prov = json.loads(out)
             assert Path(where).parent == tmp_path / "sle_dyson"
-            return prov["git_sha"]
+            return prov["git_sha"], prov["git_dirty"]
 
         subprocess.run([*git, "init", "-q"], check=True)
         (tmp_path / "other.txt").write_text("another project\n")
         commit("other.txt")
-        assert reported_sha() is None
-        head = commit("sle_dyson")
-        assert reported_sha() == head.strip()
+        assert reported() == (None, None)
+        head = commit("sle_dyson").strip()
+        # the import leaves an untracked __pycache__, which is no change
+        assert reported() == (head, False)
+        with open(tmp_path / "sle_dyson" / "exponents.py", "a") as fh:
+            fh.write("# edited\n")
+        assert reported() == (head, True)
 
     def test_sampled_criteria_report_their_paths(self, tmp_path,
                                                  monkeypatch):

@@ -39,8 +39,8 @@ class TestConfigValidation:
         ("dt", math.inf, "dt must be positive and finite"),
         ("burn_in", math.inf, "burn_in must be nonnegative and finite"),
         ("burn_in", math.nan, "burn_in must be nonnegative and finite"),
-        ("thinning", math.inf, "thinning must be finite"),
-        ("thinning", math.nan, "thinning must be finite"),
+        ("thinning", math.inf, "thinning must be positive and finite"),
+        ("thinning", math.nan, "thinning must be positive and finite"),
     ])
     def test_rejects_non_finite_params(self, field, value, problem):
         with pytest.raises(ValueError, match=problem):

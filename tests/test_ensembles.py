@@ -81,7 +81,7 @@ class TestKsToolkit:
         (ks_two_sample_threshold, (5, 0)),
     ], ids=["one-sample", "two-sample-n", "two-sample-m"])
     def test_threshold_rejects_empty_sample(self, fn, args):
-        with pytest.raises(ValueError, match="must be >= 1"):
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
             fn(*args)
 
     def test_threshold_scaling(self):

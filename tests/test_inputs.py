@@ -1,0 +1,156 @@
+"""The package's one input policy, entry point by entry point.
+
+Every count goes through ``sle_dyson._count`` and every real parameter
+through ``sle_dyson._real``, so each rejects the same values with the same
+message: a bool, NaN, an infinity, a value below its floor and a value of
+the wrong type; and each accepts a numpy integer.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from sle_dyson import cli
+from sle_dyson.dyson import ProcessParams, sample_stationary, simulate
+from sle_dyson.ensembles import (gap_cdf_n2, ks_threshold,
+                                 ks_two_sample_threshold, sample_batch)
+from sle_dyson.exponents import (ansatz_exponent, exponent_table,
+                                 fusion_exponent, kac_h_1_s)
+from sle_dyson.spectral import (build_adjoint_n2, build_fp_generator_n2,
+                                cs_ground_state, one_arm_lambda_exact,
+                                stationary_gap_density)
+
+FAST = ProcessParams(n_particles=2, kappa=2.0, burn_in=0.0, thinning=4e-3)
+
+
+def run(command, **given):
+    """A CLI command on its flag defaults, with ``given`` in their place."""
+    cfg = {k: default for k, (_, default, _) in cli.SCHEMAS[command].items()}
+    return cli.COMMANDS[command]({**cfg, **given}, "/dev/null")
+
+
+# id -> (name, floor, call, a numpy integer it accepts)
+COUNTS = {
+    "ProcessParams.n_particles": (
+        "n_particles", 1, lambda v: ProcessParams(n_particles=v, kappa=2.0),
+        np.int64(3)),
+    "ProcessParams.seed": (
+        "seed", 0, lambda v: ProcessParams(2, 2.0, seed=v), np.int64(0)),
+    "sample_stationary.n_samples": (
+        "n_samples", 1, lambda v: sample_stationary(FAST, v), np.int64(2)),
+    "sample_stationary.n_chains": (
+        "n_chains", 1, lambda v: sample_stationary(FAST, 2, n_chains=v),
+        np.int64(2)),
+    "build_adjoint_n2.m": (
+        "m", 16, lambda v: build_adjoint_n2(6.0, v), np.int64(16)),
+    "build_fp_generator_n2.m": (
+        "m", 16, lambda v: build_fp_generator_n2(6.0, v), np.int64(16)),
+    "cs_ground_state.m": (
+        "m", 16, lambda v: cs_ground_state(2.0, v), np.int64(16)),
+    "cs_ground_state.n_states": (
+        "n_states", 1, lambda v: cs_ground_state(2.0, 64, v), np.int64(2)),
+    "sample_batch.n": (
+        "n", 1, lambda v: sample_batch("CUE", v, 2, 0), np.int64(2)),
+    "sample_batch.n_samples": (
+        "n_samples", 1, lambda v: sample_batch("COE", 2, v, 0), np.int64(2)),
+    "ks_threshold.n": ("n", 1, ks_threshold, np.int64(5)),
+    "ks_two_sample_threshold.n": (
+        "n", 1, lambda v: ks_two_sample_threshold(v, 5), np.int64(5)),
+    "ks_two_sample_threshold.m": (
+        "m", 1, lambda v: ks_two_sample_threshold(5, v), np.int64(5)),
+    "kac_h_1_s.p": ("p", 1, lambda v: kac_h_1_s(6, v), np.int64(1)),
+    "fusion_exponent.p": (
+        "p", 2, lambda v: fusion_exponent(v, 6), np.int64(3)),
+    "ansatz_exponent.p": (
+        "p", 2, lambda v: ansatz_exponent(v, 1), np.int64(3)),
+    "exponent_table.p_max": (
+        "p_max", 2, lambda v: exponent_table([6], v), np.int64(3)),
+    "cli.simulate.n_samples": (
+        "n_samples", 0, lambda v: run("simulate", n_samples=v, t_end=0.02),
+        np.int64(0)),
+    "cli.trace.n_points": (
+        "n_points", 1, lambda v: run("trace", n_points=v, t_end=0.01),
+        np.int64(2)),
+}
+
+# id -> (name, zero allowed, call, a numpy integer it accepts)
+REALS = {
+    "ProcessParams.kappa": (
+        "kappa", False, lambda v: ProcessParams(2, v), np.int64(2)),
+    "ProcessParams.dt": (
+        "dt", False, lambda v: ProcessParams(2, 2.0, dt=v, thinning=1.0),
+        np.int64(1)),
+    "ProcessParams.burn_in": (
+        "burn_in", True, lambda v: ProcessParams(2, 2.0, burn_in=v),
+        np.int64(0)),
+    "ProcessParams.thinning": (
+        "thinning", False, lambda v: ProcessParams(2, 2.0, thinning=v),
+        np.int64(1)),
+    "simulate.t_end": (
+        "t_end", False,
+        lambda v: simulate(ProcessParams(2, 2.0, dt=0.5, thinning=0.5), v),
+        np.int64(1)),
+    "one_arm_lambda_exact.kappa": (
+        "kappa", False, one_arm_lambda_exact, np.int64(6)),
+    "build_adjoint_n2.kappa": (
+        "kappa", False, lambda v: build_adjoint_n2(v, 64), np.int64(6)),
+    "build_fp_generator_n2.kappa": (
+        "kappa", False, lambda v: build_fp_generator_n2(v, 64), np.int64(6)),
+    "stationary_gap_density.kappa": (
+        "kappa", False, lambda v: stationary_gap_density(v, 1.0),
+        np.int64(6)),
+    "gap_cdf_n2.beta": ("beta", True, gap_cdf_n2, np.int64(2)),
+}
+
+BAD = {"True": True, "np.bool_": np.bool_(True), "nan": math.nan,
+       "inf": math.inf, "-inf": -math.inf, "str": "3"}
+
+
+def count_cases():
+    for entry, (name, low, call, _) in COUNTS.items():
+        bad = {**BAD, "2.5": 2.5, "float": float(low + 1), "below": low - 1}
+        for case, value in bad.items():
+            yield pytest.param(call, value, f"^{name} must be an integer "
+                                            f">= {low}$",
+                               id=f"{entry}-{case}")
+
+
+def real_cases():
+    for entry, (name, zero_ok, call, _) in REALS.items():
+        bad = {**BAD, "-1": -1.0, "complex": 1j}
+        if not zero_ok:
+            bad["0"] = 0.0
+        sign = "nonnegative" if zero_ok else "positive"
+        for case, value in bad.items():
+            yield pytest.param(call, value, f"^{name} must be {sign} and "
+                                            f"finite$",
+                               id=f"{entry}-{case}")
+
+
+@pytest.mark.parametrize("call, value, problem",
+                         [*count_cases(), *real_cases()])
+def test_rejected_with_the_unified_message(call, value, problem):
+    with pytest.raises(ValueError, match=problem):
+        call(value)
+
+
+@pytest.mark.parametrize("call, value", [
+    pytest.param(call, ok, id=entry)
+    for entry, (_, _, call, ok) in {**COUNTS, **REALS}.items()])
+def test_numpy_integer_accepted(call, value):
+    call(value)
+
+
+def test_accepted_values_pass_through():
+    # the checks return each value as given, so no numeric path changes
+    p = ProcessParams(np.int64(2), 2.0, seed=np.uint64(7), dt=0.01)
+    assert type(p.n_particles) is np.int64 and type(p.seed) is np.uint64
+
+
+def test_numpy_leg_count_stays_exact():
+    # p (p - 1) in numpy's int64 would wrap
+    big = 2 ** 32
+    assert fusion_exponent(np.int64(big), 1) == fusion_exponent(big, 1)
+    assert ansatz_exponent(np.int64(big), 1) == ansatz_exponent(big, 1)
+    assert kac_h_1_s(6, np.int64(big)) == kac_h_1_s(6, big)

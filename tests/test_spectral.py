@@ -40,6 +40,19 @@ def bisection_rate(op):
                             select_range=(0, 0))[0]
 
 
+@pytest.fixture
+def dpttrs_calls(monkeypatch):
+    """A list that grows by one at each dpttrs solve in spectral."""
+    calls, solve = [], spectral.dpttrs
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "dpttrs", counted)
+    return calls
+
+
 # 50 kappa from 1.34 to 1000, log-spaced, and three next to kappa = 4
 SOLVER_KAPPAS = sorted({*np.geomspace(1.34, 1000.0, 50).tolist(),
                         4.0, 4.0001, 4.001})
@@ -100,7 +113,7 @@ def test_cs_ground_state_rejects_state_count(n_states):
                                 lambda m: build_fp_generator_n2(6.0, m),
                                 lambda m: cs_ground_state(2.0, m)])
 def test_small_grid_rejected(fn, m):
-    with pytest.raises(ValueError, match="at least 16 grid nodes"):
+    with pytest.raises(ValueError, match="^m must be an integer >= 16$"):
         fn(m)
 
 
@@ -252,16 +265,10 @@ class TestLowestEigenpair:
         assert resid <= 1e-13 * np.max(np.abs(op.diag))
 
     @pytest.mark.parametrize("m", [16, 17, 64, 512, 4096])
-    def test_matches_bisection(self, m, monkeypatch):
+    def test_matches_bisection(self, m, dpttrs_calls):
         # every kappa's rate within bisection's own tolerance of its value,
         # in a bounded number of inverse-iteration solves
-        solves, solve = [], spectral.dpttrs
-
-        def counted(*args, **kwargs):
-            solves.append(None)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(spectral, "dpttrs", counted)
+        solves = dpttrs_calls
         for kappa in SOLVER_KAPPAS:
             op = build_adjoint_n2(kappa, m)
             solves.clear()
@@ -270,9 +277,9 @@ class TestLowestEigenpair:
             assert abs(lam - bisection_rate(op)) <= 1e-15 * scale, kappa
             assert 2 <= len(solves) <= 16, kappa
 
-    def test_growing_mode_takes_the_fallback_shift(self):
-        # T = Neumann Laplacian + 5: rate -5, so S = -T is not positive
-        # definite at the first shift 0 and the Gershgorin shift starts
+    def test_growing_mode_rejected(self):
+        # T = Neumann Laplacian + 5: rate -5, so S = -T has the eigenvalue
+        # -5, and neither shift 0 nor the one just below 0 factors
         m = 64
         h = TWO_PI / m
         diag = -2.0 * np.ones(m) / h ** 2 + 5.0
@@ -280,9 +287,9 @@ class TestLowestEigenpair:
         off = np.ones(m - 1) / h ** 2
         op = GridOperator(grid=(np.arange(m) + 0.5) * h, lower=off,
                           diag=diag, upper=off)
-        lam, vec = lowest_eigenpair(op)
-        assert lam == pytest.approx(-5.0, abs=1e-10)
-        assert np.max(np.abs(vec - 1.0)) < 1e-8
+        with pytest.raises(ValueError,
+                           match="^no shift below the spectrum factors$"):
+            lowest_eigenpair(op)
 
     @pytest.mark.parametrize("solver, band", [
         (solver, band) for solver in ("lowest_eigenpair", "cs_ground_state")
@@ -411,6 +418,14 @@ class TestCsHamiltonian:
         with pytest.raises(ValueError, match=f"not positive at kappa = "
                                              f"{kappa}, m = 4096"):
             cs_ground_state(kappa, 4096)
+
+    @pytest.mark.parametrize("kappa", [0.006, 0.5, 1.0, 2.5, 4.0, 6.0, 8.0])
+    def test_ground_state_solves(self, kappa, dpttrs_calls):
+        # where round-off puts E_0 just below 0, so that shift 0 does not
+        # factor, the shift just below 0 certifies in a few solves
+        vals, _, _ = cs_ground_state(kappa, 4096, n_states=1)
+        assert abs(vals[0]) < 1e-3
+        assert len(dpttrs_calls) <= 6
 
     def test_smallest_coupled_kappa_returns(self):
         vals, _, _ = cs_ground_state(0.006, 4096)
