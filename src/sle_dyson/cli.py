@@ -8,8 +8,9 @@ All CSV output carries '#'-prefixed metadata lines and prints floats with
 17 significant digits so files round-trip bit-exactly; given the same
 seed and flags, every output byte is reproducible.
 
-The library's rates are all in the half-speed LSW_HALF clock; ``spectrum
---convention DYSON`` alone converts them, by the factor in ``CLOCKS``.
+``spectrum`` computes its one-arm rates in the backward generator's
+half-speed LSW_HALF clock; ``--convention DYSON`` alone converts them, by
+the factor in ``CLOCKS``.
 """
 
 from __future__ import annotations

@@ -155,8 +155,9 @@ class TrajectoryRecord:
 
 
 def equally_spaced(n: int) -> AngleConfig:
-    """The zero-drift configuration: n equally spaced angles from 0."""
-    return AngleConfig(wrap_angle(TWO_PI * np.arange(n) / n))
+    """The zero-drift configuration: n equally spaced angles from 0, n an
+    integer >= 1."""
+    return AngleConfig(wrap_angle(TWO_PI * np.arange(_count("n", n, 1)) / n))
 
 
 def drift(config: AngleConfig) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import betainc
 
 from . import _count, _real
-from .dyson import SampleBatch, TWO_PI, wrap_angle
+from .dyson import SampleBatch, TWO_PI, _gaps, wrap_angle
 
 
 def gap_cdf_n2(beta: float):
@@ -53,6 +53,8 @@ def sample_batch(ensemble: str, n: int, n_samples: int, seed) -> SampleBatch:
     samples makes one ``standard_normal`` call for every sample's real
     then imaginary part and runs its factorizations stacked; successive
     calls continue one stream, so the rows do not depend on the block size.
+    The seed is an integer >= 0, as ``ProcessParams.seed`` is; None and a
+    SeedSequence are refused.
     """
     if ensemble not in ENSEMBLES:
         raise ValueError(f"unknown ensemble {ensemble!r}; valid ensembles "
@@ -60,7 +62,7 @@ def sample_batch(ensemble: str, n: int, n_samples: int, seed) -> SampleBatch:
     _count("n", n, 1)
     _count("n_samples", n_samples, 1)
     m = 2 * n if ensemble == "CSE" else n
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count("seed", seed, 0))
     rows = np.empty((n_samples, n))
     for start in range(0, n_samples, _BLOCK):
         block = rows[start:start + _BLOCK]
@@ -128,12 +130,10 @@ def ks_two_sample_threshold(n: int, m: int) -> float:
 def pairwise_gap_statistics(batch: SampleBatch) -> np.ndarray:
     """Circular nearest-neighbor gaps of every row, flattened.
 
-    Each row of N angles contributes its N gaps, which sum to 2*pi.
+    Each row of N angles contributes its N gaps, which sum to 2*pi, by
+    the SDE kernel's own gap rule: one angle has the one gap 2*pi.
     """
-    rows = batch.rows
-    s = np.sort(rows, axis=-1)
-    gaps = np.mod(np.diff(s, axis=-1, append=s[..., :1] + TWO_PI), TWO_PI)
-    return gaps.ravel()
+    return _gaps(np.sort(batch.rows, axis=-1).T).T.ravel()
 
 
 def row_gaps(rows: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 
-from . import _count
+from . import _count, _real
 
 
 class BetaConvention(Enum):
@@ -31,7 +31,7 @@ class BetaConvention(Enum):
 
 def _positive(x, name: str) -> Fraction:
     """x as an exact Fraction; floats, bools, zero denominators and x <= 0
-    are rejected."""
+    are rejected, the last with the package's ``_real`` message."""
     if isinstance(x, float):
         raise TypeError("exact arithmetic only: pass int, Fraction or str")
     if isinstance(x, bool):
@@ -40,9 +40,7 @@ def _positive(x, name: str) -> Fraction:
         x = Fraction(x)
     except ZeroDivisionError:
         raise ValueError(f"{name} {x!r} has a zero denominator") from None
-    if x <= 0:
-        raise ValueError(f"{name} must be positive")
-    return x
+    return _real(name, x)
 
 
 def beta_from_kappa(kappa, convention: BetaConvention

@@ -35,6 +35,7 @@ import math
 
 import numpy as np
 
+from . import _real
 from .dyson import wrap_angle
 
 
@@ -56,9 +57,9 @@ class DriveHistory:
     """Time-stamped driving angles, sufficient to replay the flow.
 
     ``angles`` rows are wrapped to [0, 2*pi); an unwrapped lift is kept
-    internally so that linear interpolation between samples never crosses a
-    branch cut.  Times must be finite and increase strictly from 0, and
-    angles must be finite.
+    internally, and np.interp reads it, so that linear interpolation between
+    samples never crosses a branch cut.  Times must be finite and increase
+    strictly from 0, and angles must be finite.
     """
 
     times: np.ndarray
@@ -75,15 +76,9 @@ class DriveHistory:
             raise ValueError("one angle row per time stamp required")
         if not np.isfinite(a).all():
             raise ValueError("angles must be finite")
-        lift = np.unwrap(a, axis=0)
-        # np.interp's slopes, with a zero row past the last knot so that
-        # the last knot and beyond read the last row
-        slope = np.zeros_like(lift)
-        slope[:-1] = np.diff(lift, axis=0) / np.diff(t)[:, None]
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "angles", wrap_angle(a))
-        object.__setattr__(self, "_lift", lift)
-        object.__setattr__(self, "_slope", slope)
+        object.__setattr__(self, "_lift", np.unwrap(a, axis=0))
 
     @property
     def n(self) -> int:
@@ -95,16 +90,12 @@ class DriveHistory:
 
     def drivers_at(self, t) -> np.ndarray:
         """Angles at time(s) t in [0, duration], NaN rejected, interpolated
-        in the lift: shape (*t, N).
-
-        One search finds every time's interval for all N columns; the
-        value is np.interp's, slope * (t - t_i) + theta_i, bit for bit.
-        """
+        in the lift by np.interp, one column at a time: shape (*t, N)."""
         t = np.asarray(t)
         if not ((t >= 0.0) & (t <= self.duration + 1e-12)).all():
             raise ValueError("time outside the recorded drive")
-        i = np.searchsorted(self.times, t, side="right") - 1
-        return self._slope[i] * (t - self.times[i])[..., None] + self._lift[i]
+        return np.stack([np.interp(t, self.times, col)
+                         for col in self._lift.T], axis=-1)
 
 
 def slit_drivers(theta, db, dt):
@@ -112,9 +103,10 @@ def slit_drivers(theta, db, dt):
     time: driver j takes its increment db[j], then curve j's slit map over
     dt moves every other driver along the circle, exactly, by
     cos((phi - theta_j)/2) -> e^{-dt/2} cos((phi - theta_j)/2).  Summed
-    over j this is a Lie splitting of the Dyson SDE with increments db."""
+    over j this is a Lie splitting of the Dyson SDE with increments db.
+    dt must be positive and finite."""
     theta = np.array(theta, dtype=float)
-    q = math.exp(-0.5 * dt)
+    q = math.exp(-0.5 * _real("dt", dt))
     for j in range(theta.shape[0]):
         theta[j] += db[j]
         u = 0.5 * wrap_angle(theta - theta[j])

@@ -28,8 +28,9 @@ The lowest decaying mode of the backward generator on the singular branch
 theta^{1-4/kappa} has the closed-form rate (kappa^2-16)/(32 kappa), which
 the solvers here reproduce to second order in the grid spacing.
 
-Every rate here is in the half-speed (LSW_HALF) clock; a Dyson-clock rate
-is twice it.
+The backward generator and its rates are in the half-speed (LSW_HALF)
+clock; the Fokker-Planck generator and the Hamiltonian are in the Dyson
+clock, where every rate is twice its LSW_HALF value.
 """
 
 from __future__ import annotations
@@ -81,14 +82,19 @@ def one_arm_lambda_exact(kappa: float) -> float:
     return (kappa * kappa - 16.0) / (32.0 * kappa)
 
 
+def _decaying(kappa: float) -> float:
+    """kappa as given where it is a finite real above 4, the domain of the
+    decaying one-arm mode; any other kappa raises ValueError."""
+    if _real("kappa", kappa) <= 4.0:
+        raise ValueError("no decaying one-arm mode for kappa <= 4")
+    return kappa
+
+
 def one_arm_eigenfunction(kappa: float, theta) -> np.ndarray:
     """The decaying mode sin(theta/4)^(1 - 4/kappa) on the singular branch,
-    which exists for 4 < kappa < inf."""
-    if not 4.0 < kappa < math.inf:
-        raise ValueError("no decaying one-arm mode: kappa must be finite "
-                         "and > 4")
-    theta = np.asarray(theta, dtype=float)
-    return np.sin(theta / 4.0) ** (1.0 - 4.0 / kappa)
+    which exists for 4 < kappa < inf (see :func:`_decaying`)."""
+    exponent = 1.0 - 4.0 / _decaying(kappa)
+    return np.sin(np.asarray(theta, dtype=float) / 4.0) ** exponent
 
 
 def build_adjoint_n2(kappa: float, m: int) -> GridOperator:
@@ -291,7 +297,7 @@ def lowest_eigenpair(op: GridOperator) -> tuple[float, np.ndarray]:
 
 def adjoint_decay_rate(kappa: float, m: int) -> float:
     """The decay rate of :func:`lowest_eigenpair` on build_adjoint_n2(kappa,
-    m)."""
+    m), in the LSW_HALF clock."""
     return lowest_eigenpair(build_adjoint_n2(kappa, m))[0]
 
 
@@ -300,13 +306,10 @@ def measured_convergence_order(kappa: float) -> float:
 
     Runs on coarse grids; at very fine grids the round-off of the bands
     themselves, which grows as m^2, contaminates the error and the fit
-    becomes meaningless.  Needs
-    kappa > 4: at kappa = 4 the rate is 0 and the fit would run on
-    round-off.
+    becomes meaningless.  Needs kappa > 4 (see :func:`_decaying`): at
+    kappa = 4 the rate is 0 and the fit would run on round-off.
     """
-    exact = one_arm_lambda_exact(kappa)
-    if exact == 0.0:
-        raise ValueError("no order to fit at kappa = 4, where the rate is 0")
+    exact = one_arm_lambda_exact(_decaying(kappa))
     return _grid_order(ADJOINT_ORDER_GRIDS,
                        lambda m: abs(adjoint_decay_rate(kappa, m) - exact))
 
@@ -319,7 +322,8 @@ def _grid_order(ms, error) -> float:
 
 
 def build_fp_generator_n2(kappa: float, m: int) -> GridOperator:
-    """Density-evolution matrix d/dth(V' P + kappa P') in flux form.
+    """Density-evolution matrix d/dth(V' P + kappa P') in flux form, in the
+    Dyson clock.
 
     Finite volumes on cell-centred nodes: cell i sees (F_{i+1} - F_i)/h,
     with the Scharfetter-Gummel flux through face f (between cells f-1
@@ -352,7 +356,7 @@ def stationary_gap_density(kappa: float, theta) -> np.ndarray:
 
 
 def fp_equilibrium_residual(kappa: float, m: int) -> float:
-    """Sup-norm of the generator applied to the stationary density.
+    """Sup-norm of the Dyson-clock generator applied to the stationary density.
 
     Measured away from the endpoints: for kappa > 4 the density has
     unbounded derivative at theta = 0 where no finite-difference order
@@ -383,7 +387,8 @@ def cs_ground_state(kappa: float, m: int, n_states: int = 2):
     generator bands: D is the discrete stationary density, so the ground
     state is its square root, approximately sin^{2/kappa}(theta/2), at
     eigenvalue zero, and H and -L share their spectrum, which approximates
-    Sutherland's E_n = n + kappa n^2 / 4.  Returns (values, vectors m x
+    Sutherland's E_n = n + kappa n^2 / 4 in the Dyson clock, twice the
+    levels of the symmetrized build_adjoint_n2 bands for kappa <= 4.  Returns (values, vectors m x
     n_states, grid).  Raises ValueError, naming kappa and m, where an
     off-diagonal product of the bands is not positive: at m = 4096, from
     kappa = 0.005 down; and where a state fails its certificate, as where
@@ -427,10 +432,8 @@ def survival_decay_rate(kappa: float, m: int = 512) -> float:
     """Asymptotic decay rate of the non-meeting probability for kappa > 4.
 
     That rate is by definition the principal eigenvalue of the backward
-    generator, so this is adjoint_decay_rate(kappa, m), which rejects a
-    kappa that is not positive and finite.  For 0 < kappa <= 4 the
-    particles never meet and the survival probability stays 1.
+    generator, so this is adjoint_decay_rate(kappa, m), in the LSW_HALF
+    clock.  For 0 < kappa <= 4 the particles never meet and the survival
+    probability stays 1, and :func:`_decaying` rejects that kappa.
     """
-    if 0.0 < kappa <= 4.0:
-        raise ValueError("no decay for kappa <= 4: survival is constant 1")
-    return adjoint_decay_rate(kappa, m)
+    return adjoint_decay_rate(_decaying(kappa), m)

@@ -190,3 +190,8 @@ class TestGapStatistics:
         batch = sample_batch("CUE", 4, 50, seed=7)
         gaps = pairwise_gap_statistics(batch).reshape(50, 4)
         assert np.allclose(gaps.sum(axis=1), TWO_PI)
+
+    def test_one_particle_has_one_gap_of_the_whole_circle(self):
+        # one angle's one gap runs from it round the circle back to it
+        gaps = pairwise_gap_statistics(sample_batch("CUE", 1, 8, seed=9))
+        assert gaps == pytest.approx(np.full(8, TWO_PI), rel=1e-15)

@@ -120,5 +120,6 @@ def test_exponent_table_rejects_p_max_below_two(p_max):
 ], ids=["beta_from_kappa", "kac_h_1_s", "fusion_exponent", "ansatz_exponent",
         "h21"])
 def test_nonpositive_kappa_or_beta_rejected(fn, name, value):
-    with pytest.raises(ValueError, match=f"^{name} must be positive$"):
+    with pytest.raises(ValueError, match=f"^{name} must be positive and "
+                                         f"finite$"):
         fn(value)

@@ -12,14 +12,19 @@ import numpy as np
 import pytest
 
 from sle_dyson import cli
-from sle_dyson.dyson import ProcessParams, sample_stationary, simulate
+from sle_dyson.dyson import (ProcessParams, equally_spaced,
+                             sample_stationary, simulate)
 from sle_dyson.ensembles import (gap_cdf_n2, ks_threshold,
                                  ks_two_sample_threshold, sample_batch)
 from sle_dyson.exponents import (ansatz_exponent, exponent_table,
                                  fusion_exponent, kac_h_1_s)
-from sle_dyson.spectral import (build_adjoint_n2, build_fp_generator_n2,
-                                cs_ground_state, one_arm_lambda_exact,
-                                stationary_gap_density)
+from sle_dyson.loewner import slit_drivers
+from sle_dyson.spectral import (adjoint_decay_rate, build_adjoint_n2,
+                                build_fp_generator_n2, cs_ground_state,
+                                fp_equilibrium_residual,
+                                measured_convergence_order,
+                                one_arm_eigenfunction, one_arm_lambda_exact,
+                                stationary_gap_density, survival_decay_rate)
 
 FAST = ProcessParams(n_particles=2, kappa=2.0, burn_in=0.0, thinning=4e-3)
 
@@ -42,6 +47,7 @@ COUNTS = {
     "sample_stationary.n_chains": (
         "n_chains", 1, lambda v: sample_stationary(FAST, 2, n_chains=v),
         np.int64(2)),
+    "equally_spaced.n": ("n", 1, equally_spaced, np.int64(3)),
     "build_adjoint_n2.m": (
         "m", 16, lambda v: build_adjoint_n2(6.0, v), np.int64(16)),
     "build_fp_generator_n2.m": (
@@ -50,10 +56,16 @@ COUNTS = {
         "m", 16, lambda v: cs_ground_state(2.0, v), np.int64(16)),
     "cs_ground_state.n_states": (
         "n_states", 1, lambda v: cs_ground_state(2.0, 64, v), np.int64(2)),
+    "adjoint_decay_rate.m": (
+        "m", 16, lambda v: adjoint_decay_rate(6.0, v), np.int64(16)),
+    "survival_decay_rate.m": (
+        "m", 16, lambda v: survival_decay_rate(6.0, v), np.int64(16)),
     "sample_batch.n": (
         "n", 1, lambda v: sample_batch("CUE", v, 2, 0), np.int64(2)),
     "sample_batch.n_samples": (
         "n_samples", 1, lambda v: sample_batch("COE", 2, v, 0), np.int64(2)),
+    "sample_batch.seed": (
+        "seed", 0, lambda v: sample_batch("CUE", 2, 2, v), np.int64(0)),
     "ks_threshold.n": ("n", 1, ks_threshold, np.int64(5)),
     "ks_two_sample_threshold.n": (
         "n", 1, lambda v: ks_two_sample_threshold(v, 5), np.int64(5)),
@@ -93,6 +105,14 @@ REALS = {
         np.int64(1)),
     "one_arm_lambda_exact.kappa": (
         "kappa", False, one_arm_lambda_exact, np.int64(6)),
+    "one_arm_eigenfunction.kappa": (
+        "kappa", False, lambda v: one_arm_eigenfunction(v, 1.0), np.int64(6)),
+    "survival_decay_rate.kappa": (
+        "kappa", False, survival_decay_rate, np.int64(6)),
+    "measured_convergence_order.kappa": (
+        "kappa", False, measured_convergence_order, np.int64(6)),
+    "adjoint_decay_rate.kappa": (
+        "kappa", False, lambda v: adjoint_decay_rate(v, 64), np.int64(6)),
     "build_adjoint_n2.kappa": (
         "kappa", False, lambda v: build_adjoint_n2(v, 64), np.int64(6)),
     "build_fp_generator_n2.kappa": (
@@ -100,6 +120,14 @@ REALS = {
     "stationary_gap_density.kappa": (
         "kappa", False, lambda v: stationary_gap_density(v, 1.0),
         np.int64(6)),
+    "cs_ground_state.kappa": (
+        "kappa", False, lambda v: cs_ground_state(v, 64), np.int64(2)),
+    "fp_equilibrium_residual.kappa": (
+        "kappa", False, lambda v: fp_equilibrium_residual(v, 64),
+        np.int64(6)),
+    "slit_drivers.dt": (
+        "dt", False, lambda v: slit_drivers([0.0, 3.0], [0.0, 0.0], v),
+        np.int64(1)),
     "gap_cdf_n2.beta": ("beta", True, gap_cdf_n2, np.int64(2)),
 }
 

@@ -141,9 +141,9 @@ class TestDriveHistory:
 
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_drivers_at_matches_interp(self, n):
-        # one search for all columns equals np.interp column by column,
-        # bit for bit, on a non-uniform grid: random times, every knot and
-        # both endpoints
+        # the lift read by np.interp equals each column's own unwrap read by
+        # np.interp, bit for bit, on a non-uniform grid: random times, every
+        # knot and both endpoints
         rng = np.random.default_rng(n)
         times = np.concatenate([[0.0], np.cumsum(rng.uniform(1e-4, 0.1, 60))])
         walk = np.cumsum(rng.normal(0, 1.0, (times.size, n)), axis=0)
