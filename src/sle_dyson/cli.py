@@ -28,10 +28,10 @@ FLOAT_FMT = ".17g"
 CLOCKS = {"LSW_HALF": 1.0, "DYSON": 2.0}  # rate factor of each clock
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float) or isinstance(x, np.floating):
-        return format(float(x), FLOAT_FMT)
-    return str(x)
+def _spec(t) -> str:
+    """The %-format of a CSV field of type ``t``: FLOAT_FMT for a Python or
+    numpy float (%-formatting one formats float(x)), str() for the rest."""
+    return "%" + FLOAT_FMT if issubclass(t, (float, np.floating)) else "%s"
 
 
 # key -> (parser, default, help)
@@ -78,10 +78,14 @@ def _open_out(path):
 
 def _write_csv(fh, meta: dict, header: list, rows):
     for k, v in meta.items():
-        fh.write(f"# {k} = {_fmt(v)}\n")
+        fh.write(f"# {k} = {_spec(type(v)) % (v,)}\n")
     fh.write(",".join(header) + "\n")
+    templates = {}  # a row's %-template, by the types of its fields
     for row in rows:
-        fh.write(",".join(_fmt(x) for x in row) + "\n")
+        types = tuple(map(type, row))
+        if types not in templates:
+            templates[types] = ",".join(map(_spec, types)) + "\n"
+        fh.write(templates[types] % tuple(row))
 
 
 def cmd_simulate(cfg: dict, out_path: str) -> int:

@@ -20,19 +20,21 @@ sub-step, are carried into the next step's close-pair guard.
 Python floats with :func:`_integrate_chain`, which makes the kernel's draws
 and arithmetic, so its path is the kernel's bit for bit without the
 per-call numpy overhead.  The kernel runs that same per-chain code for its
-rare path, :func:`_rare_step`, and for a pair jump of at most
-FLOAT_JUMP_MAX chains, :func:`_chain_pair_jump` on the batched draws;
-more chains than that take the vectorized move.  Both entry points take
-and return one row per configuration.  The stationary law is the circular
-beta-ensemble with beta = 4/kappa (see :mod:`sle_dyson.ensembles` for the
-reference densities).
+rare path, :func:`_rare_step`, and for each chain of a pair jump of at
+most FLOAT_JUMP_MAX chains, :func:`_chain_pair_jump` on the batched
+draws; both write their chains into the step's arrays in place, and more
+chains than that take the vectorized move, :func:`_pair_jump`.  A step
+builds its proposal in place and keeps every scratch array C-ordered, so
+at N = 2 with a thousand chains it costs little more than its normal
+draw.  Both entry points take and return one row per configuration.  The
+stationary law is the circular beta-ensemble with beta = 4/kappa (see
+:mod:`sle_dyson.ensembles` for the reference densities).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 import functools
-import itertools
 import math
 import operator
 
@@ -54,8 +56,8 @@ GAP_FLOOR = 1e-4
 
 # A pair jump of at most this many chains runs on Python floats, chain by
 # chain; more chains take the vectorized move.  On a 2-core x86 machine
-# (numpy 2.4) the float path took about 8 us plus 6-8 us per chain and the
-# vectorized move 65-70 us at any count up to 16: they cross at 9-11
+# (numpy 2.4) the float path took about 5 us plus 6-7.5 us per chain and
+# the vectorized move 55-65 us at any count up to 16: they cross at 8-10
 # chains for N = 2, 3 and 5.
 FLOAT_JUMP_MAX = 8
 
@@ -194,18 +196,28 @@ def _drift(x):
     (N, chains) stack: one cot per pair, and each particle adds its terms
     in ascending partner order, as a sum over a full cot matrix does."""
     j, k, terms = _pair_terms(x.shape[0])
-    cot = 1.0 / np.tan((np.take(x, j, 0) - np.take(x, k, 0)) / 2.0)
+    stack = np.empty((2 * j.size, *x.shape[1:]))
+    cot = np.divide(x.take(j, 0) - x.take(k, 0), 2.0, out=stack[:j.size])
+    np.reciprocal(np.tan(cot, out=cot), out=cot)
+    np.negative(cot, out=stack[j.size:])
     # |cot(d/2)| ~ 2/|d| near d = 0 mod 2*pi: flags pairs closer than 1e-12
-    if not np.maximum.reduce(np.abs(cot), None, initial=0.0) < 2e12:
+    # (the stack's maximum is the largest |cot|)
+    if not np.maximum.reduce(stack, None, initial=0.0) < 2e12:
         raise CollisionError("coincident angles: cot drift is singular")
+    if j.size == 1:
+        return stack  # N = 2: each particle's one term, in particle order
     # a sum over the leading axis adds its slices in order, so each
     # particle's terms in ascending partner order
-    return np.add.reduce(np.take(np.concatenate((cot, -cot)), terms, 0))
+    return np.add.reduce(stack.take(terms, 0))
 
 
 def _gaps(x):
     """Gaps x_{i+1} - x_i along axis 0, the last one closing the circle."""
-    return np.concatenate((x[1:], x[:1] + TWO_PI)) - x
+    gaps = np.empty(x.shape)
+    np.subtract(x[1:], x[:-1], out=gaps[:-1])
+    np.add(x[:1], TWO_PI, out=gaps[-1:])
+    gaps[-1:] -= x[-1:]
+    return gaps
 
 
 def _checked(old, new, floor):
@@ -214,8 +226,10 @@ def _checked(old, new, floor):
     move no particle by pi or more."""
     gaps = _gaps(new)
     gmin = np.minimum.reduce(gaps)
-    return gaps, gmin, ((gmin >= floor)
-                        & (np.maximum.reduce(np.abs(new - old)) < np.pi))
+    moved = np.subtract(new, old)
+    ok = np.maximum.reduce(np.abs(moved, out=moved)) < np.pi
+    ok &= gmin >= floor
+    return gaps, gmin, ok
 
 
 def _pair_jump_draws(s, n, kappa, tau, rng):
@@ -241,20 +255,13 @@ def _pair_jump(x, gaps, mu, kappa, tau, rng):
     scaled noncentral chi-square; the cot-versus-1/s drift difference and
     the differential pull of the other particles enter as an O(tau) drift
     correction.  Midpoint and remaining particles take plain EM updates.
-    Returns (new, gaps of new, ok_mask); chains whose move would break the
-    cyclic order, or whose pair is not isolated, are left for the rare path
-    of :func:`_integrate`.  Up to FLOAT_JUMP_MAX chains move on Python
-    floats by :func:`_chain_pair_jump`, the same arithmetic on the same
-    draws.
+    Returns (new, gaps of new, their minimum per chain, ok_mask); chains
+    whose move would break the cyclic order, or whose pair is not isolated,
+    are left for the rare path of :func:`_integrate`.  That calls this for
+    more than FLOAT_JUMP_MAX chains and moves fewer one at a time by
+    :func:`_chain_pair_jump`, the same arithmetic on the same draws.
     """
     n, c = x.shape
-    if c <= FLOAT_JUMP_MAX:
-        draws = _pair_jump_draws(np.minimum.reduce(gaps).tolist(), n, kappa,
-                                 tau, rng)
-        new, new_gaps, ok = zip(*map(
-            _chain_pair_jump, x.T.tolist(), gaps.T.tolist(), mu.T.tolist(),
-            itertools.repeat(kappa), itertools.repeat(tau), *draws))
-        return np.array(new).T, np.array(new_gaps).T, ok
     cols = np.arange(c)
     i = np.argmin(gaps, axis=0)
     k = (i + 1) % n
@@ -271,11 +278,11 @@ def _pair_jump(x, gaps, mu, kappa, tau, rng):
     new[i, cols] = mid - 0.5 * s_new
     # the pair (x_{N-1}, x_0 + 2*pi) closes the circle: x_0 lives 2*pi lower
     new[k, cols] = mid + 0.5 * s_new - TWO_PI * (k == 0)
-    new_gaps, _, ok = _checked(x, new, 0.5 * GAP_FLOOR)
+    new_gaps, new_gmin, ok = _checked(x, new, 0.5 * GAP_FLOOR)
     if n > 2:
         # only trust the two-body move when the pair is isolated
         ok &= np.partition(gaps, 1, axis=0)[1] > np.maximum(3.0 * s, 0.15)
-    return new, new_gaps, ok
+    return new, new_gaps, new_gmin, ok
 
 
 # One chain held as a list of Python floats.  Each function below repeats
@@ -431,11 +438,13 @@ def _integrate(x, kappa, dt, n_steps, rng, counts):
     ``dt``; each step's noise is one (chains, N) draw read transposed.
 
     Chains clear of collision take one shared Euler-Maruyama proposal, and
-    chains that trip the close-pair guard take :func:`_pair_jump`.  Chains
-    either path rejects take :func:`_rare_step` from where they stood, one
-    chain at a time.  The gaps of each step's result, which the order checks
-    and the rare path compute, are carried into the next step's guard.
-    ``counts`` accumulates the PATH_COUNTERS.
+    chains that trip the close-pair guard take :func:`_pair_jump`, or,
+    when at most FLOAT_JUMP_MAX do, :func:`_chain_pair_jump` one chain at
+    a time on the same draws.  Chains either path rejects take
+    :func:`_rare_step` from where they stood, one chain at a time.  The
+    gaps of each step's result, which the order checks and the rare path
+    compute, are carried into the next step's guard.  ``counts``
+    accumulates the PATH_COUNTERS.
     """
     n, c = x.shape
     sqrt_kdt = math.sqrt(kappa * dt)
@@ -443,7 +452,10 @@ def _integrate(x, kappa, dt, n_steps, rng, counts):
     gmin = np.minimum.reduce(gaps)
     for _ in range(n_steps):
         mu = _drift(x)
-        new = x + mu * dt + sqrt_kdt * rng.standard_normal((c, n)).T
+        # x + mu*dt + sqrt_kdt*z, built in place: IEEE addition commutes
+        new = mu * dt
+        new += x
+        new += (sqrt_kdt * rng.standard_normal((c, n))).T
         new_gaps, new_gmin, ok = _checked(x, new, GAP_FLOOR)
         n_jump = 0
         if n > 1:
@@ -451,14 +463,21 @@ def _integrate(x, kappa, dt, n_steps, rng, counts):
             near, = (gmin < (4.0 * sqrt_kdt
                              + 4.0 * dt * np.maximum.reduce(np.abs(mu)))
                      ).nonzero()
-            if near.size:
+            if near.size > FLOAT_JUMP_MAX:
                 # a rejected jump's chain is redone by the rare path below
-                new[:, near], g, ok[near] = _pair_jump(
-                    np.take(x, near, 1), np.take(gaps, near, 1),
-                    np.take(mu, near, 1), kappa, dt, rng)
-                new_gaps[:, near] = g
-                new_gmin[near] = np.minimum.reduce(g)
-                n_jump = int(np.count_nonzero(np.take(ok, near)))
+                (new[:, near], new_gaps[:, near], new_gmin[near],
+                 ok[near]) = _pair_jump(x.take(near, 1), gaps.take(near, 1),
+                                        mu.take(near, 1), kappa, dt, rng)
+                n_jump = int(np.count_nonzero(ok.take(near)))
+            elif near.size:
+                draws = _pair_jump_draws(gmin.take(near).tolist(), n, kappa,
+                                         dt, rng)
+                for r, *d in zip(near.tolist(), *draws):
+                    new[:, r], g, jumped = _chain_pair_jump(
+                        x[:, r].tolist(), gaps[:, r].tolist(),
+                        mu[:, r].tolist(), kappa, dt, *d)
+                    new_gaps[:, r], new_gmin[r], ok[r] = g, min(g), jumped
+                    n_jump += jumped
         rare, = np.logical_not(ok).nonzero()
         counts["em_steps"] += c - rare.size - n_jump
         counts["pair_jumps"] += n_jump

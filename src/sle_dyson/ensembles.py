@@ -137,6 +137,9 @@ def pairwise_gap_statistics(batch: SampleBatch) -> np.ndarray:
 
 
 def row_gaps(rows: np.ndarray) -> np.ndarray:
-    """One gap per configuration: (theta_1 - theta_0) mod 2*pi."""
+    """One gap per configuration: (theta_1 - theta_0) mod 2*pi, for rows
+    of at least two angles."""
     rows = np.atleast_2d(rows)
+    if rows.ndim != 2 or rows.shape[1] < 2:
+        raise ValueError("rows must hold at least 2 angles each")
     return np.mod(rows[:, 1] - rows[:, 0], TWO_PI)

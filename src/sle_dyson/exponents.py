@@ -30,8 +30,9 @@ class BetaConvention(Enum):
 
 
 def _positive(x, name: str) -> Fraction:
-    """x as an exact Fraction; floats, bools, zero denominators and x <= 0
-    are rejected, the last with the package's ``_real`` message."""
+    """x as an exact Fraction; floats, bools, zero denominators, other
+    non-rationals and x <= 0 are rejected, the last two with the package's
+    ``_real`` message."""
     if isinstance(x, float):
         raise TypeError("exact arithmetic only: pass int, Fraction or str")
     if isinstance(x, bool):
@@ -40,6 +41,8 @@ def _positive(x, name: str) -> Fraction:
         x = Fraction(x)
     except ZeroDivisionError:
         raise ValueError(f"{name} {x!r} has a zero denominator") from None
+    except TypeError:
+        x = None  # a complex or other non-rational, which _real refuses
     return _real(name, x)
 
 

@@ -1,4 +1,5 @@
 from dataclasses import replace
+import io
 import json
 import os
 from pathlib import Path
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from sle_dyson import dyson, validation
-from sle_dyson.cli import main
+from sle_dyson.cli import _write_csv, main
 from sle_dyson.dyson import PATH_COUNTERS
 from sle_dyson.validation import RNG_SEED
 
@@ -173,6 +174,27 @@ def test_bad_flag_type_names_the_flag(capsys):
         main(["simulate", "--seed", "1.5", "-o", "/dev/null"])
     assert exc.value.code != 0
     assert "--seed: invalid int value: '1.5'" in capsys.readouterr().err
+
+
+def test_csv_fields_print_as_the_per_field_rule():
+    # each row prints through the %-template of its field types; the
+    # bytes are those of the per-field rule it replaced, joined
+    def field(x):
+        if isinstance(x, float) or isinstance(x, np.floating):
+            return format(float(x), ".17g")
+        return str(x)
+
+    meta = {"version": "0.1.0", "kappa": 8 / 3, "n": np.int64(3)}
+    rows = [[0, 0.1, -0.0, "x"], [7, np.float64(1 / 3), np.float32(0.1), "y"],
+            [2 ** 70, float("inf"), float("-inf"), "unresolved"],
+            [-3, float("nan"), 5e-324, "ok"], [True, 1e300, np.int64(5), 2.5],
+            [0, 0.1, -0.0, "x"], [1, 2, 3, 4]]
+    want = ("".join(f"# {k} = {field(v)}\n" for k, v in meta.items())
+            + "a,b,c,d\n"
+            + "".join(",".join(map(field, row)) + "\n" for row in rows))
+    out = io.StringIO()
+    _write_csv(out, meta, ["a", "b", "c", "d"], (tuple(r) for r in rows))
+    assert out.getvalue() == want
 
 
 class TestSpectrum:

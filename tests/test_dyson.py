@@ -527,6 +527,35 @@ class TestKernelMatchesPreviousKernel:
         assert batch.meta["pair_jumps"] > 0
 
 
+class TestFewChainPairJump:
+    """At N = 2 with 1,024 chains, steps with 1 to FLOAT_JUMP_MAX near
+    chains move them column by column, in place, and give the rows and
+    PATH_COUNTERS of reference_kernel bit for bit."""
+
+    @pytest.mark.parametrize("kappa", [2.0, 8.0 / 3.0, 3.0, 4.0])
+    def test_matches_reference_kernel(self, kappa):
+        dt, chains, n_steps, cut = 2e-3, 1024, 3, dyson.FLOAT_JUMP_MAX
+        s_max = 4.0 * math.sqrt(kappa * dt)
+        for n_near in range(1, cut + 1):
+            rng = np.random.default_rng(int(100 * kappa) + n_near)
+            x = near_collision_starts(rng, 2, chains, n_near, 0, s_max)
+            # the first near chain's close pair is (x_1, x_0 + 2*pi)
+            s = s_max * rng.uniform(0.25, 0.9)
+            x[0] = x[0, 0], x[0, 0] + TWO_PI - s
+            x = x[rng.permutation(chains)]
+            seed = int(rng.integers(2 ** 32))
+            new, counts = run_kernel(x, kappa, dt, n_steps, seed)
+            ref_counts, near_counts = dict.fromkeys(PATH_COUNTERS, 0), []
+            ref = reference_kernel(np.ascontiguousarray(x.T), kappa, dt,
+                                   n_steps, np.random.default_rng(seed),
+                                   ref_counts, near_counts).T
+            assert near_counts[0] == n_near
+            assert max(near_counts) <= cut
+            assert np.array_equal(new, ref), n_near
+            assert counts == ref_counts, n_near
+            assert counts["pair_jumps"] > 0
+
+
 class TestOneChainStepper:
     """simulate's one-chain stepper takes the batched kernel's path for a
     single chain bit for bit, pair jumps and rare sub-steps included."""

@@ -15,9 +15,11 @@ from sle_dyson import cli
 from sle_dyson.dyson import (ProcessParams, equally_spaced,
                              sample_stationary, simulate)
 from sle_dyson.ensembles import (gap_cdf_n2, ks_threshold,
-                                 ks_two_sample_threshold, sample_batch)
-from sle_dyson.exponents import (ansatz_exponent, exponent_table,
-                                 fusion_exponent, kac_h_1_s)
+                                 ks_two_sample_threshold, row_gaps,
+                                 sample_batch)
+from sle_dyson.exponents import (ansatz_exponent, beta_from_kappa,
+                                 exponent_table, fusion_exponent, h21,
+                                 kac_h_1_s)
 from sle_dyson.loewner import slit_drivers
 from sle_dyson.spectral import (adjoint_decay_rate, build_adjoint_n2,
                                 build_fp_generator_n2, cs_ground_state,
@@ -131,6 +133,19 @@ REALS = {
     "gap_cdf_n2.beta": ("beta", True, gap_cdf_n2, np.int64(2)),
 }
 
+# The exact-arithmetic entry points of ``exponents`` take a positive
+# rational and refuse a float with a TypeError; any other number that is
+# not a positive rational gets the package's real-parameter message.
+# id -> (name, call)
+EXACT = {
+    "beta_from_kappa.kappa": ("kappa", beta_from_kappa),
+    "kac_h_1_s.kappa": ("kappa", lambda v: kac_h_1_s(v, 1)),
+    "fusion_exponent.kappa": ("kappa", lambda v: fusion_exponent(2, v)),
+    "ansatz_exponent.beta": ("beta", lambda v: ansatz_exponent(2, v)),
+    "h21.kappa": ("kappa", h21),
+    "exponent_table.kappas": ("kappa", lambda v: exponent_table([v])),
+}
+
 BAD = {"True": True, "np.bool_": np.bool_(True), "nan": math.nan,
        "inf": math.inf, "-inf": -math.inf, "str": "3"}
 
@@ -156,18 +171,40 @@ def real_cases():
                                id=f"{entry}-{case}")
 
 
+def exact_cases():
+    for entry, (name, call) in EXACT.items():
+        bad = {"complex": 1j, "np.complex128": np.complex128(2.0),
+               "np.float32": np.float32(2.0), "None": None, "0": 0,
+               "-1": -1, "str": "-1/2"}
+        for case, value in bad.items():
+            yield pytest.param(call, value, f"^{name} must be positive and "
+                                            f"finite$",
+                               id=f"{entry}-{case}")
+
+
 @pytest.mark.parametrize("call, value, problem",
-                         [*count_cases(), *real_cases()])
+                         [*count_cases(), *real_cases(), *exact_cases()])
 def test_rejected_with_the_unified_message(call, value, problem):
     with pytest.raises(ValueError, match=problem):
         call(value)
 
 
 @pytest.mark.parametrize("call, value", [
-    pytest.param(call, ok, id=entry)
-    for entry, (_, _, call, ok) in {**COUNTS, **REALS}.items()])
+    *(pytest.param(call, ok, id=entry)
+      for entry, (_, _, call, ok) in {**COUNTS, **REALS}.items()),
+    *(pytest.param(call, np.int64(6), id=entry)
+      for entry, (_, call) in EXACT.items())])
 def test_numpy_integer_accepted(call, value):
     call(value)
+
+
+@pytest.mark.parametrize("rows", [[[1.0]], [1.0], np.empty((3, 1)),
+                                  np.empty((2, 2, 2))],
+                         ids=["one-row", "1-d", "one-column", "3-d"])
+def test_row_gaps_needs_rows_of_two_angles(rows):
+    with pytest.raises(ValueError,
+                       match="^rows must hold at least 2 angles each$"):
+        row_gaps(rows)
 
 
 def test_accepted_values_pass_through():
