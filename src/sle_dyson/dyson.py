@@ -16,19 +16,20 @@ The gaps that a step computes, those its order checks take of the
 proposal and of the pair jump and those of the rare path's last
 sub-step, are carried into the next step's close-pair guard.
 :func:`sample_stationary` runs the kernel on many chains.
-:func:`simulate` (one chain, every step recorded) steps its chain on
-Python floats with :func:`_integrate_chain`, which makes the kernel's draws
-and arithmetic, so its path is the kernel's bit for bit without the
-per-call numpy overhead.  The kernel runs that same per-chain code for its
-rare path, :func:`_rare_step`, and for each chain of a pair jump of at
-most FLOAT_JUMP_MAX chains, :func:`_chain_pair_jump` on the batched
-draws; both write their chains into the step's arrays in place, and more
-chains than that take the vectorized move, :func:`_pair_jump`.  A step
-builds its proposal in place and keeps every scratch array C-ordered, so
-at N = 2 with a thousand chains it costs little more than its normal
-draw.  Both entry points take and return one row per configuration.  The
-stationary law is the circular beta-ensemble with beta = 4/kappa (see
-:mod:`sle_dyson.ensembles` for the reference densities).
+:func:`simulate` (one chain from the equally spaced start, every step
+recorded) steps its chain on Python floats with :func:`_integrate_chain`,
+which makes the kernel's draws and arithmetic, so its path is the
+kernel's bit for bit without the per-call numpy overhead.  The kernel
+runs that same per-chain code for its rare path, :func:`_rare_step`, and
+for each chain of a pair jump of at most FLOAT_JUMP_MAX chains,
+:func:`_chain_pair_jump` on the batched draws; both write their chains
+into the step's arrays in place, and more chains than that take the
+vectorized move, :func:`_pair_jump`.  A step builds its proposal in place
+and keeps every scratch array C-ordered, so at N = 2 with a thousand
+chains it costs little more than its normal draw.  Both entry points
+return one row per configuration.  The stationary law is the circular
+beta-ensemble with beta = 4/kappa (see :mod:`sle_dyson.ensembles` for the
+reference densities).
 """
 
 from __future__ import annotations
@@ -101,10 +102,6 @@ class AngleConfig:
         if _gaps(np.sort(arr)).min() <= 0.0:
             raise CollisionError("angles must be pairwise distinct")
         object.__setattr__(self, "angles", arr)
-
-    @property
-    def n(self) -> int:
-        return self.angles.size
 
 
 @dataclass(frozen=True)
@@ -504,27 +501,20 @@ def _n_steps(name: str, duration: float, dt: float) -> int:
     return n_steps
 
 
-def simulate(params: ProcessParams, t_end: float,
-             initial: AngleConfig | None = None) -> TrajectoryRecord:
-    """Integrate one trajectory to ``t_end``, recording every ``params.dt``.
+def simulate(params: ProcessParams, t_end: float) -> TrajectoryRecord:
+    """Integrate one trajectory from ``equally_spaced(params.n_particles)``
+    to ``t_end``, recording every ``params.dt``.
 
     ``t_end`` must be a positive integer multiple of ``params.dt`` (to a
-    relative 1e-9).  Bit-for-bit reproducible from (seed, params, initial).
+    relative 1e-9).  Bit-for-bit reproducible from (seed, params).
     """
     n_steps = _n_steps("t_end", _real("t_end", t_end), params.dt)
-    if initial is None:
-        initial = equally_spaced(params.n_particles)
-    if initial.n != params.n_particles:
-        raise ValueError("initial configuration has the wrong particle count")
     rng = np.random.default_rng(np.random.SeedSequence(params.seed))
-    order = np.argsort(initial.angles)  # sorted slot s holds label order[s]
-    x = initial.angles[order].tolist()
+    x = equally_spaced(params.n_particles).angles.tolist()  # sorted
     trail = _integrate_chain(x, params.kappa, params.dt, n_steps, rng,
                              dict.fromkeys(PATH_COUNTERS, 0))
-    states = np.empty((n_steps + 1, params.n_particles))
-    states[:, order] = wrap_angle(np.array([x] + trail))
     return TrajectoryRecord(times=np.arange(n_steps + 1) * params.dt,
-                            states=states)
+                            states=wrap_angle(np.array([x] + trail)))
 
 
 @dataclass(frozen=True)

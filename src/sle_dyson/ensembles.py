@@ -86,7 +86,8 @@ def sample_batch(ensemble: str, n: int, n_samples: int, seed) -> SampleBatch:
 
 
 def _sorted_sample(samples) -> np.ndarray:
-    x = np.sort(np.asarray(samples, dtype=float))
+    """The values of ``samples``, of any shape, flattened and sorted."""
+    x = np.sort(np.asarray(samples, dtype=float), axis=None)
     if x.size == 0:
         raise ValueError("samples must be nonempty")
     if np.isnan(x).any():
@@ -95,7 +96,9 @@ def _sorted_sample(samples) -> np.ndarray:
 
 
 def ks_statistic(samples, cdf) -> float:
-    """One-sample Kolmogorov-Smirnov sup-distance against ``cdf``."""
+    """One-sample Kolmogorov-Smirnov sup-distance against ``cdf``; the
+    sample is every value of ``samples``, of any shape, an (n, 1) column
+    reading as the (n,) vector."""
     x = _sorted_sample(samples)
     n = x.size
     f = np.asarray(cdf(x), dtype=float)
@@ -105,7 +108,8 @@ def ks_statistic(samples, cdf) -> float:
 
 
 def ks_two_sample(a, b) -> float:
-    """Two-sample Kolmogorov-Smirnov sup-distance."""
+    """Two-sample Kolmogorov-Smirnov sup-distance; each sample is every
+    value of its array, of any shape, as in :func:`ks_statistic`."""
     a, b = _sorted_sample(a), _sorted_sample(b)
     allv = np.concatenate([a, b])
     cdf_a = np.searchsorted(a, allv, side="right") / a.size

@@ -104,8 +104,10 @@ def slit_drivers(theta, db, dt):
     dt moves every other driver along the circle, exactly, by
     cos((phi - theta_j)/2) -> e^{-dt/2} cos((phi - theta_j)/2).  Summed
     over j this is a Lie splitting of the Dyson SDE with increments db.
-    dt must be positive and finite."""
+    db must have the shape of theta, and dt must be positive and finite."""
     theta = np.array(theta, dtype=float)
+    if np.shape(db) != theta.shape:
+        raise ValueError("db must have the shape of theta")
     q = math.exp(-0.5 * _real("dt", dt))
     for j in range(theta.shape[0]):
         theta[j] += db[j]

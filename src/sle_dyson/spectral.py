@@ -243,30 +243,27 @@ def _excited_symmetric(d, e, rows, found):
     Rayleigh quotient iteration through LAPACK's pivoted LU of the
     indefinite S - rho I, deflated against the states below, until the
     residual norm r stops falling; in exact arithmetic it does not rise
-    (Parlett), so a stall is the round-off floor.  Its certificate is the
-    oscillation theorem: in an irreducible Jacobi matrix with e < 0 the
-    eigenvector of the j-th lowest value has exactly j sign changes, so a
-    converged vector with j of them is state j, and one with any other
-    count raises ValueError, as does a run of INVERSE_ITERATION_STEPS
-    solves without a stall.
+    (Parlett), so a stall is the round-off floor.  An LU that meets an
+    exact zero pivot, where rho is an eigenvalue to round-off, counts as
+    a stall at the last solve's pair, or raises at the first solve.  Its
+    certificate is the oscillation theorem: in an irreducible Jacobi
+    matrix with e < 0 the eigenvector of the j-th lowest value has exactly
+    j sign changes, so a converged vector with j of them is state j, and
+    one with any other count raises ValueError, as does a run of
+    INVERSE_ITERATION_STEPS solves without a stall.
     """
     j = len(found)
     w = _deflated(_odd_profile(d.size) * found[-1], found)
     rho, r_best = _rayleigh(rows, e, w)[0], math.inf
-    shift = rho
     for _ in range(INVERSE_ITERATION_STEPS):
-        # one LU of S - rho I per solve, as each shift is used once; where
-        # rho is an eigenvalue to round-off, so that the LU meets an exact
-        # zero pivot (as at m = 16), the last shift that factored
+        # one LU of S - rho I per solve, as each shift is used once
         *_, x, info = dgtsv(e, d - rho, e, w, overwrite_d=1)
         if info:
-            *_, x, info = dgtsv(e, d - shift, e, w, overwrite_d=1)
-            if info:
-                break
+            # an exact zero pivot (as at m = 16, kappa = 4): a stall
+            r = r_best
         else:
-            shift = rho
-        w = _deflated(x, found)
-        rho, r = _rayleigh(rows, e, w)
+            w = _deflated(x, found)
+            rho, r = _rayleigh(rows, e, w)
         if not r < r_best:
             if not math.isfinite(r):
                 break

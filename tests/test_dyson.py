@@ -30,6 +30,24 @@ class TestConfigValidation:
         with pytest.raises(CollisionError):
             AngleConfig(np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("angles", [[], [[1.0, 2.0]]],
+                             ids=["empty", "2-d"])
+    def test_rejects_empty_or_2d(self, angles):
+        with pytest.raises(ValueError,
+                           match="^angles must be a nonempty 1-D vector$"):
+            AngleConfig(np.array(angles))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_angle(self, bad):
+        with pytest.raises(ValueError, match="^angles must be finite$"):
+            AngleConfig(np.array([1.0, bad]))
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.5, TWO_PI])
+    def test_sample_batch_rejects_rows_off_the_circle(self, bad):
+        with pytest.raises(ValueError, match=r"^sample rows must hold finite "
+                                             r"angles in \[0, 2\*pi\)$"):
+            dyson.SampleBatch(rows=[[1.0, bad]], created_by="test")
+
     def test_rejects_nonpositive_kappa(self):
         with pytest.raises(ValueError):
             ProcessParams(n_particles=2, kappa=0.0)
@@ -103,12 +121,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=problem):
             sample_stationary(p, 8)
 
-    @pytest.mark.parametrize("t_end", [math.inf, math.nan])
-    def test_simulate_rejects_bad_t_end(self, t_end):
-        with pytest.raises(ValueError, match="t_end must be positive and "
-                                             "finite"):
-            simulate(ProcessParams(n_particles=2, kappa=2.0), t_end=t_end)
-
     def test_default_burn_in(self):
         # 10 + 2 ln 3 rounded to the dt grid: the time that runs
         p = ProcessParams(n_particles=3, kappa=2.0)
@@ -154,6 +166,21 @@ class TestPotentialAndDrift:
         for _ in range(20):
             cfg = distinct_config(rng, int(rng.integers(2, 8)))
             assert abs(np.sum(drift(cfg))) < 1e-10
+
+    @pytest.mark.parametrize("angles", [[1.0, 1.0 + 1e-13],
+                                        [1e-14, TWO_PI - 1e-13]],
+                             ids=["inside", "across-the-wrap"])
+    def test_drift_raises_near_collision(self, angles):
+        # angles 1e-13 apart: |cot| ~ 2e13 is past the 2e12 guard
+        with pytest.raises(CollisionError, match="cot drift is singular"):
+            drift(AngleConfig(np.array(angles)))
+        with pytest.raises(CollisionError, match="cot drift is singular"):
+            dyson._chain_drift(angles)
+
+    def test_potential_raises_near_collision(self):
+        # |sin| of half a 1e-300 gap is below the 1e-300 guard
+        with pytest.raises(CollisionError, match="potential diverges"):
+            potential(AngleConfig(np.array([0.0, 1e-300])))
 
     def test_rotation_equivariance(self):
         rng = np.random.default_rng(5)
@@ -338,9 +365,11 @@ class TestStepping:
 
     def test_collision_error_on_absurd_step(self):
         # a step of 10 time units from a gap of 1e-9 cannot be resolved
-        p = ProcessParams(n_particles=2, kappa=8.0, dt=10.0, thinning=10.0)
-        with pytest.raises(CollisionError):
-            simulate(p, t_end=10.0, initial=AngleConfig(np.array([0.0, 1e-9])))
+        with pytest.raises(CollisionError, match="gap 1e-09 too small to "
+                           r"resolve a step of 10.0 \(kappa=8.0\)"):
+            dyson._integrate_chain([0.0, 1e-9], 8.0, 10.0, 1,
+                                   np.random.default_rng(0),
+                                   dict.fromkeys(PATH_COUNTERS, 0))
 
     def test_path_counters_cover_every_chain_step(self):
         p = ProcessParams(n_particles=5, kappa=2.0, seed=4, burn_in=1.0)
@@ -377,6 +406,55 @@ class TestStepping:
             mu = dyson._drift(x.T).T
             assert np.allclose(dyson._drift(wrap_angle(x).T).T, mu,
                                rtol=1e-12, atol=1e-12)
+
+
+class TestRareStepHalvings:
+    """_rare_step's halving loop, which no measured run enters: the rare
+    path's order checks, the ones at floor 0, are made to refuse the first
+    k proposals."""
+
+    @staticmethod
+    def refuse(monkeypatch, k):
+        accepted, proposals = dyson._chain_accepted, []
+
+        def patched(old, new, new_gaps, floor):
+            if floor == 0.0:
+                proposals.append(new)
+                if len(proposals) <= k:
+                    return False
+            return accepted(old, new, new_gaps, floor)
+
+        monkeypatch.setattr(dyson, "_chain_accepted", patched)
+        return proposals
+
+    @pytest.mark.parametrize("k", [1, 3, dyson.MAX_HALVINGS])
+    def test_each_refusal_halves_the_sub_step(self, monkeypatch, k):
+        proposals = self.refuse(monkeypatch, k)
+        x, kappa, dt = [0.0, 1.5, 4.0], 2.0, 2e-3
+        counts = dict.fromkeys(PATH_COUNTERS, 0)
+        new, gaps = dyson._rare_step(x, kappa, dt, np.random.default_rng(0),
+                                     counts)
+        assert counts["halvings"] == k
+        # the halved sub-step, then one for the time it left
+        assert counts["rare_substeps"] == 2
+        assert gaps == dyson._chain_gaps(new)
+        # every retry reuses the first proposal's draws over half the time
+        mu = np.array(dyson._chain_drift(x))
+        z = (np.array(proposals[0]) - x - mu * dt) / math.sqrt(kappa * dt)
+        for i, prop in enumerate(proposals[:k + 1]):
+            tau = dt / 2 ** i
+            np.testing.assert_allclose(
+                prop, x + mu * tau + math.sqrt(kappa * tau) * z, rtol=0,
+                atol=1e-14)
+
+    def test_raises_when_every_proposal_is_refused(self, monkeypatch):
+        proposals = self.refuse(monkeypatch, math.inf)
+        with pytest.raises(CollisionError, match="^step rejected after 20 "
+                                                 "halvings"):
+            dyson._rare_step([0.0, 1.5, 4.0], 2.0, 2e-3,
+                             np.random.default_rng(0),
+                             dict.fromkeys(PATH_COUNTERS, 0))
+        assert len(proposals) == dyson.MAX_HALVINGS + 1
 
 
 class TestKernelMatchesRowMajorReference:
@@ -608,14 +686,14 @@ class TestSimulate:
         assert not np.allclose(a.states[-1], b.states[-1])
 
     def test_small_kappa_is_gradient_flow(self):
-        # vanishing noise: relaxation to the equally spaced configuration
-        rng = np.random.default_rng(9)
-        init = distinct_config(rng, 3, min_gap=0.5)
-        p = ProcessParams(n_particles=3, kappa=1e-8, dt=2e-3)
-        rec = simulate(p, t_end=8.0, initial=init)
-        gaps = np.sort(np.diff(np.sort(rec.states[-1])))
-        assert np.max(np.abs(
-            np.append(gaps, TWO_PI - gaps.sum()) - TWO_PI / 3)) < 1e-2
+        # vanishing noise: relaxation from a random start to the equally
+        # spaced configuration, on simulate's one-chain stepper
+        init = distinct_config(np.random.default_rng(9), 3, min_gap=0.5)
+        trail = dyson._integrate_chain(init.angles.tolist(), 1e-8, 2e-3,
+                                       4000, np.random.default_rng(0),
+                                       dict.fromkeys(PATH_COUNTERS, 0))
+        gaps = np.array(dyson._chain_gaps(trail[-1]))
+        assert np.max(np.abs(gaps - TWO_PI / 3)) < 1e-3
 
     def test_single_particle_pure_diffusion(self):
         p = ProcessParams(n_particles=1, kappa=4.0, seed=3)

@@ -75,14 +75,29 @@ class TestKsToolkit:
         with pytest.raises(ValueError, match="must not hold NaN"):
             fn([0.2, math.nan, 0.7], lambda v: np.asarray(v))
 
-    @pytest.mark.parametrize("fn, args", [
-        (ks_threshold, (0,)),
-        (ks_two_sample_threshold, (0, 5)),
-        (ks_two_sample_threshold, (5, 0)),
-    ], ids=["one-sample", "two-sample-n", "two-sample-m"])
-    def test_threshold_rejects_empty_sample(self, fn, args):
-        with pytest.raises(ValueError, match="must be an integer >= 1"):
-            fn(*args)
+    @pytest.mark.parametrize("fn", [ks_statistic,
+                                    lambda x, cdf: ks_two_sample(x, [0.5]),
+                                    lambda x, cdf: ks_two_sample([0.5], x)],
+                             ids=["one-sample", "two-sample-a",
+                                  "two-sample-b"])
+    def test_rejects_empty_sample(self, fn):
+        with pytest.raises(ValueError, match="^samples must be nonempty$"):
+            fn([], lambda v: np.asarray(v))
+
+    def test_sample_shape_is_flattened(self):
+        # an (n, 1) column or a (1, n) row is the (n,) sample, not an n x n
+        # broadcast of it against its CDF
+        s = pairwise_gap_statistics(sample_batch("CUE", 2, 1000, seed=6))
+        ref = np.random.default_rng(6).uniform(0.0, TWO_PI, 300)
+        cdf = gap_cdf_n2(2.0)
+        one = ks_statistic(s, cdf)
+        two = ks_two_sample(s, ref)
+        for shaped in (s[:, None], s[None, :]):
+            assert ks_statistic(shaped, cdf) == one
+            assert ks_two_sample(shaped, ref) == two
+            assert ks_two_sample(ref[:, None], shaped) == ks_two_sample(
+                ref, s)
+        assert one < 0.05
 
     def test_threshold_scaling(self):
         assert ks_threshold(10_000) == pytest.approx(

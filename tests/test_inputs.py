@@ -207,6 +207,15 @@ def test_row_gaps_needs_rows_of_two_angles(rows):
         row_gaps(rows)
 
 
+@pytest.mark.parametrize("db", [[0.0, 0.1, 0.2], [0.1], np.zeros((2, 1)),
+                                np.zeros((1, 2)), 0.1],
+                         ids=["long", "short", "column", "row", "scalar"])
+def test_slit_drivers_needs_one_increment_per_driver(db):
+    # a longer db would lose its extra increments, a shorter one IndexError
+    with pytest.raises(ValueError, match="^db must have the shape of theta$"):
+        slit_drivers([0.0, 3.0], db, 0.01)
+
+
 def test_accepted_values_pass_through():
     # the checks return each value as given, so no numeric path changes
     p = ProcessParams(np.int64(2), 2.0, seed=np.uint64(7), dt=0.01)

@@ -139,6 +139,12 @@ class TestDriveHistory:
         with pytest.raises(ValueError):
             DriveHistory(**args)
 
+    @pytest.mark.parametrize("rows", [2, 4])
+    def test_rejects_one_row_too_few_or_many(self, rows):
+        with pytest.raises(ValueError,
+                           match="^one angle row per time stamp required$"):
+            DriveHistory(times=[0.0, 0.5, 1.0], angles=np.zeros((rows, 2)))
+
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_drivers_at_matches_interp(self, n):
         # the lift read by np.interp equals each column's own unwrap read by
