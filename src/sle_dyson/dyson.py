@@ -527,6 +527,9 @@ class SampleBatch:
 
     def __post_init__(self):
         rows = np.atleast_2d(np.asarray(self.rows, dtype=float))
+        if rows.ndim != 2:
+            raise ValueError("sample rows must be a 2-D array, one row per "
+                             "sample")
         if np.any(rows < 0.0) or np.any(rows >= TWO_PI) or not np.all(np.isfinite(rows)):
             raise ValueError("sample rows must hold finite angles in [0, 2*pi)")
         object.__setattr__(self, "rows", rows)

@@ -18,6 +18,11 @@ on its own driver and walks the drive's knot intervals backwards, each
 driver held at its value at the interval's right end, composing the N
 single-driver maps with its own curve's first.  This is exact for a
 constant drive and a first-order splitting of the joint flow otherwise.
+The point is carried in c from start to end: the coordinate about the
+next driver e_s is c -> (alpha + c)/(1 + alpha c), with
+alpha = (e_s - e_r)/(e_s + e_r) = i tan((theta_s - theta_r)/2), a number
+of the drive alone, so each change of driver is one Moebius step from a
+per-knot table and the point turns back into z = e(1 - c)/(1 + c) once.
 
 On the circle the single-slit map is the same map used forward: a
 boundary point e^{i phi} moves by phi' = cot((phi - theta)/2), so
@@ -118,15 +123,31 @@ def slit_drivers(theta, db, dt):
     return theta
 
 
-def _unzip(z, e, q):
-    """Compose the inverse single-slit maps of the drivers e[..., 0],
-    e[..., 1], ... in that order, each over a time tau with q = e^{-tau}."""
-    for r in range(e.shape[-1]):
-        er = e[..., r]
-        c = (er - z) / (er + z)
-        c = np.sqrt(q * c * c + (1.0 - q))
-        z = er * (1.0 - c) / (1.0 + c)
-    return z
+def _alpha(dtheta):
+    """The driver change c -> (alpha + c)/(1 + alpha c) from the Cayley
+    coordinate about e^{i theta_r} to that about e^{i theta_s}, with
+    dtheta = theta_s - theta_r: alpha = (e_s - e_r)/(e_s + e_r)
+    = i tan(dtheta/2), the same for any lift of the angles."""
+    return 1j * np.tan(0.5 * dtheta)
+
+
+def _interval(c, w, q, alphas):
+    """Apply in place to the Cayley coordinates c the inverse single-slit
+    maps of one interval, each over a time tau with q = e^{-tau} and each
+    followed by its driver change: c -> sqrt(q c^2 + 1 - q), then
+    c -> (alpha + c)/(1 + alpha c) for alpha in ``alphas``.  w is scratch
+    of c's shape.  A scalar q is best a Python complex, as is the 1 here:
+    numpy casts a float scalar to complex in each ufunc call, about a
+    tenth of the call's cost on 40 points."""
+    for a in alphas:
+        np.multiply(c, c, out=w)
+        w *= q
+        w += 1 - q
+        np.sqrt(w, out=c)
+        np.multiply(a, c, out=w)
+        w += 1 + 0j
+        c += a
+        c /= w
 
 
 def trace_points(drive: DriveHistory, j, sample_times) -> list[FlowPoint]:
@@ -141,12 +162,16 @@ def trace_points(drive: DriveHistory, j, sample_times) -> list[FlowPoint]:
     every driver is held at its right-end value and the N single-driver
     inverse maps are composed in the order j, j+1, ..., j-1 (mod N): the
     point's own map must come first, since any other moves a seed on the
-    circle along the circle and off its slit.  All points advance together,
-    one interval per loop iteration.  The result is exact for a constant
-    drive; for a Dyson drive it is the trace of the piecewise-constant
-    drive, within a few 1e-2 of the adaptive RK4 reverse flow of the
-    linearly interpolated one.  A point that comes out not finite is
-    UNRESOLVED.
+    circle along the circle and off its slit.  The point is carried in the
+    Cayley coordinate about the driver of its next map, from c = 0 on its
+    own driver to c about driver j at time 0, where it turns back into
+    z = e(1 - c)/(1 + c); each change of driver is one Moebius step, read
+    from per-knot tables built once per call.  All points advance
+    together, one interval per loop iteration.  The result is exact for a
+    constant drive; for a Dyson drive it is the trace of the
+    piecewise-constant drive, within a few 1e-2 of the adaptive RK4
+    reverse flow of the linearly interpolated one.  A point that comes out
+    not finite is UNRESOLVED.
     """
     j = np.asarray(j)
     if j.dtype.kind not in "iu":
@@ -157,25 +182,39 @@ def trace_points(drive: DriveHistory, j, sample_times) -> list[FlowPoint]:
                          f"0..{drive.n - 1}")
     j, t = (a.ravel() for a in np.broadcast_arrays(
         j, np.atleast_1d(np.asarray(sample_times, dtype=float))))
-    e = np.exp(1j * drive.drivers_at(t))
+    # sorted by the last knot before t, k, the points still walking at any
+    # knot are a prefix; a point's first interval is [times[k], t]
+    k = np.searchsorted(drive.times, t) - 1
+    order = np.argsort(-k, kind="stable")
+    j, t, k, lift = j[order], t[order], k[order], drive._lift
+    walking = np.searchsorted(-k, -np.arange(k.max(initial=0) + 1),
+                              side="right").tolist()
     # own[p, r]: the curve whose map point p applies r-th, its own first
     own = (j[:, None] + np.arange(drive.n)) % drive.n
-    e = np.take_along_axis(e, own, axis=1)
-    z = e[:, 0].copy()
-    # last knot before t: the point's first interval is [times[k], t]
-    k = np.searchsorted(drive.times, t) - 1
-    go = k >= 0
-    z[go] = _unzip(z[go], e[go], np.exp(drive.times[k[go]] - t[go]))
-    # then the whole intervals [times[i-1], times[i]] for i = k, ..., 1;
-    # sorted by k, the points still walking are a prefix
-    order = np.argsort(-k, kind="stable")
-    zs, ks, owns = z[order], k[order], own[order]
-    phase = np.exp(1j * drive._lift)
-    decay = np.exp(-np.diff(drive.times))
-    for i in range(ks.max(initial=0), 0, -1):
-        m = np.count_nonzero(ks >= i)
-        zs[:m] = _unzip(zs[:m], phase[i][owns[:m]], decay[i - 1])
-    z[order] = zs
+    # step[i, a]: from knot i's driver a to its driver a+1; back[i-1, b]:
+    # from knot i's driver b-1 to knot i-1's driver b
+    step = _alpha(np.roll(lift, -1, axis=1) - lift)
+    back = _alpha(lift[:-1] - np.roll(lift[1:], 1, axis=1))
+    c = np.zeros(t.size, dtype=complex)
+    w = np.empty_like(c)
+    # the first interval holds the drivers at t and hands over to knot k's
+    # driver j; every t goes through drivers_at, which rejects a time off
+    # the drive even where k = -1
+    m = walking[0]
+    theta = np.take_along_axis(drive.drivers_at(t), own, axis=1)[:m].T
+    _interval(c[:m], w[:m], np.exp(drive.times[k[:m]] - t[:m]),
+              _alpha(np.diff(theta, axis=0, append=lift[k[:m], j[:m]][None])))
+    # then the whole intervals [times[i-1], times[i]] for i = k, ..., 1,
+    # on views of the walking prefix made once per prefix length
+    decay = (np.exp(-np.diff(drive.times)) + 0j).tolist()
+    prefix = {m: (c[:m], w[:m], own[:m, :-1].T, j[:m])
+              for m in set(walking)}
+    for i in range(len(walking) - 1, 0, -1):
+        cm, wm, firsts, heads = prefix[walking[i]]
+        _interval(cm, wm, decay[i - 1],
+                  [*step[i].take(firsts), back[i - 1].take(heads)])
+    z = np.empty_like(c)
+    z[order] = np.exp(1j * lift[0, j]) * (1 - c) / (1 + c)
     return [FlowPoint(complex(x), PointStatus.INTERIOR if ok
                       else PointStatus.UNRESOLVED)
             for x, ok in zip(z, np.isfinite(z))]

@@ -294,8 +294,8 @@ def lowest_eigenpair(op: GridOperator) -> tuple[float, np.ndarray]:
 
 def adjoint_decay_rate(kappa: float, m: int) -> float:
     """The decay rate of :func:`lowest_eigenpair` on build_adjoint_n2(kappa,
-    m), in the LSW_HALF clock."""
-    return lowest_eigenpair(build_adjoint_n2(kappa, m))[0]
+    m), in the LSW_HALF clock, without mapping its eigenvector back."""
+    return _ground_symmetric(*_symmetric_bands(build_adjoint_n2(kappa, m)))[0]
 
 
 def measured_convergence_order(kappa: float) -> float:

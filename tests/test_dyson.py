@@ -48,6 +48,12 @@ class TestConfigValidation:
                                              r"angles in \[0, 2\*pi\)$"):
             dyson.SampleBatch(rows=[[1.0, bad]], created_by="test")
 
+    def test_sample_batch_rejects_rows_not_2d(self):
+        # a (3, 2, 2) array would be read as six rows of two angles
+        with pytest.raises(ValueError, match="^sample rows must be a 2-D "
+                                             "array, one row per sample$"):
+            dyson.SampleBatch(rows=np.full((3, 2, 2), 1.0), created_by="x")
+
     def test_rejects_nonpositive_kappa(self):
         with pytest.raises(ValueError):
             ProcessParams(n_particles=2, kappa=0.0)

@@ -7,7 +7,7 @@ import pytest
 from sle_dyson import dyson
 from sle_dyson.dyson import (TWO_PI, ProcessParams, equally_spaced,
                              simulate, wrap_angle)
-from sle_dyson.loewner import (DriveHistory, PointStatus, _unzip,
+from sle_dyson.loewner import (DriveHistory, PointStatus,
                                slit_drivers, trace_points)
 
 
@@ -84,6 +84,41 @@ def reference_flow(dh, w, start, span, direction, c, exit_radius):
         live = live[ok & (reached[live] < span[live] - 1e-15)]
     why[live] = "budget"
     return w, reached, why
+
+
+def reference_unzip(z, e, q):
+    """Compose the inverse single-slit maps of the drivers e[..., 0],
+    e[..., 1], ... in that order, each over a time tau with q = e^{-tau},
+    turning z into the Cayley coordinate c = (e - z)/(e + z) about each
+    driver and back."""
+    for r in range(e.shape[-1]):
+        er = e[..., r]
+        c = (er - z) / (er + z)
+        c = np.sqrt(q * c * c + (1.0 - q))
+        z = er * (1.0 - c) / (1.0 + c)
+    return z
+
+
+def reference_trace(dh, j, t):
+    """The zipper trace of trace_points, walked in z: each point starts on
+    its own driver, takes the partial interval [times[k], t] with the
+    drivers at t, then the whole intervals back to time 0 with the drivers
+    at their right ends, its own curve's map first on each."""
+    j, t = np.broadcast_arrays(np.asarray(j), np.asarray(t, dtype=float))
+    e = np.exp(1j * interp_reference(dh, t))
+    own = (j[:, None] + np.arange(dh.n)) % dh.n
+    e = np.take_along_axis(e, own, axis=1)
+    z = e[:, 0].copy()
+    k = np.searchsorted(dh.times, t) - 1
+    go = k >= 0
+    z[go] = reference_unzip(z[go], e[go], np.exp(dh.times[k[go]] - t[go]))
+    phase = np.exp(1j * np.unwrap(dh.angles, axis=0))
+    decay = np.exp(-np.diff(dh.times))
+    for i in range(k.max(initial=0), 0, -1):
+        walk = k >= i
+        z[walk] = reference_unzip(z[walk], phase[i][own[walk]],
+                                  decay[i - 1])
+    return z
 
 
 class TestJointRhs:
@@ -251,19 +286,20 @@ class TestSlitDrivers:
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_zipper_undoes_the_step(self, n):
-        # the zipper's inverse single-slit maps, applied curve by curve in
-        # reverse with each increment taken back, recover the start.  On
-        # the circle itself the principal root cannot tell the two sides
-        # of the slit apart, so the points start a hair inside it.
+        # the reference zipper's inverse single-slit maps, applied curve
+        # by curve in reverse with each increment taken back, recover the
+        # start.  On the circle itself the principal root cannot tell the
+        # two sides of the slit apart, so the points start a hair inside
+        # it.
         rng = np.random.default_rng(n)
         theta = equally_spaced(n).angles + rng.uniform(-0.3, 0.3, n)
         db = 0.05 * rng.standard_normal(n)
         phi = slit_drivers(theta, db, 0.02)
         for j in reversed(range(n)):
             others = np.arange(n) != j
-            z = _unzip((1.0 - 1e-9) * np.exp(1j * phi[others]),
-                       np.full((n - 1, 1), np.exp(1j * phi[j])),
-                       math.exp(-0.02))
+            z = reference_unzip((1.0 - 1e-9) * np.exp(1j * phi[others]),
+                                np.full((n - 1, 1), np.exp(1j * phi[j])),
+                                math.exp(-0.02))
             assert np.abs(np.abs(z) - 1.0).max() < 1e-7
             phi[others] += np.angle(z * np.exp(-1j * phi[others]))
             phi[j] -= db[j]
@@ -306,6 +342,13 @@ class TestTrace:
     def test_rejects_nan_time(self, drive):
         with pytest.raises(ValueError):
             trace_points(drive, 0, [math.nan])
+
+    def test_rejects_negative_time(self, drive):
+        # a time before the drive has no interval to walk, and is still
+        # checked
+        with pytest.raises(ValueError,
+                           match="^time outside the recorded drive$"):
+            trace_points(drive, 0, [0.1, -1e-9])
 
     @pytest.mark.parametrize("j", [-1, 3, 1.5, 1.0, True,
                                    np.array([0.0, 1.0]),
@@ -371,3 +414,43 @@ class TestFlowMatchesReference:
         dz = np.abs(np.array([p.z for p in got]) - w)
         assert dz.max() <= 0.08
         assert np.median(dz) <= 0.02
+
+
+class TestZipperMatchesReference:
+    """trace_points carries each point in the Cayley coordinate and changes
+    driver by one Moebius step; reference_trace walks the same maps in z.
+    The two must agree to round-off."""
+
+    @staticmethod
+    def sample_times(dh):
+        # time 0, inside the first knot interval, exactly on knots, between
+        # knots and at the drive's end
+        return np.array([0.0, 0.37 * dh.times[1], dh.times[1], dh.times[2],
+                         dh.times[dh.times.size // 2], 0.1234567,
+                         dh.times[-2], dh.duration])
+
+    def assert_matches(self, dh):
+        times = self.sample_times(dh)
+        j = np.repeat(np.arange(dh.n), times.size)
+        t = np.tile(times, dh.n)
+        pts = trace_points(dh, j, t)
+        assert all(p.status is PointStatus.INTERIOR for p in pts)
+        z = np.array([p.z for p in pts])
+        np.testing.assert_allclose(z, reference_trace(dh, j, t), rtol=0,
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    @pytest.mark.parametrize("kappa", [2.0, 3.0, 6.0, 8.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_dyson_drive(self, n, kappa, seed):
+        rec = simulate(ProcessParams(n_particles=n, kappa=kappa, dt=1e-3,
+                                     seed=seed), t_end=0.3)
+        self.assert_matches(DriveHistory(rec.times, rec.states))
+
+    def test_antipodal_drivers_held_still(self):
+        # drivers at 0 and pi: each change of driver has alpha =
+        # i tan(pi/2), about 1.6e16i, and must neither overflow nor warn
+        assert abs(math.tan(0.5 * math.pi)) > 1e16
+        knots = np.linspace(0.0, 1.0, 201)
+        self.assert_matches(DriveHistory(
+            times=knots, angles=np.tile([0.0, math.pi], (knots.size, 1))))

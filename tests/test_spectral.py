@@ -146,7 +146,8 @@ class TestAdjointOperator:
         # the rate is bisection's, and the lowest vector belongs to it
         lam = adjoint_decay_rate(kappa, m)
         op = build_adjoint_n2(kappa, m)
-        _, vec = lowest_eigenpair(op)
+        lam_pair, vec = lowest_eigenpair(op)
+        assert lam == lam_pair
         scale = np.max(np.abs(op.diag))
         assert abs(lam - bisection_rate(op)) <= 1e-15 * scale
         assert np.max(np.abs(apply(op, vec) + lam * vec)) <= 1e-13 * scale
