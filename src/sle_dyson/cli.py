@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 
@@ -217,7 +218,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call and reused
+    (parse_args leaves it as it was)."""
     parser = argparse.ArgumentParser(
         prog="sle-dyson",
         description="Simulate and validate interacting circular diffusions, "

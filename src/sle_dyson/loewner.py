@@ -43,6 +43,10 @@ import numpy as np
 from . import _real
 from .dyson import wrap_angle
 
+# trace_points gathers the alphas of at most this many (knot, point)
+# pairs at once, N complex numbers each: 2 MB at N = 4.
+_ALPHA_GATHER = 2 ** 15
+
 
 class PointStatus(Enum):
     INTERIOR = "interior"
@@ -166,12 +170,13 @@ def trace_points(drive: DriveHistory, j, sample_times) -> list[FlowPoint]:
     Cayley coordinate about the driver of its next map, from c = 0 on its
     own driver to c about driver j at time 0, where it turns back into
     z = e(1 - c)/(1 + c); each change of driver is one Moebius step, read
-    from per-knot tables built once per call.  All points advance
-    together, one interval per loop iteration.  The result is exact for a
-    constant drive; for a Dyson drive it is the trace of the
-    piecewise-constant drive, within a few 1e-2 of the adaptive RK4
-    reverse flow of the linearly interpolated one.  A point that comes out
-    not finite is UNRESOLVED.
+    from a per-knot table built once per call.  All points advance
+    together, one interval per loop iteration; the knots over which the
+    same points walk form a run, whose alphas are gathered in one take.
+    The result is exact for a constant drive; for a Dyson drive it is the
+    trace of the piecewise-constant drive, within a few 1e-2 of the
+    adaptive RK4 reverse flow of the linearly interpolated one.  A point
+    that comes out not finite is UNRESOLVED.
     """
     j = np.asarray(j)
     if j.dtype.kind not in "iu":
@@ -187,32 +192,41 @@ def trace_points(drive: DriveHistory, j, sample_times) -> list[FlowPoint]:
     k = np.searchsorted(drive.times, t) - 1
     order = np.argsort(-k, kind="stable")
     j, t, k, lift = j[order], t[order], k[order], drive._lift
-    walking = np.searchsorted(-k, -np.arange(k.max(initial=0) + 1),
-                              side="right").tolist()
+    n = drive.n
     # own[p, r]: the curve whose map point p applies r-th, its own first
-    own = (j[:, None] + np.arange(drive.n)) % drive.n
-    # step[i, a]: from knot i's driver a to its driver a+1; back[i-1, b]:
-    # from knot i's driver b-1 to knot i-1's driver b
-    step = _alpha(np.roll(lift, -1, axis=1) - lift)
-    back = _alpha(lift[:-1] - np.roll(lift[1:], 1, axis=1))
+    own = (j[:, None] + np.arange(n)) % n
     c = np.zeros(t.size, dtype=complex)
     w = np.empty_like(c)
     # the first interval holds the drivers at t and hands over to knot k's
     # driver j; every t goes through drivers_at, which rejects a time off
     # the drive even where k = -1
-    m = walking[0]
+    m = np.count_nonzero(k >= 0)
     theta = np.take_along_axis(drive.drivers_at(t), own, axis=1)[:m].T
     _interval(c[:m], w[:m], np.exp(drive.times[k[:m]] - t[:m]),
               _alpha(np.diff(theta, axis=0, append=lift[k[:m], j[:m]][None])))
-    # then the whole intervals [times[i-1], times[i]] for i = k, ..., 1,
-    # on views of the walking prefix made once per prefix length
+    # then the whole intervals [times[i-1], times[i]] for i = k, ..., 1.
+    # table[i-1, a] for a < N: from knot i's driver a to its driver a+1;
+    # table[i-1, N + b]: from knot i's driver b-1 to knot i-1's driver b.
+    # Point p reads its N changes of driver at columns[p].
+    table = _alpha(np.concatenate(
+        [np.roll(lift[1:], -1, axis=1) - lift[1:],
+         lift[:-1] - np.roll(lift[1:], 1, axis=1)], axis=1))
+    columns = np.concatenate([own[:, :-1], n + j[:, None]], axis=1)
     decay = (np.exp(-np.diff(drive.times)) + 0j).tolist()
-    prefix = {m: (c[:m], w[:m], own[:m, :-1].T, j[:m])
-              for m in set(walking)}
-    for i in range(len(walking) - 1, 0, -1):
-        cm, wm, firsts, heads = prefix[walking[i]]
-        _interval(cm, wm, decay[i - 1],
-                  [*step[i].take(firsts), back[i - 1].take(heads)])
+    # with k descending, the points walking knot i (k >= i) are a prefix,
+    # the first m for each knot of the run (k[m], k[m-1]]; a run's alphas
+    # are gathered at once, (knots, N, m), at most _ALPHA_GATHER
+    # (knot, point) pairs at a time
+    ends = (np.flatnonzero(np.diff(k, append=-2)) + 1).tolist()
+    k = k.tolist() + [0]  # below the last run, knot 1 ends the walk
+    for m in ends:
+        lo, span = max(k[m] + 1, 1), max(_ALPHA_GATHER // m, 1)
+        cm, wm, cols = c[:m], w[:m], columns[:m].T
+        for hi in range(k[m - 1], lo - 1, -span):
+            first = max(lo, hi + 1 - span)
+            alphas = table[first - 1:hi].take(cols, axis=1)
+            for i in range(hi, first - 1, -1):
+                _interval(cm, wm, decay[i - 1], alphas[i - first])
     z = np.empty_like(c)
     z[order] = np.exp(1j * lift[0, j]) * (1 - c) / (1 + c)
     return [FlowPoint(complex(x), PointStatus.INTERIOR if ok

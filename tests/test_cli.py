@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from sle_dyson import dyson, validation
-from sle_dyson.cli import _write_csv, main
+from sle_dyson.cli import _write_csv, build_parser, main
 from sle_dyson.dyson import PATH_COUNTERS
 from sle_dyson.validation import RNG_SEED
 
@@ -174,6 +174,34 @@ def test_bad_flag_type_names_the_flag(capsys):
         main(["simulate", "--seed", "1.5", "-o", "/dev/null"])
     assert exc.value.code != 0
     assert "--seed: invalid int value: '1.5'" in capsys.readouterr().err
+
+
+def test_in_process_calls_match_first_calls(tmp_path, capsys):
+    # the parser is built once per process and reused: a bad flag before a
+    # call, or another subcommand's defaults, leave its output as it is
+    # when the call comes first
+    calls = {"trace": ["trace", "--t-end", "0.2", "--n-points", "4"],
+             "simulate": ["simulate", "--t-end", "0.02"]}
+
+    def run(name, tag):
+        out = tmp_path / f"{name}-{tag}.csv"
+        assert main(calls[name] + ["-o", str(out)]) == 0
+        return out.read_bytes()
+
+    first = {}
+    for name in calls:
+        build_parser.cache_clear()
+        first[name] = run(name, "first")
+    build_parser.cache_clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", "--n-curves", "3", "-o", "/dev/null"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --n-curves 3" in capsys.readouterr().err
+    assert run("trace", "after") == first["trace"]
+    assert run("simulate", "after") == first["simulate"]
+    meta = read_csv(tmp_path / "simulate-after.csv")[0]
+    assert (meta["kappa"], meta["dt"]) == ("2", "0.002")
+    assert build_parser() is build_parser()
 
 
 def test_csv_fields_print_as_the_per_field_rule():

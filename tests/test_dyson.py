@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -182,6 +183,15 @@ class TestPotentialAndDrift:
             drift(AngleConfig(np.array(angles)))
         with pytest.raises(CollisionError, match="cot drift is singular"):
             dyson._chain_drift(angles)
+
+    @pytest.mark.parametrize("angles", [[1.0, 1.0], [0.5, 0.5, 2.0],
+                                        [0.5, 2.0, 2.0]])
+    def test_chain_drift_raises_at_equal_angles(self, angles):
+        # tan 0: a collision, raised as such and without a divide warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CollisionError, match="cot drift is singular"):
+                dyson._chain_drift(angles)
 
     def test_potential_raises_near_collision(self):
         # |sin| of half a 1e-300 gap is below the 1e-300 guard
@@ -652,9 +662,9 @@ class TestOneChainStepper:
         for seed in range(3):
             x0 = equally_spaced(n).angles
             chain_counts = dict.fromkeys(PATH_COUNTERS, 0)
+            chain_rng = np.random.default_rng(seed)
             trail = dyson._integrate_chain(x0.tolist(), kappa, dt, n_steps,
-                                           np.random.default_rng(seed),
-                                           chain_counts)
+                                           chain_rng, chain_counts)
             counts = dict.fromkeys(PATH_COUNTERS, 0)
             rng, x = np.random.default_rng(seed), x0[:, None].copy()
             kernel_trail = np.empty((n_steps, n))
@@ -663,11 +673,91 @@ class TestOneChainStepper:
                 kernel_trail[step] = x[:, 0]
             assert np.array_equal(np.array(trail), kernel_trail)
             assert chain_counts == counts
+            assert chain_rng.bit_generator.state == rng.bit_generator.state
             for key in PATH_COUNTERS:
                 total[key] += counts[key]
         if kappa == 8.0 and n >= 4:
             assert total["pair_jumps"] > 0 and total["rare_steps"] > 0
             assert total["reflections"] > 0
+
+
+def reference_chain(x, kappa, dt, n_steps, rng, counts):
+    """The one-chain stepper with one size-N proposal draw per step, as it
+    was before it drew its normals in blocks."""
+    n = len(x)
+    sqrt_kdt = math.sqrt(kappa * dt)
+    gaps = dyson._chain_gaps(x)
+    trail = []
+    for _ in range(n_steps):
+        mu = dyson._chain_drift(x)
+        new = [a + m * dt + sqrt_kdt * z
+               for a, m, z in zip(x, mu, rng.standard_normal(n).tolist())]
+        if n > 1 and min(gaps) < (4.0 * sqrt_kdt
+                                  + 4.0 * dt * max(map(abs, mu))):
+            path = "pair_jumps"
+            (chi2,), (z_mid,), (z,) = dyson._pair_jump_draws(
+                [min(gaps)], n, kappa, dt, rng)
+            new, new_gaps, ok = dyson._chain_pair_jump(x, gaps, mu, kappa, dt,
+                                                       chi2, z_mid, z)
+        else:
+            path = "em_steps"
+            new_gaps = dyson._chain_gaps(new)
+            ok = dyson._chain_accepted(x, new, new_gaps, GAP_FLOOR)
+        if not ok:
+            path = "rare_steps"
+            new, new_gaps = dyson._rare_step(x, kappa, dt, rng, counts)
+        counts[path] += 1
+        x, gaps = new, new_gaps
+        trail.append(x)
+    return trail
+
+
+class TestBlockDraws:
+    """simulate's stepper draws its proposal normals DRAW_BLOCK steps at a
+    time and sets the stream back at a pair-jump or rare step; at any
+    block length its trail, PATH_COUNTERS and final generator state are
+    those of the per-step reference_chain.  At N = 4 and 6 the pair jumps
+    (and the rare steps of refused jumps) fall on every row of a block
+    but its first, which an EM step opens; at N = 1 with a long dt EM
+    proposals that move the particle by pi or more are refused, on any
+    row, the first included."""
+
+    @pytest.mark.parametrize("block", [1, 2, 3, dyson.DRAW_BLOCK])
+    @pytest.mark.parametrize("n, kappa, dt, n_steps", [
+        (4, 6.0, 1e-3, 1000), (6, 8.0, 1e-3, 200), (1, 8.0, 0.5, 200)],
+        ids=["n4-k6", "n6-k8", "n1-long-dt"])
+    def test_matches_per_step_reference(self, monkeypatch, n, kappa, dt,
+                                        n_steps, block):
+        rewind, rewinds = dyson._rewind, []
+
+        def recorded(rng, start, taken, drawn, n):
+            rewinds.append((taken, drawn))
+            rewind(rng, start, taken, drawn, n)
+
+        monkeypatch.setattr(dyson, "DRAW_BLOCK", block)
+        monkeypatch.setattr(dyson, "_rewind", recorded)
+        for seed in range(2):
+            x0 = equally_spaced(n).angles.tolist()
+            counts = dict.fromkeys(PATH_COUNTERS, 0)
+            rng = np.random.default_rng(seed)
+            trail = dyson._integrate_chain(x0, kappa, dt, n_steps, rng,
+                                           counts)
+            ref_counts = dict.fromkeys(PATH_COUNTERS, 0)
+            ref_rng = np.random.default_rng(seed)
+            ref = reference_chain(x0, kappa, dt, n_steps, ref_rng,
+                                  ref_counts)
+            assert trail == ref
+            assert counts == ref_counts
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert counts["rare_steps"] > 0
+            assert n == 1 or counts["pair_jumps"] > 0
+        # a block of one never sets the stream back; one of three does
+        # after its first or second row, and not after its last
+        taken = {t for t, drawn in rewinds if drawn == block}
+        if block == 1:
+            assert taken <= {1}
+        elif block == 3:
+            assert ({1, 2, 3} if n == 1 else {2, 3}) <= taken
 
 
 class TestSimulate:

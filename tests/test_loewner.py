@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sle_dyson import dyson
+from sle_dyson import dyson, loewner
 from sle_dyson.dyson import (TWO_PI, ProcessParams, equally_spaced,
                              simulate, wrap_angle)
 from sle_dyson.loewner import (DriveHistory, PointStatus,
@@ -422,15 +422,23 @@ class TestZipperMatchesReference:
     The two must agree to round-off."""
 
     @staticmethod
-    def sample_times(dh):
-        # time 0, inside the first knot interval, exactly on knots, between
-        # knots and at the drive's end
-        return np.array([0.0, 0.37 * dh.times[1], dh.times[1], dh.times[2],
-                         dh.times[dh.times.size // 2], 0.1234567,
-                         dh.times[-2], dh.duration])
+    def sample_times(dh, kind):
+        if kind == "mixed":
+            # time 0, inside the first knot interval, exactly on knots,
+            # between knots and at the drive's end
+            return np.array([0.0, 0.37 * dh.times[1], dh.times[1],
+                             dh.times[2], dh.times[dh.times.size // 2],
+                             0.1234567, dh.times[-2], dh.duration])
+        if kind == "every-knot":
+            # one time in each knot interval: the walking prefix grows at
+            # every knot, so each run of knots is one knot long
+            return 0.5 * (dh.times[:-1] + dh.times[1:])
+        # all in the last knot interval: one run over every knot
+        return dh.times[-2] + np.array([0.25, 0.5, 1.0]) * (dh.times[-1]
+                                                           - dh.times[-2])
 
-    def assert_matches(self, dh):
-        times = self.sample_times(dh)
+    def assert_matches(self, dh, kind="mixed"):
+        times = self.sample_times(dh, kind)
         j = np.repeat(np.arange(dh.n), times.size)
         t = np.tile(times, dh.n)
         pts = trace_points(dh, j, t)
@@ -439,13 +447,30 @@ class TestZipperMatchesReference:
         np.testing.assert_allclose(z, reference_trace(dh, j, t), rtol=0,
                                    atol=1e-12)
 
-    @pytest.mark.parametrize("seed", [11, 12])
-    @pytest.mark.parametrize("kappa", [2.0, 3.0, 6.0, 8.0])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_dyson_drive(self, n, kappa, seed):
+    # the mixed times keep the plain n-kappa-seed id
+    @pytest.mark.parametrize("n, kappa, seed, kind", [
+        pytest.param(n, kappa, seed, kind, id=f"{n}-{kappa}-{seed}"
+                     + ("" if kind == "mixed" else f"-{kind}"))
+        for kind in ("mixed", "every-knot", "last-knot")
+        for n in (1, 2, 3, 4, 5) for kappa in (2.0, 3.0, 6.0, 8.0)
+        for seed in (11, 12)])
+    def test_dyson_drive(self, n, kappa, seed, kind):
         rec = simulate(ProcessParams(n_particles=n, kappa=kappa, dt=1e-3,
                                      seed=seed), t_end=0.3)
-        self.assert_matches(DriveHistory(rec.times, rec.states))
+        self.assert_matches(DriveHistory(rec.times, rec.states), kind)
+
+    @pytest.mark.parametrize("gather", [1, 7, 100])
+    def test_gathers_of_any_size_give_the_same_bits(self, monkeypatch,
+                                                    gather):
+        rec = simulate(ProcessParams(n_particles=3, kappa=6.0, dt=1e-3,
+                                     seed=13), t_end=0.3)
+        dh = DriveHistory(rec.times, rec.states)
+        times = np.concatenate([self.sample_times(dh, kind) for kind in
+                                ("mixed", "every-knot", "last-knot")])
+        j = np.arange(times.size) % dh.n
+        whole = trace_points(dh, j, times)
+        monkeypatch.setattr(loewner, "_ALPHA_GATHER", gather)
+        assert trace_points(dh, j, times) == whole
 
     def test_antipodal_drivers_held_still(self):
         # drivers at 0 and pi: each change of driver has alpha =
