@@ -4,9 +4,12 @@ Each subcommand's options are its command-line flags alone, with the
 types, defaults and help of ``SCHEMAS``; a value of the wrong type exits
 with argparse's message naming the flag.
 
-All CSV output carries '#'-prefixed metadata lines and prints floats with
-17 significant digits so files round-trip bit-exactly; given the same
-seed and flags, every output byte is reproducible.
+Each CSV command computes and returns its table, ``(meta, header, rows)``;
+``main`` alone opens ``-o`` once the command has returned and writes the
+table, its '#'-prefixed metadata lines led by the version line. Floats
+print with 17 significant digits, so files round-trip bit-exactly; given
+the same seed and flags, every output byte is reproducible. ``validate``
+writes its own JSON report, and its exit code is its verdict.
 
 ``spectrum`` computes its one-arm rates in the backward generator's
 half-speed LSW_HALF clock; ``--convention DYSON`` alone converts them, by
@@ -89,7 +92,7 @@ def _write_csv(fh, meta: dict, header: list, rows):
         fh.write(templates[types] % tuple(row))
 
 
-def cmd_simulate(cfg: dict, out_path: str) -> int:
+def cmd_simulate(cfg: dict) -> tuple:
     sampling = _count("n_samples", cfg["n_samples"], 0) > 0
     for key in ("t_end",) if sampling else ("burn_in", "thinning"):
         if cfg[key] is not None:
@@ -99,8 +102,7 @@ def cmd_simulate(cfg: dict, out_path: str) -> int:
     params = dyson.ProcessParams(
         n_particles=cfg["n_particles"], kappa=cfg["kappa"], dt=cfg["dt"],
         seed=cfg["seed"], **given)
-    meta = {"version": __version__, "seed": params.seed,
-            "kappa": params.kappa, "beta": params.beta,
+    meta = {"seed": params.seed, "kappa": params.kappa, "beta": params.beta,
             "n_particles": params.n_particles, "dt": params.dt}
     names = [f"theta_{j + 1}" for j in range(params.n_particles)]
     if sampling:
@@ -117,9 +119,7 @@ def cmd_simulate(cfg: dict, out_path: str) -> int:
         header = ["t", *names]
         rows = ([t, *row]
                 for t, row in zip(rec.times.tolist(), rec.states.tolist()))
-    with _open_out(out_path) as fh:
-        _write_csv(fh, meta, header, rows)
-    return 0
+    return meta, header, rows
 
 
 def cmd_validate(cfg: dict, out_path: str) -> int:
@@ -154,7 +154,7 @@ def cmd_validate(cfg: dict, out_path: str) -> int:
     return 0 if report["all_pass"] else 1
 
 
-def cmd_spectrum(cfg: dict, out_path: str) -> int:
+def cmd_spectrum(cfg: dict) -> tuple:
     from . import spectral
     factor = CLOCKS.get(cfg["convention"])
     if factor is None:
@@ -166,28 +166,20 @@ def cmd_spectrum(cfg: dict, out_path: str) -> int:
         exact = spectral.one_arm_lambda_exact(kappa) * factor
         lam = spectral.adjoint_decay_rate(kappa, cfg["m"]) * factor
         rows.append([kappa, lam, exact, abs(lam - exact)])
-    meta = {"version": __version__, "m": cfg["m"],
-            "convention": cfg["convention"]}
-    with _open_out(out_path) as fh:
-        _write_csv(fh, meta,
-                   ["kappa", "lambda_numeric", "lambda_exact", "abs_error"],
-                   rows)
-    return 0
+    return ({"m": cfg["m"], "convention": cfg["convention"]},
+            ["kappa", "lambda_numeric", "lambda_exact", "abs_error"], rows)
 
 
-def cmd_exponents(cfg: dict, out_path: str) -> int:
+def cmd_exponents(cfg: dict) -> tuple:
     from . import exponents
     table = exponents.exponent_table(cfg["kappas"].split(","),
                                      p_max=cfg["p_max"])
-    header = list(table[0].keys())
-    rows = [[str(row[k]) for k in header] for row in table]
-    with _open_out(out_path) as fh:
-        _write_csv(fh, {"version": __version__, "p_max": cfg["p_max"]},
-                   header, rows)
-    return 0
+    # exact Fractions, which the writer prints as str(x)
+    return ({"p_max": cfg["p_max"]}, list(table[0]),
+            [row.values() for row in table])
 
 
-def cmd_trace(cfg: dict, out_path: str) -> int:
+def cmd_trace(cfg: dict) -> tuple:
     _count("n_points", cfg["n_points"], 1)
     params = dyson.ProcessParams(n_particles=cfg["n_particles"],
                                  kappa=cfg["kappa"], dt=cfg["dt"],
@@ -195,23 +187,20 @@ def cmd_trace(cfg: dict, out_path: str) -> int:
     rec = dyson.simulate(params, cfg["t_end"])
     drive = loewner.DriveHistory(rec.times, rec.states)
     times = np.linspace(0.0, cfg["t_end"], cfg["n_points"])
-    meta = {"version": __version__, "seed": params.seed,
-            "kappa": params.kappa, "n_particles": params.n_particles,
-            "t_end": cfg["t_end"], "dt": params.dt}
+    meta = {"seed": params.seed, "kappa": params.kappa,
+            "n_particles": params.n_particles, "t_end": cfg["t_end"],
+            "dt": params.dt}
     curves = np.repeat(np.arange(params.n_particles), times.size)
     times = np.tile(times, params.n_particles)
     rows = [[j, t, pt.z.real, pt.z.imag, pt.status.value]
             for j, t, pt in zip(curves.tolist(), times.tolist(),
                                 loewner.trace_points(drive, curves, times))]
     meta["unresolved"] = sum(row[4] == "unresolved" for row in rows)
-    with _open_out(out_path) as fh:
-        _write_csv(fh, meta, ["curve", "t", "re", "im", "status"], rows)
-    return 0
+    return meta, ["curve", "t", "re", "im", "status"], rows
 
 
-COMMANDS = {
+COMMANDS = {  # the CSV commands
     "simulate": cmd_simulate,
-    "validate": cmd_validate,
     "spectrum": cmd_spectrum,
     "exponents": cmd_exponents,
     "trace": cmd_trace,
@@ -241,7 +230,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](vars(args), args.output)
+        if args.command == "validate":
+            return cmd_validate(vars(args), args.output)
+        meta, header, rows = COMMANDS[args.command](vars(args))
+        with _open_out(args.output) as fh:
+            _write_csv(fh, {"version": __version__, **meta}, header, rows)
+        return 0
     except ValueError as exc:
         raise SystemExit(f"{args.command}: {exc}") from None
 

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from sle_dyson import dyson, validation
+from sle_dyson import __version__, dyson, validation
 from sle_dyson.cli import _write_csv, build_parser, main
 from sle_dyson.dyson import PATH_COUNTERS
 from sle_dyson.validation import RNG_SEED
@@ -157,6 +157,30 @@ class TestSimulate:
 def test_bad_input_exits_with_command_and_message(args, problem):
     with pytest.raises(SystemExit, match=problem):
         main(args + ["-o", "/dev/null"])
+
+
+@pytest.mark.parametrize("good, bad, problem", [
+    (["simulate", "--t-end", "0.01"], ["simulate", "--n-particles", "0"],
+     "simulate: n_particles must be an integer >= 1"),
+    (["spectrum", "--kappas", "6"], ["spectrum", "--m", "8"],
+     "spectrum: m must be an integer >= 16"),
+    (["exponents"], ["exponents", "--kappas", "0"],
+     "exponents: kappa must be positive and finite"),
+    (["trace", "--n-points", "2"], ["trace", "--n-points", "0"],
+     "trace: n_points must be an integer >= 1"),
+], ids=["simulate", "spectrum", "exponents", "trace"])
+def test_main_writes_each_table_after_its_command(tmp_path, good, bad,
+                                                  problem):
+    # main writes every CSV command's table, led by the version line, and
+    # opens -o only once the command has returned
+    out = tmp_path / "good.csv"
+    assert main(good + ["-o", str(out)]) == 0
+    assert out.read_text().split("\n", 1)[0] == f"# version = {__version__}"
+    out = tmp_path / "bad.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(bad + ["-o", str(out)])
+    assert exc.value.code == problem
+    assert not out.exists()
 
 
 def test_options_come_from_flags_alone(tmp_path, monkeypatch):

@@ -34,7 +34,7 @@ FAST = ProcessParams(n_particles=2, kappa=2.0, burn_in=0.0, thinning=4e-3)
 def run(command, **given):
     """A CLI command on its flag defaults, with ``given`` in their place."""
     cfg = {k: default for k, (_, default, _) in cli.SCHEMAS[command].items()}
-    return cli.COMMANDS[command]({**cfg, **given}, "/dev/null")
+    return cli.COMMANDS[command]({**cfg, **given})
 
 
 # id -> (name, floor, call, a numpy integer it accepts)
