@@ -314,7 +314,15 @@ def _chain_drift(x):
     """:func:`_drift` of one chain: each particle adds its terms left to
     right, as the kernel's reduction over axis 0 does.  1.0 / t on floats
     is the kernel's reciprocal, correctly rounded; equal angles (tan 0)
-    count as an infinite cot."""
+    count as an infinite cot.  N = 2 takes its one tan as a scalar, by
+    the ufunc loop of a one-element array, and returns (cot, -cot), the
+    loop's sums 0.0 + cot and 0.0 + (-cot) exactly."""
+    if len(x) == 2:
+        t = float(np.tan((x[0] - x[1]) / 2.0))
+        cot = 1.0 / t if t else math.inf
+        if not abs(cot) < 2e12:
+            raise CollisionError("coincident angles: cot drift is singular")
+        return [cot, -cot]
     j, k, terms = _chain_terms(len(x))
     tan = np.tan([(x[a] - x[b]) / 2.0 for a, b in zip(j, k)]).tolist()
     cot = [1.0 / t if t else math.inf for t in tan]

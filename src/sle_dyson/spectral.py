@@ -19,10 +19,13 @@ checks the bands admit D and are finite.  Each problem then has its own
 solver: the one-arm operator's lowest eigenpair comes from shifted inverse
 iteration on LAPACK's LDL^T factorization of the symmetric bands, each
 shift certified to lie below the spectrum by a factorization with positive
-pivots; the Hamiltonian takes its ground state the same way and its next
-few states from Rayleigh quotient iteration on LAPACK's pivoted LU,
-deflated against the states below, each certified by its count of sign
-changes (the oscillation theorem for Jacobi matrices).
+pivots, started from the continuum mode the operator is built around and
+stopped once its residual reaches the round-off scale of the bands (one
+solve at the CLI's grid); the Hamiltonian takes its ground state the same
+way from the all-ones vector, and its next few states from Rayleigh
+quotient iteration on LAPACK's pivoted LU, deflated against the states
+below, each certified by its count of sign changes (the oscillation
+theorem for Jacobi matrices).
 
 The lowest decaying mode of the backward generator on the singular branch
 theta^{1-4/kappa} has the closed-form rate (kappa^2-16)/(32 kappa), which
@@ -58,12 +61,15 @@ class GridOperator:
 
     ``grid`` holds the cell-centred nodes (i+1/2)h on (0, 2*pi), and
     ``lower``, ``diag`` and ``upper`` the sub-, main and super-diagonal.
+    ``mode``, where given, is the continuum mode the operator is built
+    around, on the grid: :func:`lowest_eigenpair` starts from it.
     """
 
     grid: np.ndarray
     lower: np.ndarray
     diag: np.ndarray
     upper: np.ndarray
+    mode: np.ndarray | None = None
 
 
 def _cell_grid(m: int) -> np.ndarray:
@@ -112,7 +118,9 @@ def build_adjoint_n2(kappa: float, m: int) -> GridOperator:
     takes plain central differences on g: row 0's ghost node -h/2 mirrors
     node 0, g(-h/2) = g(h/2), and the far end 2*pi gets a Neumann ghost
     cell on h.  Scaling row i by theta_i^alpha and column j by
-    theta_j^-alpha returns the bands on the nodal values of h.
+    theta_j^-alpha returns the bands on the nodal values of h.  The
+    operator's ``mode`` is sin(theta/4)^alpha, the closed-form decaying
+    mode for kappa > 4 and the constant for kappa <= 4.
     """
     _real("kappa", kappa)
     th = _cell_grid(m)
@@ -128,7 +136,8 @@ def build_adjoint_n2(kappa: float, m: int) -> GridOperator:
     diag[0] += lower[0]
     diag[-1] += upper[-1] * (th[-1] / (th[-1] + h)) ** alpha
     ratio = (th[1:] / th[:-1]) ** alpha
-    return GridOperator(th, lower[1:] * ratio, diag, upper[:-1] / ratio)
+    return GridOperator(th, lower[1:] * ratio, diag, upper[:-1] / ratio,
+                        np.sin(th / 4.0) ** alpha)
 
 
 def _symmetric_bands(op: GridOperator):
@@ -138,12 +147,16 @@ def _symmetric_bands(op: GridOperator):
     an off-diagonal product of T is not positive, so that D does not
     exist, and then where the bands are not finite.
     """
-    if not np.all(op.lower * op.upper > 0.0):
+    prod = op.lower * op.upper
+    if not np.all(prod > 0.0):
         raise ValueError("an off-diagonal product is not positive")
-    d, e = -op.diag, -np.sqrt(op.lower * op.upper)
+    d, e = -op.diag, -np.sqrt(prod)
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
         raise ValueError("the bands are not finite")
-    return d, e, d + np.append(e, 0.0) + np.insert(e, 0, 0.0)
+    rows = d.copy()
+    rows[:-1] += e
+    rows[1:] += e
+    return d, e, rows
 
 
 def _rayleigh(rows, e, w):
@@ -186,10 +199,11 @@ def _sign_changes(w) -> int:
     return int(np.count_nonzero(np.signbit(big[1:]) != np.signbit(big[:-1])))
 
 
-def _ground_symmetric(d, e, rows):
+def _ground_symmetric(d, e, rows, start=None):
     """Lowest eigenpair (value, unit vector) of the symmetric tridiagonal S
     with diagonal ``d``, off-diagonal ``e`` < 0 and row sums ``rows``, by
-    certified shifted inverse iteration from the all-ones vector.
+    certified shifted inverse iteration from the positive vector ``start``,
+    or from the all-ones vector where it is None.
 
     S is an irreducible Z-matrix, so its lowest eigenvector is positive
     and not orthogonal to the start.  Each shift sigma is certified below
@@ -200,22 +214,31 @@ def _ground_symmetric(d, e, rows):
     below 0; an operator with a growing mode factors at neither shift and
     raises.  After each solve the shift moves up to rho - r, the Rayleigh
     quotient less the residual norm, wherever that factorization also
-    succeeds, so the iteration converges to the lowest pair and to no
-    other.  It stops when r stops falling, at the round-off floor, and
-    takes that step's pair; a fixed tolerance on r would stop before the
-    smallest entries of the vector converge.  Raises ValueError when no
-    shift factors or INVERSE_ITERATION_STEPS solves pass without a stall.
+    succeeds.  S - sigma I is then a nonsingular M-matrix, whose inverse
+    is positive, so every iterate of a positive start is positive; the
+    only positive eigenvector is the lowest, so the iteration converges to
+    the lowest pair and to no other, and may stop after one solve.  It
+    stops when r reaches eps max|d|, the round-off scale of S's rows,
+    where rho's error, at most r^2 over the gap (Parlett), cannot fall
+    further; failing that, when r stops falling, at the round-off floor,
+    and takes that step's pair.  A fixed tolerance on r well above the
+    floor would stop before the smallest entries of the vector converge.
+    Raises ValueError when no shift factors or INVERSE_ITERATION_STEPS
+    solves pass without a stop.
     """
     df, ef, info = dpttrf(d, e)
     if info:
         df, ef, info = dpttrf(d + 1e-12 * np.max(np.abs(d)), e)
         if info:
             raise ValueError("no shift below the spectrum factors")
-    w, r_best = np.ones(d.size), math.inf
+    w = np.ones(d.size) if start is None else start
+    floor, r_best = np.finfo(float).eps * np.max(np.abs(d)), math.inf
     for _ in range(INVERSE_ITERATION_STEPS):
         w = dpttrs(df, ef, w, overwrite_b=1)[0]
         w /= math.sqrt(np.add.reduce(w * w))
         rho, r = _rayleigh(rows, e, w)
+        if r <= floor:
+            return rho, w
         if not r < r_best:
             if math.isfinite(r):
                 return rho, w
@@ -283,19 +306,33 @@ def lowest_eigenpair(op: GridOperator) -> tuple[float, np.ndarray]:
     symmetrized S = -D T D^{-1}, found by :func:`_ground_symmetric`'s
     certified inverse iteration; the eigenvector is mapped back by D^{-1}
     and scaled to max-norm 1 with positive sign at its interior maximum.
-    Raises ValueError where an off-diagonal product is not positive, so
-    that D^{-1} does not exist: on the regular branch, next to the far
-    end, for kappa below about 1.34; and where the bands are not finite.
+    The iteration starts from D op.mode, normalized: the continuum mode in
+    S's coordinates, from which one solve reaches the round-off floor on
+    build_adjoint_n2's bands at m = 4096.  Where op has no mode, or that
+    start is not finite and positive, as where D under- or overflows, it
+    starts from all-ones.  Raises ValueError where an off-diagonal product
+    is not positive, so that D^{-1} does not exist: on the regular branch,
+    next to the far end, for kappa below about 1.34; and where the bands
+    are not finite.
     """
-    lam, y = _ground_symmetric(*_symmetric_bands(op))
-    vec = np.cumprod(np.append(1.0, np.sqrt(op.lower / op.upper))) * y
+    d, e, rows = _symmetric_bands(op)
+    back = np.cumprod(np.append(1.0, np.sqrt(op.lower / op.upper)))
+    start = None
+    if op.mode is not None:
+        with np.errstate(all="ignore"):  # a start spoilt here is not used
+            w = op.mode / back
+            w /= math.sqrt(np.add.reduce(w * w))
+        if 0.0 < np.min(w) and np.max(w) < math.inf:
+            start = w
+    lam, y = _ground_symmetric(d, e, rows, start)
+    vec = back * y
     return lam, vec / vec[np.argmax(np.abs(vec))]
 
 
 def adjoint_decay_rate(kappa: float, m: int) -> float:
     """The decay rate of :func:`lowest_eigenpair` on build_adjoint_n2(kappa,
-    m), in the LSW_HALF clock, without mapping its eigenvector back."""
-    return _ground_symmetric(*_symmetric_bands(build_adjoint_n2(kappa, m)))[0]
+    m), in the LSW_HALF clock."""
+    return lowest_eigenpair(build_adjoint_n2(kappa, m))[0]
 
 
 def measured_convergence_order(kappa: float) -> float:
