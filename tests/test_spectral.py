@@ -308,6 +308,23 @@ class TestLowestEigenpair:
         assert lam == lam_ones
         assert np.array_equal(vec, vec_ones)
 
+    def test_stall_stop_where_the_floor_is_out_of_reach(self, monkeypatch,
+                                                        dpttrs_calls):
+        # a residual read 1e-9 max|d| too high never reaches eps max|d|, so
+        # the iteration ends where it stops falling, at the same pair
+        op = build_adjoint_n2(6.0, 512)
+        scale = np.max(np.abs(op.diag))
+        rayleigh = spectral._rayleigh
+
+        def raised(rows, e, w):
+            rho, r = rayleigh(rows, e, w)
+            return rho, r + 1e-9 * scale
+
+        monkeypatch.setattr(spectral, "_rayleigh", raised)
+        lam, _ = lowest_eigenpair(op)
+        assert abs(lam - bisection_rate(op)) <= 1e-15 * scale
+        assert len(dpttrs_calls) >= 3
+
     def test_growing_mode_rejected(self):
         # T = Neumann Laplacian + 5: rate -5, so S = -T has the eigenvalue
         # -5, and neither shift 0 nor the one just below 0 factors
@@ -350,8 +367,9 @@ class TestLowestEigenpair:
                 cs_ground_state(2.0, 64)
 
     def test_step_cap_raises(self, monkeypatch):
-        # one solve cannot show a stall, so a cap of one always ends in the
-        # cap's error
+        # at m = 64 the first solve is not yet at the round-off floor, and
+        # one solve cannot show a stall, so a cap of one ends in the cap's
+        # error
         monkeypatch.setattr(spectral, "INVERSE_ITERATION_STEPS", 1)
         with pytest.raises(ValueError, match="no lowest eigenpair"):
             lowest_eigenpair(build_adjoint_n2(6.0, 64))
@@ -592,7 +610,7 @@ class TestSurvival:
             survival_decay_rate(kappa)
 
     @pytest.mark.parametrize("kappa", [6.0, 8.0])
-    def test_solves(self, kappa, dpttrs_calls):
+    def test_at_most_two_solves(self, kappa, dpttrs_calls):
         survival_decay_rate(kappa)
         assert len(dpttrs_calls) <= 2
 
