@@ -99,25 +99,6 @@ def wrap_angle(theta):
 
 
 @dataclass(frozen=True)
-class AngleConfig:
-    """Ordered set of N particle angles on the circle, each in [0, 2*pi)."""
-
-    angles: np.ndarray
-
-    def __post_init__(self):
-        arr = np.atleast_1d(np.asarray(self.angles, dtype=float))
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("angles must be a nonempty 1-D vector")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("angles must be finite")
-        if np.any(arr < 0.0) or np.any(arr >= TWO_PI):
-            raise ValueError("angles must lie in [0, 2*pi)")
-        if _gaps(np.sort(arr)).min() <= 0.0:
-            raise CollisionError("angles must be pairwise distinct")
-        object.__setattr__(self, "angles", arr)
-
-
-@dataclass(frozen=True)
 class ProcessParams:
     """Parameters of the circular interacting diffusion.
 
@@ -166,28 +147,10 @@ class TrajectoryRecord:
     states: np.ndarray  # shape (len(times), N)
 
 
-def equally_spaced(n: int) -> AngleConfig:
+def equally_spaced(n: int) -> np.ndarray:
     """The zero-drift configuration: n equally spaced angles from 0, n an
     integer >= 1."""
-    return AngleConfig(wrap_angle(TWO_PI * np.arange(_count("n", n, 1)) / n))
-
-
-def drift(config: AngleConfig) -> np.ndarray:
-    """Drift vector sum_{k != j} cot((theta_j - theta_k)/2) at ``config``."""
-    return _drift(config.angles)
-
-
-def potential(config: AngleConfig) -> float:
-    """Pair potential V = -2 sum_{j<k} ln|sin((theta_j - theta_k)/2)|.
-
-    The drift equals -grad V componentwise.
-    """
-    a = config.angles
-    j, k, _ = _pair_terms(a.size)
-    s = np.abs(np.sin((a[j] - a[k]) / 2.0))
-    if np.any(s < 1e-300):
-        raise CollisionError("coincident angles: potential diverges")
-    return float(np.sum(-2.0 * np.log(s)))
+    return wrap_angle(TWO_PI * np.arange(_count("n", n, 1)) / n)
 
 
 @functools.lru_cache
@@ -568,7 +531,7 @@ def simulate(params: ProcessParams, t_end: float) -> TrajectoryRecord:
     """
     n_steps = _n_steps("t_end", _real("t_end", t_end), params.dt)
     rng = np.random.default_rng(np.random.SeedSequence(params.seed))
-    x = equally_spaced(params.n_particles).angles.tolist()  # sorted
+    x = equally_spaced(params.n_particles).tolist()  # sorted
     trail = _integrate_chain(x, params.kappa, params.dt, n_steps, rng,
                              dict.fromkeys(PATH_COUNTERS, 0))
     return TrajectoryRecord(times=np.arange(n_steps + 1) * params.dt,

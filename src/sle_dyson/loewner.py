@@ -16,8 +16,8 @@ inverse map over a time tau is c -> sqrt(e^{-tau} c^2 + 1 - e^{-tau}); the
 principal root keeps the image in the closed disc.  A trace point starts
 on its own driver and walks the drive's knot intervals backwards, each
 driver held at its value at the interval's right end, composing the N
-single-driver maps with its own curve's first.  This is exact for a
-constant drive and a first-order splitting of the joint flow otherwise.
+single-driver maps with its own curve's first.  This is exact for one
+driver held still, and a first-order splitting of the joint flow for N >= 2.
 The point is carried in c from start to end: the coordinate about the
 next driver e_s is c -> (alpha + c)/(1 + alpha c), with
 alpha = (e_s - e_r)/(e_s + e_r) = i tan((theta_s - theta_r)/2), a number
@@ -173,10 +173,10 @@ def trace_points(drive: DriveHistory, j, sample_times) -> list[FlowPoint]:
     from a per-knot table built once per call.  All points advance
     together, one interval per loop iteration; the knots over which the
     same points walk form a run, whose alphas are gathered in one take.
-    The result is exact for a constant drive; for a Dyson drive it is the
-    trace of the piecewise-constant drive, within a few 1e-2 of the
-    adaptive RK4 reverse flow of the linearly interpolated one.  A point
-    that comes out not finite is UNRESOLVED.
+    It is exact for one driver held still; for N >= 2, held still or not,
+    a first-order splitting of the joint flow, and on a Dyson drive within
+    a few 1e-2 of the adaptive RK4 reverse flow of the interpolated drive.
+    A point that comes out not finite is UNRESOLVED.
     """
     j = np.asarray(j)
     if j.dtype.kind not in "iu":

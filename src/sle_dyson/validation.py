@@ -1,4 +1,4 @@
-"""End-to-end validation suite: nine numbered criteria with pinned thresholds.
+"""End-to-end validation suite: seven numbered criteria with pinned thresholds.
 
 Each runner returns a :class:`CriterionResult` whose ``value`` is the
 measured statistic and whose ``threshold`` is the pinned bound; ``passed``
@@ -14,7 +14,6 @@ bounds); every deterministic criterion runs at full strength either way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from pathlib import Path
 import subprocess
 import time
@@ -22,7 +21,7 @@ import time
 import numpy as np
 import scipy
 
-from . import __version__, dyson, ensembles, exponents, loewner, spectral
+from . import __version__, dyson, ensembles, loewner, spectral
 
 RNG_SEED = 20230
 
@@ -155,49 +154,6 @@ def criterion_6_similarity_ground_state(quick: bool = False) -> CriterionResult:
                             "e1_error": abs(e1 - (1.0 + kappa / 4.0))})
 
 
-def criterion_9_exponent_identities(quick: bool = False) -> CriterionResult:
-    """Exact-rational identities; zero tolerance, value = failure count."""
-    kappas = [Fraction(n, 7) + Fraction(1, 3) for n in range(1, 21)]
-    failures = 0
-    for p in range(2, 11):
-        for kap in kappas:
-            lhs = exponents.fusion_exponent(p, kap)
-            if lhs != (exponents.kac_h_1_s(kap, p)
-                       - p * exponents.kac_h_1_s(kap, 1)):
-                failures += 1
-            if exponents.ansatz_exponent(
-                    p, exponents.beta_from_kappa(kap)) != 2 * lhs:
-                failures += 1
-    return CriterionResult(9, "exponent_identities", float(failures), 0.0,
-                           failures == 0,
-                           {"p_max": 10, "kappa_grid": len(kappas)})
-
-
-def criterion_10_gradient_consistency(quick: bool = False) -> CriterionResult:
-    """Drift vs central-difference -grad V on random configurations."""
-    rng = np.random.default_rng(RNG_SEED)
-    eps = 1e-5
-    worst = 0.0
-    for _ in range(100):
-        n = int(rng.integers(2, 7))
-        # random configurations kept clear of near-collisions, where the
-        # finite-difference step itself would change the nearest pair
-        angles = dyson.equally_spaced(n).angles + rng.uniform(
-            -0.3 * np.pi / n, 0.3 * np.pi / n, size=n)
-        angles = np.sort(dyson.wrap_angle(angles))
-        config = dyson.AngleConfig(angles)
-        mu = dyson.drift(config)
-        for j in range(n):
-            up, dn = angles.copy(), angles.copy()
-            up[j] += eps
-            dn[j] -= eps
-            fd = -(dyson.potential(dyson.AngleConfig(up))
-                   - dyson.potential(dyson.AngleConfig(dn))) / (2.0 * eps)
-            worst = max(worst, abs(mu[j] - fd))
-    return CriterionResult(10, "gradient_consistency", worst, 1e-5,
-                           worst < 1e-5)
-
-
 def criterion_11_slit_drivers(quick: bool = False) -> CriterionResult:
     """Drivers moved by each other's slit maps vs Euler-Maruyama on the
     production drift, both fed one Brownian path summed onto each dt grid.
@@ -213,7 +169,7 @@ def criterion_11_slit_drivers(quick: bool = False) -> CriterionResult:
     per, worst, orders_ok = {}, 0.0, True
     for n in (2, 3, 4):
         for kappa in (2.0, 3.0):
-            start = (dyson.equally_spaced(n).angles[:, None]
+            start = (dyson.equally_spaced(n)[:, None]
                      + rng.uniform(-0.3 * np.pi / n, 0.3 * np.pi / n,
                                    (n, n_paths))
                      + rng.uniform(0.0, 2.0 * np.pi, n_paths))
@@ -237,6 +193,8 @@ def criterion_11_slit_drivers(quick: bool = False) -> CriterionResult:
                            {"dt": list(dts), **per})
 
 
+# id -> runner; the ids are cited labels, never renumbered, and a retired
+# id (7 to 10) is never reused
 ALL_CRITERIA = {
     1: criterion_1_stationary_law,
     2: criterion_2_classical_beta,
@@ -244,10 +202,8 @@ ALL_CRITERIA = {
     4: criterion_4_eigenfunction,
     5: criterion_5_stationarity_residual,
     6: criterion_6_similarity_ground_state,
-    9: criterion_9_exponent_identities,
-    10: criterion_10_gradient_consistency,
     11: criterion_11_slit_drivers,
-}  # id -> runner; the ids are cited labels, never renumbered
+}
 
 
 def run_criteria(quick: bool = False, only=None) -> list[CriterionResult]:

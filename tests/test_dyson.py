@@ -7,42 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sle_dyson import dyson
-from sle_dyson.dyson import (GAP_FLOOR, PATH_COUNTERS, TWO_PI, AngleConfig,
-                             CollisionError, ProcessParams, drift,
-                             equally_spaced, potential, sample_stationary,
-                             simulate, wrap_angle)
+from sle_dyson.dyson import (GAP_FLOOR, PATH_COUNTERS, TWO_PI,
+                             CollisionError, ProcessParams, equally_spaced,
+                             sample_stationary, simulate, wrap_angle)
 from sle_dyson.ensembles import (gap_cdf_n2, ks_statistic, ks_threshold,
                                  ks_two_sample, ks_two_sample_threshold,
                                  row_gaps)
 
 
 def distinct_config(rng, n, min_gap=0.3):
-    base = equally_spaced(n).angles
+    base = equally_spaced(n)
     jitter = rng.uniform(-0.3 * np.pi / n, 0.3 * np.pi / n, size=n)
-    return AngleConfig(np.sort(wrap_angle(base + jitter)))
+    return np.sort(wrap_angle(base + jitter))
 
 
 class TestConfigValidation:
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            AngleConfig(np.array([0.0, TWO_PI]))
-
-    def test_rejects_coincident(self):
-        with pytest.raises(CollisionError):
-            AngleConfig(np.array([1.0, 1.0]))
-
-    @pytest.mark.parametrize("angles", [[], [[1.0, 2.0]]],
-                             ids=["empty", "2-d"])
-    def test_rejects_empty_or_2d(self, angles):
-        with pytest.raises(ValueError,
-                           match="^angles must be a nonempty 1-D vector$"):
-            AngleConfig(np.array(angles))
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_rejects_non_finite_angle(self, bad):
-        with pytest.raises(ValueError, match="^angles must be finite$"):
-            AngleConfig(np.array([1.0, bad]))
-
     @pytest.mark.parametrize("bad", [math.nan, -0.5, TWO_PI])
     def test_sample_batch_rejects_rows_off_the_circle(self, bad):
         with pytest.raises(ValueError, match=r"^sample rows must hold finite "
@@ -54,28 +33,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="^sample rows must be a 2-D "
                                              "array, one row per sample$"):
             dyson.SampleBatch(rows=np.full((3, 2, 2), 1.0), created_by="x")
-
-    @pytest.mark.parametrize("field, value, problem", [
-        ("kappa", math.inf, "kappa must be positive and finite"),
-        ("dt", math.inf, "dt must be positive and finite"),
-        ("burn_in", math.inf, "burn_in must be nonnegative and finite"),
-        ("burn_in", math.nan, "burn_in must be nonnegative and finite"),
-        ("thinning", math.inf, "thinning must be positive and finite"),
-        ("thinning", math.nan, "thinning must be positive and finite"),
-    ])
-    def test_rejects_non_finite_params(self, field, value, problem):
-        with pytest.raises(ValueError, match=problem):
-            ProcessParams(**{"n_particles": 2, "kappa": 2.0, field: value})
-
-    @pytest.mark.parametrize("n", [2.5, 2.0, True, np.bool_(True), "2"],
-                             ids=["2.5", "2.0", "True", "np.bool_", "str"])
-    def test_rejects_non_integer_particle_count(self, n):
-        with pytest.raises(ValueError, match="n_particles must be an "
-                                             "integer"):
-            ProcessParams(n_particles=n, kappa=2.0)
-
-    def test_accepts_numpy_integer_particle_count(self):
-        assert ProcessParams(n_particles=np.int64(3), kappa=2.0).beta == 2.0
 
     @pytest.mark.parametrize("seed", [-1, np.int64(-3), 1.5, 2.0, True,
                                       np.bool_(False), "0", None],
@@ -90,17 +47,6 @@ class TestConfigValidation:
     def test_accepts_nonnegative_integer_seed(self, seed):
         p = ProcessParams(n_particles=2, kappa=2.0, seed=seed, dt=0.01)
         assert simulate(p, 0.02).states.shape == (3, 2)
-
-    @pytest.mark.parametrize("n", [2.5, 3.0, True, np.bool_(True)],
-                             ids=["2.5", "3.0", "True", "np.bool_"])
-    def test_sample_stationary_rejects_non_integer_count(self, n):
-        with pytest.raises(ValueError, match="n_samples must be an integer"):
-            sample_stationary(ProcessParams(n_particles=2, kappa=2.0), n)
-
-    def test_sample_stationary_accepts_numpy_integer_count(self):
-        p = ProcessParams(n_particles=2, kappa=2.0, burn_in=0.0,
-                          thinning=4e-3)
-        assert sample_stationary(p, np.int64(3)).rows.shape == (3, 2)
 
     @pytest.mark.parametrize("fields, problem", [
         ({"burn_in": 0.0009}, "burn_in=0.0009 is not an integer multiple "
@@ -127,40 +73,19 @@ class TestConfigValidation:
 
 
 class TestPotentialAndDrift:
-    def test_equally_spaced_potential_n3(self):
-        # product of pairwise chord sines is (3/4)^... : V = 3 ln(4/3)
-        v = potential(equally_spaced(3))
-        assert v == pytest.approx(3.0 * math.log(4.0 / 3.0), abs=1e-12)
-
     def test_equally_spaced_drift_vanishes(self):
         for n in (2, 3, 5, 8):
-            rotated = AngleConfig(wrap_angle(equally_spaced(n).angles + 0.3))
-            assert np.max(np.abs(drift(rotated))) < 1e-12
+            rotated = wrap_angle(equally_spaced(n) + 0.3)
+            assert np.max(np.abs(dyson._drift(rotated))) < 1e-12
 
     def test_single_particle_free(self):
-        assert drift(AngleConfig(np.array([1.0]))) == pytest.approx(0.0)
-        assert potential(AngleConfig(np.array([1.0]))) == 0.0
-
-    def test_drift_is_negative_gradient(self):
-        rng = np.random.default_rng(3)
-        eps = 1e-5
-        for _ in range(100):
-            n = int(rng.integers(2, 7))
-            cfg = distinct_config(rng, n)
-            mu = drift(cfg)
-            for j in range(n):
-                up, dn = cfg.angles.copy(), cfg.angles.copy()
-                up[j] += eps
-                dn[j] -= eps
-                fd = -(potential(AngleConfig(up))
-                       - potential(AngleConfig(dn))) / (2 * eps)
-                assert mu[j] == pytest.approx(fd, abs=1e-5)
+        assert dyson._drift(np.array([1.0])) == pytest.approx(0.0)
 
     def test_drift_sums_to_zero(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             cfg = distinct_config(rng, int(rng.integers(2, 8)))
-            assert abs(np.sum(drift(cfg))) < 1e-10
+            assert abs(np.sum(dyson._drift(cfg))) < 1e-10
 
     @pytest.mark.parametrize("angles", [[1.0, 1.0 + 1e-13],
                                         [1e-14, TWO_PI - 1e-13]],
@@ -168,7 +93,7 @@ class TestPotentialAndDrift:
     def test_drift_raises_near_collision(self, angles):
         # angles 1e-13 apart: |cot| ~ 2e13 is past the 2e12 guard
         with pytest.raises(CollisionError, match="cot drift is singular"):
-            drift(AngleConfig(np.array(angles)))
+            dyson._drift(np.array(angles))
         with pytest.raises(CollisionError, match="cot drift is singular"):
             dyson._chain_drift(angles)
 
@@ -181,17 +106,12 @@ class TestPotentialAndDrift:
             with pytest.raises(CollisionError, match="cot drift is singular"):
                 dyson._chain_drift(angles)
 
-    def test_potential_raises_near_collision(self):
-        # |sin| of half a 1e-300 gap is below the 1e-300 guard
-        with pytest.raises(CollisionError, match="potential diverges"):
-            potential(AngleConfig(np.array([0.0, 1e-300])))
-
     def test_rotation_equivariance(self):
         rng = np.random.default_rng(5)
         cfg = distinct_config(rng, 4)
-        rot = AngleConfig(wrap_angle(cfg.angles + 1.234))
-        assert drift(rot) == pytest.approx(drift(cfg), abs=1e-10)
-        assert potential(rot) == pytest.approx(potential(cfg), abs=1e-10)
+        rot = wrap_angle(cfg + 1.234)
+        assert dyson._drift(rot) == pytest.approx(dyson._drift(cfg),
+                                                  abs=1e-10)
 
 
 @given(st.floats(min_value=-50.0, max_value=50.0,
@@ -208,7 +128,7 @@ def test_drift_antisymmetry_property(n, seed):
     rng = np.random.default_rng(seed)
     cfg = distinct_config(rng, n)
     # total angular momentum is conserved by the interaction
-    assert abs(np.sum(drift(cfg))) < 1e-9
+    assert abs(np.sum(dyson._drift(cfg))) < 1e-9
 
 
 def run_kernel(x, kappa, dt, n_steps, seed):
@@ -348,7 +268,7 @@ class TestStepping:
     def test_one_step_variance(self):
         # increment variance about the drift is kappa*dt, within 3 SE
         kappa, dt, reps = 2.0, 1e-3, 4000
-        x = np.tile(equally_spaced(2).angles, (reps, 1))
+        x = np.tile(equally_spaced(2), (reps, 1))
         new, counts = run_kernel(x, kappa, dt, 1, seed=11)
         assert counts["em_steps"] == reps
         incs = (new - x - dyson._drift(x.T).T * dt).ravel()
@@ -476,7 +396,7 @@ class TestKernelMatchesRowMajorReference:
         kappa, dt, c = 2.0, 2e-3, 64
         rng = np.random.default_rng(20 + n)
         jitter = rng.uniform(-0.2, 0.2, size=(c, n)) * np.pi / n
-        x = equally_spaced(n).angles + jitter + rng.uniform(0.0, TWO_PI,
+        x = equally_spaced(n) + jitter + rng.uniform(0.0, TWO_PI,
                                                             size=(c, 1))
         new, counts = run_kernel(x, kappa, dt, 1, seed=n)
         assert counts["em_steps"] == c
@@ -648,7 +568,7 @@ class TestOneChainStepper:
         dt, n_steps = 1e-3, 1000
         total = dict.fromkeys(PATH_COUNTERS, 0)
         for seed in range(3):
-            x0 = equally_spaced(n).angles
+            x0 = equally_spaced(n)
             chain_counts = dict.fromkeys(PATH_COUNTERS, 0)
             chain_rng = np.random.default_rng(seed)
             trail = dyson._integrate_chain(x0.tolist(), kappa, dt, n_steps,
@@ -725,7 +645,7 @@ class TestBlockDraws:
         monkeypatch.setattr(dyson, "DRAW_BLOCK", block)
         monkeypatch.setattr(dyson, "_rewind", recorded)
         for seed in range(2):
-            x0 = equally_spaced(n).angles.tolist()
+            x0 = equally_spaced(n).tolist()
             counts = dict.fromkeys(PATH_COUNTERS, 0)
             rng = np.random.default_rng(seed)
             trail = dyson._integrate_chain(x0, kappa, dt, n_steps, rng,
@@ -773,7 +693,7 @@ class TestSimulate:
         # vanishing noise: relaxation from a random start to the equally
         # spaced configuration, on simulate's one-chain stepper
         init = distinct_config(np.random.default_rng(9), 3, min_gap=0.5)
-        trail = dyson._integrate_chain(init.angles.tolist(), 1e-8, 2e-3,
+        trail = dyson._integrate_chain(init.tolist(), 1e-8, 2e-3,
                                        4000, np.random.default_rng(0),
                                        dict.fromkeys(PATH_COUNTERS, 0))
         gaps = np.array(dyson._chain_gaps(trail[-1]))

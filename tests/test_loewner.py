@@ -158,7 +158,7 @@ class TestDriveHistory:
 
     def test_constant_drive(self):
         dh = DriveHistory(times=np.array([0.0, 1.0]),
-                          angles=np.tile(equally_spaced(2).angles, (2, 1)))
+                          angles=np.tile(equally_spaced(2), (2, 1)))
         assert dh.drivers_at(0.7) == pytest.approx([0.0, math.pi])
 
     @pytest.mark.parametrize("kwargs", [
@@ -200,7 +200,7 @@ class TestDriveHistory:
 
     def test_drivers_at_matches_interp_constant(self):
         dh = DriveHistory(times=np.array([0.0, 0.7]), angles=np.tile(
-            wrap_angle(equally_spaced(3).angles + 0.4), (2, 1)))
+            wrap_angle(equally_spaced(3) + 0.4), (2, 1)))
         t = np.concatenate([np.random.default_rng(0).uniform(0, 0.7, 1000),
                             [0.0, 0.7]])
         np.testing.assert_array_equal(dh.drivers_at(t),
@@ -266,7 +266,7 @@ class TestTraceExact:
         # splitting whose error is first order in the knot spacing: at
         # spacing 1e-3 it measured 8e-5, 2.1e-4 and 3.9e-4 at N = 2, 3, 4
         knots = np.linspace(0.0, 1.0, 1001)
-        theta = wrap_angle(equally_spaced(n).angles + 0.3)
+        theta = wrap_angle(equally_spaced(n) + 0.3)
         dh = DriveHistory(times=knots, angles=np.tile(theta, (knots.size, 1)))
         times = np.array([0.05, 0.3705, 1.0])
         s = np.sqrt(1.0 - np.exp(-n * n * times))
@@ -275,6 +275,24 @@ class TestTraceExact:
             pts = trace_points(dh, j, times)
             np.testing.assert_allclose([p.z for p in pts], exact, rtol=0,
                                        atol=1e-3)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_held_drivers_error_halves_with_dt(self, n):
+        # one driver held still is traced exactly; N >= 2 held still are
+        # not, as the one-slit maps of one interval do not commute, and
+        # the splitting's error at t = 0.25 halves with the knot spacing
+        s = math.sqrt(-math.expm1(-n * n * 0.25))
+        tip = ((1.0 - s) / (1.0 + s)) ** (1 / n)
+        errs = []
+        for steps in (250, 500):
+            knots = np.linspace(0.0, 0.25, steps + 1)
+            dh = DriveHistory(times=knots, angles=np.tile(
+                equally_spaced(n), (knots.size, 1)))
+            errs.append(abs(trace_points(dh, 0, 0.25)[0].z - tip))
+        if n == 1:
+            assert max(errs) < 1e-12
+        else:
+            assert 1.9 <= errs[0] / errs[1] <= 2.1
 
 
 class TestSlitDrivers:
@@ -292,7 +310,7 @@ class TestSlitDrivers:
         # two sides of the slit apart, so the points start a hair inside
         # it.
         rng = np.random.default_rng(n)
-        theta = equally_spaced(n).angles + rng.uniform(-0.3, 0.3, n)
+        theta = equally_spaced(n) + rng.uniform(-0.3, 0.3, n)
         db = 0.05 * rng.standard_normal(n)
         phi = slit_drivers(theta, db, 0.02)
         for j in reversed(range(n)):
@@ -310,7 +328,7 @@ class TestSlitDrivers:
         # with no increments, one step of dt moves the drivers by
         # _drift * dt + O(dt^2), along axis 0 for a stack of paths
         rng = np.random.default_rng(10 + n)
-        theta = (equally_spaced(n).angles[:, None]
+        theta = (equally_spaced(n)[:, None]
                  + rng.uniform(-0.3, 0.3, (n, 4)))
         dt = 1e-5
         step = slit_drivers(theta, np.zeros((n, 4)), dt) - theta

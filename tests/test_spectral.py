@@ -72,20 +72,6 @@ class TestExactRate:
             one_arm_lambda_exact(kappa)
 
 
-@pytest.mark.parametrize("kappa", [0.0, -1.0, math.nan, math.inf])
-@pytest.mark.parametrize("fn", [one_arm_lambda_exact,
-                                lambda k: build_adjoint_n2(k, 64),
-                                lambda k: build_fp_generator_n2(k, 64),
-                                lambda k: cs_ground_state(k, 64),
-                                lambda k: adjoint_decay_rate(k, 64),
-                                lambda k: fp_equilibrium_residual(k, 64),
-                                lambda k: stationary_gap_density(k, 1.0),
-                                survival_decay_rate])
-def test_nonpositive_or_nan_kappa_rejected(fn, kappa):
-    with pytest.raises(ValueError, match="kappa must be positive"):
-        fn(kappa)
-
-
 @pytest.mark.parametrize("kappa", [2.0, 4.0])
 def test_one_arm_eigenfunction_needs_kappa_above_four(kappa):
     with pytest.raises(ValueError, match="no decaying one-arm mode"):
